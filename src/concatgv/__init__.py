@@ -31,12 +31,10 @@ from .codes import (
     OuterCode,
     WeightDistribution,
     bias,
-    encode_concat,
     min_distance,
-    outer_dual_membership,
     weight_distribution,
 )
-from .field import FieldCtx, find_self_dual_basis, make_field
+from .field import FieldCtx, make_field
 from .fileio import load_binary_code, load_outer_code, save_code
 from .linalg import (
     BitMatrix,
@@ -44,7 +42,6 @@ from .linalg import (
     nullspace_basis,
     rank,
     sample_binary_code,
-    sample_code,
     sample_field_code,
 )
 from .moments import (

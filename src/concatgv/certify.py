@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import List, Sequence, Tuple
 
-import numpy as np
-
-from .codes import BinaryCode, OuterCode, WeightDistribution, all_messages
+from .codes import BinaryCode, OuterCode, WeightDistribution, all_messages, weight_distribution
 from .field import FieldCtx
 from .linalg import nullspace_basis
 from .rng import SplitMix64
@@ -149,31 +148,13 @@ class NicenessReport:
         }
 
 
-def gf2_weight_counts(basis_rows: Sequence[int], n: int) -> List[int]:
-    """Weight enumerator of the GF(2) span of basis_rows (all 2^dim words).
-
-    Subset-XOR enumeration by doubling, vectorized; n must fit in 64 bits.
-    """
-    if n > 64:
-        raise ValueError("vectorized enumeration supports n <= 64")
-    arr = np.zeros(1, dtype=np.uint64)
-    for b in basis_rows:
-        arr = np.concatenate([arr, arr ^ np.uint64(b)])
-    weights = np.bitwise_count(arr)
-    counts = np.bincount(weights, minlength=n + 1)
-    return [int(c) for c in counts]
-
-
 def check_nice(inner: BinaryCode, tau: float, budget: int = 1 << 20) -> NicenessReport:
     """Exact tau-niceness check of the inner code by enumerating its dual."""
     n0, k0 = inner.n0, inner.k0
     eps = k0 / n0
     if not 0 < tau < eps:
         raise ValueError(f"tau={tau} outside (0, eps={eps})")
-    dual_dim = n0 - k0
-    if 1 << dual_dim > budget:
-        raise ValueError(f"dual size 2^{dual_dim} exceeds budget {budget}")
-    counts = gf2_weight_counts(list(inner.dual().rows), n0)
+    counts = weight_distribution(BinaryCode(inner.dual()), budget).delta
     scale = 2.0 ** (-n0 * (eps - tau))
     per_weight = []
     worst = 0.0
@@ -227,12 +208,11 @@ def soft_condition(
     mode: str = "exact",
     budget: int = 1 << 20,
     seed: int = 0,
-    msg_range: Tuple[int, int] | None = None,
 ) -> SoftReport:
     """Pr[x ~ pmf^n lands in the nonzero dual], and delta = prob * q^k - 1.
 
-    exact: sums prod(pmf[g_alpha]) over all q^(n-k) dual codewords, in dual
-    message index order (shardable via ``msg_range``, partial sums add).
+    exact: sums prod(pmf[g_alpha]) over all q^(n-k) dual codewords, in the
+    dual's message odometer order.
     montecarlo: draws `budget` vectors x ~ pmf^n, tests dual membership, and
     returns a Wilson 95% confidence interval flagged is_exact=False.
     """
@@ -242,22 +222,12 @@ def soft_condition(
     qk = q**outer.k
     if mode == "exact":
         dual = _dual_generator(outer)
-        if dual is None:
-            prob = 0.0
-        else:
+        prob = 0.0
+        if dual is not None:
             size = q**dual.k
             if size > budget:
                 raise ValueError(f"dual size {size} exceeds budget {budget}")
-            start, stop = (0, size) if msg_range is None else msg_range
-            prob = 0.0
-            for counter in range(start, stop):
-                msg = []
-                c = counter
-                for _ in range(dual.k):
-                    msg.append(c % q)
-                    c //= q
-                if counter == 0:
-                    continue  # exclude the zero dual codeword
+            for msg in islice(all_messages(dual), 1, None):  # skip the zero codeword
                 term = 1.0
                 for sym in dual.encode(msg):
                     term *= pmf[sym]

@@ -11,6 +11,7 @@ resolved inside it.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -215,13 +216,12 @@ def cmd_gv_compare(args) -> int:
     (outdir / "gv_curve.dat").write_text("\n".join(gv_lines) + "\n", encoding="ascii")
     (outdir / "zyablov_curve.dat").write_text("\n".join(zy_lines) + "\n", encoding="ascii")
     if args.points:
+        lines = Path(args.points).read_text(encoding="ascii").splitlines()
+        rows = csv.DictReader(ln for ln in lines if ln.strip() and not ln.startswith("#"))
+        if not {"rel_distance", "rate"} <= set(rows.fieldnames or ()):
+            raise ValueError(f"{args.points}: no rel_distance and rate columns in the header")
         measured = ["# concatgv-curve-v1 measured"]
-        for line in Path(args.points).read_text(encoding="ascii").splitlines():
-            if line.startswith("#") or line.startswith("trial,") or not line.strip():
-                continue
-            cells = line.split(",")
-            # sweep CSV columns: trial,seed_inner,seed_outer,rate,distance,rel_distance,...
-            measured.append(f"{cells[5]} {cells[3]}")
+        measured += [f"{row['rel_distance']} {row['rate']}" for row in rows]
         (outdir / "measured_points.dat").write_text(
             "\n".join(measured) + "\n", encoding="ascii"
         )

@@ -17,7 +17,10 @@ Conventions fixed here and used everywhere else:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, List, Sequence, Tuple
+
+import numpy as np
 
 from .field import FieldCtx
 from .linalg import BitMatrix, FieldMatrix, nullspace_basis, rank
@@ -175,10 +178,6 @@ class ConcatCode:
         return words
 
 
-def encode_concat(cc: ConcatCode, msg: Sequence[int]) -> int:
-    return cc.encode(msg)
-
-
 def bias(cc: ConcatCode, msg: Sequence[int]) -> int:
     """The bias X_m: (#zeros - #ones) of the concatenated codeword.
 
@@ -201,7 +200,8 @@ def bias(cc: ConcatCode, msg: Sequence[int]) -> int:
 
 @dataclass(frozen=True)
 class WeightDistribution:
-    """delta[j] = number of codewords of Hamming weight j, j = 0..length."""
+    """delta[j] = number of messages whose codeword has Hamming weight j,
+    j = 0..length.  The zero message is one of the delta[0]."""
 
     delta: Tuple[int, ...]
 
@@ -213,6 +213,24 @@ class WeightDistribution:
     def total(self) -> int:
         return sum(self.delta)
 
+    def nonzero_messages(self) -> Iterable[Tuple[int, int]]:
+        """(weight, count) over the nonzero messages, zero counts skipped."""
+        for j, count in enumerate(self.delta):
+            if j == 0:
+                count -= 1
+            if count:
+                yield j, count
+
+    @property
+    def min_weight(self) -> int:
+        """Minimum weight of a nonzero message's codeword (length + 1 if none)."""
+        return next((j for j, _ in self.nonzero_messages()), self.length + 1)
+
+    @property
+    def max_bias(self) -> int:
+        """max |length - 2 weight| over the nonzero messages."""
+        return max(abs(self.length - 2 * j) for j, _ in self.nonzero_messages())
+
 
 def _basis_words_and_length(code: BinaryCode | ConcatCode):
     if isinstance(code, BinaryCode):
@@ -222,50 +240,42 @@ def _basis_words_and_length(code: BinaryCode | ConcatCode):
     raise TypeError(f"unsupported code type {type(code).__name__}")
 
 
-def _gray_weights(words: List[int], length: int, start: int, stop: int):
-    """Yield (counter, weight) for codewords of Gray-ordered message counters
-    in [start, stop).  Counter 0 is the zero message."""
-    if start >= stop:
-        return
-    cw = 0
-    prev = 0
-    if start > 0:
-        g = start ^ (start >> 1)
-        for i in range(len(words)):
-            if (g >> i) & 1:
-                cw ^= words[i]
-        prev = g
-    yield start, cw.bit_count()
-    for t in range(start + 1, stop):
-        g = t ^ (t >> 1)
-        diff = g ^ prev
-        cw ^= words[(diff & -diff).bit_length() - 1]
-        prev = g
-        yield t, cw.bit_count()
+# The first BLOCK_BITS basis words are expanded into all their 2^BLOCK_BITS
+# sums at once (about 0.5 MB per 64-bit limb); the remaining words shift
+# that block, one Gray-code step at a time, so memory stays bounded.
+BLOCK_BITS = 16
+
+
+def _span_weight_counts(words: List[int], length: int) -> List[int]:
+    """Weight counts of all 2^len(words) XOR combinations of words."""
+    limbs = -(-length // 64)
+    basis = np.array(
+        [[(w >> (64 * j)) & 0xFFFFFFFFFFFFFFFF for j in range(limbs)] for w in words],
+        dtype=np.uint64,
+    ).reshape(len(words), limbs)
+    block = np.zeros((1, limbs), dtype=np.uint64)
+    for b in basis[:BLOCK_BITS]:
+        block = np.concatenate([block, block ^ b])
+    high = basis[BLOCK_BITS:]
+    counts = np.zeros(length + 1, dtype=np.int64)
+    shift = np.zeros(limbs, dtype=np.uint64)
+    for t in range(1 << len(high)):
+        if t:
+            shift ^= high[(t & -t).bit_length() - 1]
+        weights = np.bitwise_count(block ^ shift).sum(axis=1, dtype=np.intp)
+        counts += np.bincount(weights, minlength=length + 1)
+    return [int(c) for c in counts]
 
 
 def weight_distribution(
-    code: BinaryCode | ConcatCode,
-    budget: int = 1 << 24,
-    msg_range: Tuple[int, int] | None = None,
+    code: BinaryCode | ConcatCode, budget: int = 1 << 24
 ) -> WeightDistribution:
-    """Exact weight enumerator by Gray-code iteration over all messages.
-
-    ``msg_range`` restricts the scan to a range of message counters so callers
-    can shard the enumeration; partial results merge by adding the delta
-    arrays (the zero message sits at counter 0 of the first shard).
-    """
+    """Exact weight enumerator by enumerating every message's codeword."""
     words, length = _basis_words_and_length(code)
     size = 1 << len(words)
     if size > budget:
         raise ValueError(f"code size {size} exceeds budget {budget}")
-    start, stop = (0, size) if msg_range is None else msg_range
-    if not 0 <= start <= stop <= size:
-        raise ValueError(f"invalid message range {msg_range}")
-    counts = [0] * (length + 1)
-    for _, w in _gray_weights(words, length, start, stop):
-        counts[w] += 1
-    return WeightDistribution(tuple(counts))
+    return WeightDistribution(tuple(_span_weight_counts(words, length)))
 
 
 def min_distance(
@@ -273,27 +283,16 @@ def min_distance(
     mode: str = "exact",
     budget: int = 1 << 24,
     seed: int = 0,
-    msg_range: Tuple[int, int] | None = None,
 ) -> Tuple[int, bool]:
     """Minimum nonzero codeword weight.
 
-    exact: full Gray-code enumeration (requires code size <= budget); returns
-    (distance, True).  montecarlo: minimum over `budget` random nonzero
-    codewords, an upper bound on the distance; returns (value, False).
+    exact: read off the weight distribution (requires code size <= budget);
+    returns (distance, True).  montecarlo: minimum over `budget` random
+    nonzero codewords, an upper bound on the distance; returns (value, False).
     """
-    words, length = _basis_words_and_length(code)
     if mode == "exact":
-        size = 1 << len(words)
-        if size > budget:
-            raise ValueError(f"code size {size} exceeds budget {budget}")
-        start, stop = (0, size) if msg_range is None else msg_range
-        if not 0 <= start <= stop <= size:
-            raise ValueError(f"invalid message range {msg_range}")
-        best = length + 1
-        for t, w in _gray_weights(words, length, start, stop):
-            if t and w < best:
-                best = w
-        return best, True
+        return weight_distribution(code, budget).min_weight, True
+    words, length = _basis_words_and_length(code)
     if mode == "montecarlo":
         rng = SplitMix64(seed)
         dim = len(words)
@@ -315,24 +314,12 @@ def min_distance(
 
 def outer_min_distance(outer: OuterCode, budget: int = 1 << 24) -> int:
     """Exact minimum symbol weight of the outer code, by message enumeration."""
-    q = outer.ctx.q
-    if q**outer.k > budget:
+    if outer.ctx.q**outer.k > budget:
         raise ValueError("outer code too large for exact distance")
-    best = outer.n + 1
-    for counter in range(1, q**outer.k):
-        msg = []
-        c = counter
-        for _ in range(outer.k):
-            msg.append(c % q)
-            c //= q
-        w = sum(1 for s in outer.encode(msg) if s)
-        if w < best:
-            best = w
-    return best
-
-
-def outer_dual_membership(outer: OuterCode, x: Sequence[int]) -> bool:
-    return outer.dual_membership(x)
+    return min(
+        (sum(1 for s in outer.encode(msg) if s) for msg in islice(all_messages(outer), 1, None)),
+        default=outer.n + 1,
+    )
 
 
 def all_messages(outer: OuterCode) -> Iterable[Tuple[int, ...]]:

@@ -15,7 +15,7 @@ between GF(2^k0) symbols and k0-bit vectors.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 # Lexicographically smallest irreducible polynomial per degree (bitmask with
 # bit k0 set).  Hard-coded so every run and every machine builds the same
@@ -112,9 +112,6 @@ class FieldCtx:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def add(self, a: int, b: int) -> int:
-        return a ^ b
-
     def mul(self, a: int, b: int) -> int:
         """Carry-less multiply reduced mod the field modulus."""
         r = 0
@@ -175,10 +172,6 @@ class FieldCtx:
             raise ValueError(f"coordinate vector {bits} is not {self.k0} bits")
         return self._element_table[bits]
 
-    def coords_tuple(self, x: int) -> Tuple[int, ...]:
-        bits = self.coords(x)
-        return tuple((bits >> i) & 1 for i in range(self.k0))
-
     # -- self-dual basis construction ----------------------------------------
 
     def _b(self, x: int, y: int) -> int:
@@ -195,7 +188,9 @@ class FieldCtx:
         with the previously chosen e, the triple {e+u, e+w, e+u+w} is
         orthonormal and spans the same space, which un-sticks the recursion.
         The trace form is non-alternating on the full field (Tr is onto), so
-        the very first step always finds a diagonal vector.
+        the very first step always finds a diagonal vector.  Both projections
+        keep the remaining vectors linearly independent, so they never need
+        re-reducing; ``_verify_basis`` checks the result.
         """
         remaining = [1 << j for j in range(self.k0)]
         chosen: List[int] = []
@@ -203,9 +198,8 @@ class FieldCtx:
             pivot = next((v for v in remaining if self._b(v, v) == 1), None)
             if pivot is not None:
                 remaining.remove(pivot)
-                rest = [w ^ (pivot if self._b(w, pivot) else 0) for w in remaining]
+                remaining = [w ^ (pivot if self._b(w, pivot) else 0) for w in remaining]
                 chosen.append(pivot)
-                remaining = _independent_subset(rest)
                 continue
             # Alternating complement: find a hyperbolic pair.
             pair = None
@@ -224,7 +218,6 @@ class FieldCtx:
                 v ^ (u if self._b(v, w) else 0) ^ (w if self._b(v, u) else 0)
                 for v in remaining
             ]
-            remaining = _independent_subset(remaining)
             e = chosen.pop()
             chosen.extend([e ^ u, e ^ w, e ^ u ^ w])
         return chosen
@@ -264,35 +257,6 @@ class FieldCtx:
 
     def __hash__(self) -> int:
         return hash((self.k0, self.modulus))
-
-
-def _independent_subset(vectors: List[int]) -> List[int]:
-    """Reduce a spanning list to a linearly independent one over GF(2)."""
-    pivots: List[int] = []  # row-echelon residues, distinct leading bits
-    out: List[int] = []
-    for v in vectors:
-        r = v
-        changed = True
-        while changed and r:
-            changed = False
-            for b in pivots:
-                if b.bit_length() == r.bit_length():
-                    r ^= b
-                    changed = True
-                    break
-        if r:
-            pivots.append(r)
-            out.append(v)
-    return out
-
-
-def find_self_dual_basis(ctx: FieldCtx) -> List[int]:
-    """The self-dual basis for ctx: deterministic given the modulus.
-
-    Contexts verify their basis at construction, so this is just the stored
-    result; rebuilding from the modulus gives the same vectors.
-    """
-    return list(ctx.basis)
 
 
 def make_field(k0: int) -> FieldCtx:

@@ -41,13 +41,6 @@ class BitMatrix:
             out |= ((r >> j) & 1) << i
         return out
 
-    def mul_vec(self, x: int) -> int:
-        """Matrix-vector product M @ x over GF(2); x is a cols-bit int."""
-        out = 0
-        for i, r in enumerate(self.rows):
-            out |= ((r & x).bit_count() & 1) << i
-        return out
-
 
 @dataclass(frozen=True)
 class FieldMatrix:
@@ -215,15 +208,3 @@ def sample_field_code(ctx: FieldCtx, n: int, k: int, seed: int) -> FieldMatrix:
         if rank(m) == k:
             return m
 
-
-def sample_code(n: int, k: int, seed: int, ctx: FieldCtx | None = None):
-    """Uniform random linear code generator; binary unless a field ctx is given."""
-    if ctx is None:
-        return sample_binary_code(n, k, seed)
-    return sample_field_code(ctx, n, k, seed)
-
-
-def gf2_rowspace_contains(gen_rows: Sequence[int], x: int) -> bool:
-    """Membership of x in the GF(2) row space of gen_rows."""
-    base = gf2_rank(gen_rows)
-    return gf2_rank(list(gen_rows) + [x]) == base

@@ -25,7 +25,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .certify import check_nice, d_pmf
-from .codes import ConcatCode, _gray_weights
+from .codes import ConcatCode, weight_distribution
 
 
 def g_of_tuple(cc: ConcatCode, pairs: Sequence[Tuple[int, int]]) -> Tuple[int, ...]:
@@ -70,47 +70,20 @@ def _pair_deltas(cc: ConcatCode) -> Tuple[List[int], List[int]]:
     return g_delta, syn_delta
 
 
-def tuple_counts(
-    cc: ConcatCode,
-    r: int,
-    budget: int = 1 << 27,
-    lead_range: Tuple[int, int] | None = None,
-) -> Tuple[int, int]:
+def tuple_counts(cc: ConcatCode, r: int, budget: int = 1 << 27) -> Tuple[int, int]:
     """(#tuples with g in the outer dual, #tuples with g = 0) over ([n] x Omega)^r.
 
-    ``lead_range`` restricts the leading digit so the tuple space can be
-    sharded; shard results merge by adding both counts.
+    Odometer over r digits in base m = n * n0; each step XORs the deltas of
+    the digits it changes into the packed g and syndrome.
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
     m = cc.outer.n * cc.inner.n0
     if m**r > budget:
         raise ValueError(f"tuple count {m}^{r} exceeds budget {budget}")
-    if r == 0:
-        return 1, 1  # the empty tuple folds to 0, which is in every dual
     g_delta, syn_delta = _pair_deltas(cc)
-    lo, hi = (0, m) if lead_range is None else lead_range
-    if not 0 <= lo <= hi <= m:
-        raise ValueError(f"invalid lead range {lead_range}")
-    n_dual = 0
-    n_zero = 0
-    for lead in range(lo, hi):
-        d, z = _scan_suffix(g_delta, syn_delta, r - 1, g_delta[lead], syn_delta[lead])
-        n_dual += d
-        n_zero += z
-    return n_dual, n_zero
-
-
-def _scan_suffix(
-    g_delta: List[int], syn_delta: List[int], r: int, g0: int, syn0: int
-) -> Tuple[int, int]:
-    """Count dual/zero folds over all digit vectors of length r (odometer)."""
-    if r == 0:
-        return (1 if syn0 == 0 else 0), (1 if g0 == 0 else 0)
-    m = len(g_delta)
     digits = [0] * r
-    g = g0
-    syn = syn0
+    g = syn = 0
     if r & 1:  # the r starting digits each contribute delta[0]; pairs cancel
         g ^= g_delta[0]
         syn ^= syn_delta[0]
@@ -146,13 +119,8 @@ def moment_direct(cc: ConcatCode, r: int, budget: int = 1 << 24) -> Fraction:
     qk = cc.ctx.q**cc.outer.k
     if qk > budget:
         raise ValueError(f"message count {qk} exceeds budget {budget}")
-    words = cc.message_basis_words()
-    n_bits = cc.N
-    total = 0
-    for t, w in _gray_weights(words, n_bits, 0, qk):
-        if t == 0:
-            continue
-        total += (n_bits - 2 * w) ** r
+    wd = weight_distribution(cc, budget)
+    total = sum(count * (cc.N - 2 * w) ** r for w, count in wd.nonzero_messages())
     return Fraction(total, qk - 1)
 
 
@@ -209,13 +177,8 @@ def bad_bound(
         * Fraction(qk * n_dual - m**r)
         / (threshold**r)
     )
-    words = cc.message_basis_words()
-    bad = 0
-    for t, w in _gray_weights(words, cc.N, 0, qk):
-        if t == 0:
-            continue
-        if abs(cc.N - 2 * w) >= threshold:
-            bad += 1
+    wd = weight_distribution(cc, budget)
+    bad = sum(count for w, count in wd.nonzero_messages() if abs(cc.N - 2 * w) >= threshold)
     return BadBoundReport(r, c, threshold, b_r, bad)
 
 

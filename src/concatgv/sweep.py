@@ -212,10 +212,8 @@ def run_trial(config: SweepConfig, trial: int) -> SweepRow:
 
     exact = q**config.k <= config.budgets.distance
     if exact:
-        d, _ = min_distance(cc, "exact", config.budgets.distance)
         wd = weight_distribution(cc, config.budgets.distance)
-        support = [j for j, cnt in enumerate(wd.delta) if cnt and j > 0]
-        x_max = max(cc.N - 2 * support[0], 2 * support[-1] - cc.N)
+        d, x_max = wd.min_weight, wd.max_bias
     else:
         d, _ = min_distance(cc, "montecarlo", config.budgets.mc_draws, seed_mc)
         x_max = None

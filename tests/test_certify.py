@@ -59,6 +59,13 @@ def test_check_nice_tau_range_and_budget():
         check_nice(big, 0.1, budget=8)
 
 
+def test_full_length_inner_code_has_trivial_dual():
+    # k0 == n0: the dual is {0}, so every weight class of it is empty
+    full = BinaryCode(BitMatrix((0b001, 0b010, 0b100), 3))
+    rep = check_nice(full, 0.5)
+    assert rep.ok and [c for c, _ in rep.per_weight] == [0, 0, 0]
+
+
 def test_check_nice_counts_match_weight_distribution():
     inner = BinaryCode(sample_binary_code(10, 4, 33))
     rep = check_nice(inner, 0.2)
@@ -206,16 +213,6 @@ def test_soft_condition_exact_matches_naive_oracle():
             pm = d_pmf(F4, [2, 3, 1, 1], 0.1 + 0.05 * seed)
             rep = soft_condition(outer, pm, "exact")
             assert rep.prob == pytest.approx(naive_soft_oracle(outer, pm), abs=1e-12)
-
-
-def test_soft_condition_sharding():
-    outer = OuterCode(sample_field_code(F4, 3, 1, 17))
-    pm = d_pmf(F4, [2, 3, 1], 0.15)
-    whole = soft_condition(outer, pm, "exact")
-    size = F4.q ** (outer.n - outer.k)
-    a = soft_condition(outer, pm, "exact", msg_range=(0, size // 2))
-    b = soft_condition(outer, pm, "exact", msg_range=(size // 2, size))
-    assert a.prob + b.prob == pytest.approx(whole.prob, abs=1e-15)
 
 
 def test_soft_condition_montecarlo_ci_covers():

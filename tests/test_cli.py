@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -173,6 +174,22 @@ def test_cli_sweep_and_gv_points(tmp_path):
         assert 0 <= d <= 1 and r == 0.25
 
 
+def test_cli_gv_points_found_by_header_name(tmp_path):
+    rows = tmp_path / "rows.csv"
+    rows.write_text("# concatgv-sweep-v1\nrel_distance,trial,rate\n0.125,0,0.25\n0.1875,1,0.25\n")
+    run_cli("gv-compare", "--grid", "2", "--points", str(rows), "--out", str(tmp_path))
+    pts = (tmp_path / "measured_points.dat").read_text().splitlines()
+    assert pts[1:] == ["0.125 0.25", "0.1875 0.25"]
+
+
+def test_cli_gv_points_without_columns_fails(tmp_path):
+    rows = tmp_path / "rows.csv"
+    rows.write_text("trial,rate\n0,0.25\n")
+    proc = run_cli("gv-compare", "--grid", "2", "--points", str(rows), "--out", str(tmp_path), check=False)
+    assert proc.returncode == 1
+    assert "rel_distance" in proc.stderr
+
+
 def test_cli_sweep_unknown_key_fails(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"k0": 2, "n0": 4, "n": 4, "k": 2,
@@ -187,7 +204,11 @@ def test_cli_outdir_env(tmp_path):
         [sys.executable, "-m", "concatgv.cli", "sample-code", "--n", "4", "--k", "2",
          "--seed", "3", "--out", "env.code"],
         capture_output=True, text=True,
-        env={"PATH": "/usr/bin:/bin", "CONCATGV_OUTDIR": str(tmp_path)},
+        env={
+            "PATH": "/usr/bin:/bin",
+            "PYTHONPATH": os.environ.get("PYTHONPATH", ""),
+            "CONCATGV_OUTDIR": str(tmp_path),
+        },
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "env.code").exists()

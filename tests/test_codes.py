@@ -7,9 +7,7 @@ from concatgv.codes import (
     OuterCode,
     all_messages,
     bias,
-    encode_concat,
     min_distance,
-    outer_dual_membership,
     outer_min_distance,
     weight_distribution,
 )
@@ -106,7 +104,42 @@ def test_encode_linearity_random_pairs():
         m2 = tuple(rng.randrange(q) for _ in range(cc.outer.k))
         m3 = tuple(a ^ b for a, b in zip(m1, m2))
         assert cc.encode(m3) == cc.encode(m1) ^ cc.encode(m2)
-    assert encode_concat(cc, m1) == cc.encode(m1)
+
+
+def gray_weight_counts(words, length):
+    """Reference enumerator: walk all 2^len(words) messages in Gray-code order,
+    one XOR and one popcount per message."""
+    counts = [0] * (length + 1)
+    cw = 0
+    counts[0] = 1
+    for t in range(1, 1 << len(words)):
+        cw ^= words[(t & -t).bit_length() - 1]
+        counts[cw.bit_count()] += 1
+    return tuple(counts)
+
+
+# (n, k): one, two and three 64-bit limbs, the 64-bit edge, and k > 16, where
+# the enumerator shifts its block by the higher basis words.
+@pytest.mark.parametrize(
+    "n, k", [(40, 10), (64, 12), (65, 9), (128, 11), (150, 8), (192, 10), (30, 17), (70, 18)]
+)
+def test_weight_distribution_matches_gray_code_reference(n, k):
+    for seed in range(3):
+        code = BinaryCode(sample_binary_code(n, k, derive_seed(1000 * n + k, seed)))
+        assert weight_distribution(code).delta == gray_weight_counts(list(code.gen.rows), n)
+
+
+def test_weight_distribution_of_concat_matches_gray_code_reference():
+    cc = tiny_concat(4, k0=4, n0=20, n=4, k=2)  # N = 80: two limbs
+    wd = weight_distribution(cc)
+    assert wd.delta == gray_weight_counts(cc.message_basis_words(), cc.N)
+    assert min_distance(cc) == (wd.min_weight, True)
+
+
+def test_weight_distribution_dimension_zero():
+    zero = BinaryCode(BitMatrix((), 5))
+    assert weight_distribution(zero).delta == (1, 0, 0, 0, 0, 0)
+    assert min_distance(zero) == (6, True)
 
 
 def test_weight_distribution_repetition():
@@ -135,19 +168,6 @@ def test_weight_distribution_counts_and_budget():
         weight_distribution(cc, budget=1)
 
 
-def test_weight_distribution_sharding_merges():
-    cc = tiny_concat(13, k0=2, n0=3, n=3, k=2)
-    size = 1 << cc.K
-    whole = weight_distribution(cc)
-    cut = size // 3
-    parts = [
-        weight_distribution(cc, msg_range=(0, cut)),
-        weight_distribution(cc, msg_range=(cut, size)),
-    ]
-    merged = tuple(a + b for a, b in zip(parts[0].delta, parts[1].delta))
-    assert merged == whole.delta
-
-
 def test_min_distance_repetition():
     n = 7
     rep = BinaryCode(BitMatrix(((1 << n) - 1,), n))
@@ -172,17 +192,17 @@ def test_montecarlo_upper_bounds_exact():
     assert d_mc >= d_exact
 
 
-def test_outer_dual_membership_examples():
+def test_dual_membership_examples():
     full = OuterCode(FieldMatrix(((1, 0), (0, 1)), 2, F4))
-    assert outer_dual_membership(full, (0, 0))
-    assert not outer_dual_membership(full, (1, 0))
+    assert full.dual_membership((0, 0))
+    assert not full.dual_membership((1, 0))
     rep = OuterCode(FieldMatrix(((1, 1),), 2, F4))
     # oracle: g1 + g2 = 0 in characteristic 2 iff g1 == g2
     for a in range(4):
-        assert outer_dual_membership(rep, (a, a))
+        assert rep.dual_membership((a, a))
         for b in range(4):
             if b != a:
-                assert not outer_dual_membership(rep, (a, b))
+                assert not rep.dual_membership((a, b))
 
 
 def test_all_messages_order_and_count():

@@ -1,0 +1,62 @@
+"""Byte-identity gate: pinned sha256 of the sweep CSV + JSON.
+
+For a fixed config and master seed every output byte is determined, and a
+refactor must not move any of them.  The hashes below were captured from the
+implementation before the binary message space moved to the numpy span
+enumerator; a change that alters them changes results, not just code.
+"""
+
+import hashlib
+
+import pytest
+
+from concatgv.sweep import config_from_dict, emit_csv, emit_json, run_sweep
+
+ALL_ON = {"run_nice": True, "run_soft": True, "run_entropy": True, "run_moments": True}
+
+CONFIGS = {
+    # the four benchmark workloads
+    "ensemble": {"k0": 4, "n0": 8, "n": 6, "k": 3, "trials": 5},
+    "certify": {"k0": 4, "n0": 8, "n": 4, "k": 2, "trials": 1, "toggles": {**ALL_ON, "r_list": [2]}},
+    "lowrate": {"k0": 3, "n0": 9, "n": 6, "k": 2, "trials": 1, "toggles": {**ALL_ON, "r_list": [2]}},
+    "moments": {"k0": 2, "n0": 4, "n": 4, "k": 2, "trials": 1, "toggles": {"run_moments": True, "r_list": [2, 4]}},
+    # N = 128: codewords span two 64-bit limbs
+    "long": {"k0": 4, "n0": 16, "n": 8, "k": 2, "trials": 2, "equal_rate": False},
+    # K = 20: more message bits than one enumeration block
+    "wide": {"k0": 4, "n0": 8, "n": 6, "k": 5, "trials": 1, "equal_rate": False},
+    # criterion-10 shape over the distance budget: Monte Carlo distance
+    "montecarlo": {"k0": 4, "n0": 8, "n": 6, "k": 3, "trials": 3, "budgets": {"distance": 1000}},
+    "toggles": {"k0": 2, "n0": 4, "n": 4, "k": 2, "trials": 2, "toggles": {**ALL_ON, "r_list": [2, 4]}},
+}
+
+GOLDEN = {
+    ("certify", 20260810): "1f1189f16cf6c07eb64d9065d94273acb0408ca48d232dd39a4c868c38da10b8",
+    ("certify", 1): "4bd823a87e2a6e107013a1c8daa7793bb1edd630a71400318950aa978f7495d8",
+    ("ensemble", 20260810): "e84513b5f5791d8fa75dd76f8d3af1ca1f21d92697d8b5a6ac7c072334c38091",
+    ("ensemble", 1): "cfc33d85887553cfd8b68d69a4f984e7f61949b6dcd2fc6c7d4900819577588f",
+    ("long", 20260810): "f574665aef8d1275ad6e36e070698e7573c62d25d8befa82cd95ba5ff7d2fce3",
+    ("long", 1): "961d55df7c26db6421a30aede31c514dbd1597346a926a0cdfacda0f16cc5f09",
+    ("lowrate", 20260810): "a28c8f1ff481b4d0ee13aafb6c9a9891cd1a6552628c8300eca7687f6d2c0abe",
+    ("lowrate", 1): "57c815c37c1045043e901387b48b48a02aafd0e1667ff961a9470a84538ef961",
+    ("moments", 20260810): "f7f4f0a94e825a07c3656205f91ecd2e2fe0935b0172fdfb7bf3eac35c9341f4",
+    ("moments", 1): "e19c9512392fe5d5165cca0b44b23dac9ae3cd150c6e1a0adb93d8294358bfb0",
+    ("montecarlo", 20260810): "0be8045b2dfc8533fb226db5ec687dbb4ee8632c89660f86485a23d126c20a70",
+    ("montecarlo", 1): "96cabeb59c8065fd97c6ff1fd8491ab8585c5c0660dc3ee4dee9e43f6d852433",
+    ("toggles", 20260810): "31b3d43e3bd6e772f8591b537cf02ed38c7cc67ea7f756daaa2b54a836f7b895",
+    ("toggles", 1): "e867a36f2d1e57fc73c02bbd9fb242222110cd330b4c56b0645d70ba7164dc76",
+    ("wide", 20260810): "9e2f9c58e2a72ed3e703830bd4118c1e18b9ffb22928e560d4e6f8aee1a91dc1",
+    ("wide", 1): "270c5ecdb424707fb876dc1722bbab7c47fd72a937c07a489fd5cdde5099ff51",
+}
+
+
+def sweep_digest(name: str, seed: int) -> str:
+    cfg = config_from_dict({**CONFIGS[name], "master_seed": seed})
+    rows, agg = run_sweep(cfg)
+    text = emit_csv(rows, cfg) + emit_json(rows, agg, cfg)
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+@pytest.mark.parametrize("seed", [20260810, 1])
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_sweep_output_is_pinned(name, seed):
+    assert sweep_digest(name, seed) == GOLDEN[name, seed]

@@ -6,7 +6,7 @@ from concatgv.field import make_field
 from concatgv.linalg import (
     BitMatrix,
     FieldMatrix,
-    gf2_rowspace_contains,
+    gf2_rank,
     nullspace_basis,
     rank,
     sample_binary_code,
@@ -128,8 +128,8 @@ def test_negative_correlation_of_membership():
     both = only_x = only_y = 0
     for t in range(trials):
         g = sample_binary_code(n, k, derive_seed(4242, t))
-        in_x = gf2_rowspace_contains(g.rows, x)
-        in_y = gf2_rowspace_contains(g.rows, y)
+        in_x = gf2_rank(g.rows + (x,)) == k
+        in_y = gf2_rank(g.rows + (y,)) == k
         both += in_x and in_y
         only_x += in_x
         only_y += in_y
@@ -140,8 +140,8 @@ def test_negative_correlation_of_membership():
     assert p_both <= p_x * p_y + 3 * sigma
 
 
-def test_column_and_mul_vec():
+def test_column_and_product():
     m = BitMatrix((0b011, 0b110), 3)
     assert [m.column(j) for j in range(3)] == [0b01, 0b11, 0b10]
-    # row0 hits x=011 in columns {0,1} (even), row1 in column {1} (odd)
-    assert m.mul_vec(0b011) == 0b10
+    # M @ 011 is the XOR of columns 0 and 1: row0 hits {0,1} (even), row1 {1} (odd)
+    assert m.column(0) ^ m.column(1) == 0b10

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from concatgv import codes, moments
 from concatgv.certify import check_nice
 from concatgv.codes import BinaryCode, ConcatCode, OuterCode, bias, all_messages
 from concatgv.field import make_field
@@ -15,7 +16,6 @@ from concatgv.moments import (
     moment_direct,
     moment_dual,
     poisson_product_check,
-    tuple_counts,
     w_count_bound,
 )
 from concatgv.rng import derive_seed
@@ -93,14 +93,37 @@ def test_moment_budgets():
         moment_dual(cc, 6, budget=0)
 
 
-def test_tuple_counts_sharding():
+def forbidden(*args, **kwargs):
+    raise AssertionError("called an enumerator this computation must not use")
+
+
+def test_budgets_fail_before_enumerating(monkeypatch):
+    monkeypatch.setattr(codes, "_span_weight_counts", forbidden)
     cc = next(grid_instances(1, master=9))
-    m = cc.outer.n * cc.inner.n0
-    for r in (1, 2, 3):
-        whole = tuple_counts(cc, r)
-        a = tuple_counts(cc, r, lead_range=(0, m // 2))
-        b = tuple_counts(cc, r, lead_range=(m // 2, m))
-        assert (a[0] + b[0], a[1] + b[1]) == whole
+    small = cc.ctx.q**cc.outer.k - 1
+    with pytest.raises(ValueError):
+        codes.weight_distribution(cc, small)
+    with pytest.raises(ValueError):
+        moment_direct(cc, 2, small)
+    with pytest.raises(ValueError):
+        bad_bound(cc, 2, 1.0, small)
+
+
+def test_direct_and_dual_sides_stay_independent(monkeypatch):
+    # direct enumerates messages only, dual enumerates tuples only, so their
+    # equality is a cross-check of two computations, not one.
+    cc = next(grid_instances(1, master=9))
+    qk = cc.ctx.q**cc.outer.k
+    for r in (2, 3):
+        by_bias = Fraction(sum(bias(cc, m) ** r for m in all_messages(cc.outer) if any(m)), qk - 1)
+        with monkeypatch.context() as mp:
+            mp.setattr(moments, "tuple_counts", forbidden)
+            direct = moment_direct(cc, r)
+        with monkeypatch.context() as mp:
+            mp.setattr(moments, "weight_distribution", forbidden)
+            mp.setattr(codes, "_span_weight_counts", forbidden)
+            dual = moment_dual(cc, r)
+        assert direct == dual == by_bias
 
 
 def test_bad_bound_rejects_odd_r():
