@@ -302,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n0", type=int, default=None, help="inner length for the n0 diagnostic")
     p.add_argument("--tv-convention", choices=("halved", "unhalved"), default="halved")
 
-    p = add("moment-check", cmd_moment_check, help="verify the moment identity")
+    p = add("moment-check", cmd_moment_check, help="verify the moment identity (--budget: walk work)")
     p.add_argument("--outer", required=True)
     p.add_argument("--inner", required=True)
     p.add_argument("--r", type=lambda s: [int(x) for x in s.split(",")], default=[1, 2, 3])

@@ -4,23 +4,25 @@ The central identity equates two very different computations of the r-th
 moment of the bias over random nonzero messages:
 
   direct: enumerate all q^k messages and average X_m^r;
-  dual:   enumerate all (n * n0)^r ordered tuples of (coordinate, omega-entry)
-          pairs and count how many land their folded vector g in the outer
-          dual.
+  dual:   count the ordered r-tuples of (coordinate, omega-entry) pairs whose
+          folded vector g lies in the outer dual.
 
 Both sides are exact rationals (fractions.Fraction) and must agree exactly;
-floats appear only in reports.  Tuple enumeration runs an odometer over r
-digits in base n * n0 with incremental updates, so each step costs O(1): the
-folded vector g and its outer syndrome are packed into single ints and
-updated by XOR.
+floats appear only in reports.  Each pair XORs one mask into g (packed in
+n * k0 bits) or into its outer syndrome (k * k0 bits), so an r-step walk on a
+sparse state -> count dict counts the m^r tuples (m = n * n0) per endpoint in
+work bounded by ``walk_work``.  The Poissonization check runs the same walk
+with float weights.  A Walsh-Hadamard shortcut would turn the dual side into
+MacWilliams over the messages, so the identity would check nothing; none is used.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import Any, Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -46,70 +48,73 @@ def g_of_tuple(cc: ConcatCode, pairs: Sequence[Tuple[int, int]]) -> Tuple[int, .
     return tuple(g)
 
 
-def _pair_deltas(cc: ConcatCode) -> Tuple[List[int], List[int]]:
-    """Per-(alpha, beta) XOR deltas for the packed folded vector and its syndrome.
+def _pair_masks(cc: ConcatCode) -> Tuple[Counter, Counter]:
+    """XOR masks of the (alpha, beta) pairs on the packed g and on its syndrome.
 
     g packs coordinate alpha into bits [alpha*k0, (alpha+1)*k0); the syndrome
-    gen @ g packs row i of the outer generator product the same way.  Both are
-    GF(2)-linear in the tuple, so one XOR per odometer step updates them.
+    gen @ g packs row i the same way.  Omega may repeat entries or contain 0,
+    so each mask maps to its multiplicity.
     """
     ctx = cc.ctx
     k0 = ctx.k0
-    n = cc.outer.n
-    omega = cc.omega
     gen = cc.outer.gen.rows
-    g_delta = []
-    syn_delta = []
-    for alpha in range(n):
-        for b in omega:
-            g_delta.append(b << (alpha * k0))
+    g_masks: Counter = Counter()
+    syn_masks: Counter = Counter()
+    for alpha in range(cc.outer.n):
+        for b in cc.omega:
+            g_masks[b << (alpha * k0)] += 1
             syn = 0
             for i, row in enumerate(gen):
                 syn |= ctx.mul(row[alpha], b) << (i * k0)
-            syn_delta.append(syn)
-    return g_delta, syn_delta
+            syn_masks[syn] += 1
+    return g_masks, syn_masks
 
 
-def tuple_counts(cc: ConcatCode, r: int, budget: int = 1 << 27) -> Tuple[int, int]:
-    """(#tuples with g in the outer dual, #tuples with g = 0) over ([n] x Omega)^r.
+def walk_work(m: int, bits: int, r: int) -> int:
+    """Bound on the state-mask updates of ``zero_folds`` for m pairs on 2^bits states.
 
-    Odometer over r digits in base m = n * n0; each step XORs the deltas of
-    the digits it changes into the packed g and syndrome.
+    Step t (t = 0..r-2) leaves at most min(2^bits, m^t) states, each moved by
+    m masks; the final read looks up m masks.  For m >= 2 this is <= m^r.
+    """
+    if r == 0:
+        return 1
+    cap = 1 << bits
+    work, states, steps = m, 1, r - 1
+    while steps and states < cap:  # r comes from configs: never build m^t for large t
+        work += states * m
+        states *= m
+        steps -= 1
+    return work + steps * cap * m
+
+
+def _walk_step(dist: Dict[int, Any], masks: Counter, scale: Any = 1) -> Dict[int, Any]:
+    """One walk step: every state moves by every mask, weighted by multiplicity * scale."""
+    out: Dict[int, Any] = {}
+    get = out.get
+    moves = [(mask, mult * scale) for mask, mult in masks.items()]
+    for state, w in dist.items():
+        for mask, mw in moves:
+            t = state ^ mask
+            out[t] = get(t, 0) + w * mw
+    return out
+
+
+def zero_folds(masks: Counter, bits: int, r: int, budget: int) -> int:
+    """Exact number of r-tuples of masks (with multiplicity) whose XOR is 0.
+
+    After r - 1 steps from 0, the last mask closes a tuple iff it equals the state.
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
-    m = cc.outer.n * cc.inner.n0
-    if m**r > budget:
-        raise ValueError(f"tuple count {m}^{r} exceeds budget {budget}")
-    g_delta, syn_delta = _pair_deltas(cc)
-    digits = [0] * r
-    g = syn = 0
-    if r & 1:  # the r starting digits each contribute delta[0]; pairs cancel
-        g ^= g_delta[0]
-        syn ^= syn_delta[0]
-    n_dual = 0
-    n_zero = 0
-    for _ in range(m**r):
-        if syn == 0:
-            n_dual += 1
-            if g == 0:
-                n_zero += 1
-        i = 0
-        while i < r:
-            d = digits[i]
-            g ^= g_delta[d]
-            syn ^= syn_delta[d]
-            if d + 1 == m:
-                digits[i] = 0
-                g ^= g_delta[0]
-                syn ^= syn_delta[0]
-                i += 1
-            else:
-                digits[i] = d + 1
-                g ^= g_delta[d + 1]
-                syn ^= syn_delta[d + 1]
-                break
-    return n_dual, n_zero
+    work = walk_work(sum(masks.values()), bits, r)
+    if work > budget:
+        raise ValueError(f"walk work {work} exceeds budget {budget}")
+    if r == 0:
+        return 1
+    dist: Dict[int, int] = {0: 1}
+    for _ in range(r - 1):
+        dist = _walk_step(dist, masks)
+    return sum(mult * dist.get(mask, 0) for mask, mult in masks.items())
 
 
 def moment_direct(cc: ConcatCode, r: int, budget: int = 1 << 24) -> Fraction:
@@ -132,7 +137,8 @@ def moment_dual(cc: ConcatCode, r: int, budget: int = 1 << 27) -> Fraction:
     """
     qk = cc.ctx.q**cc.outer.k
     m = cc.outer.n * cc.inner.n0
-    n_dual, _ = tuple_counts(cc, r, budget)
+    _, syn_masks = _pair_masks(cc)
+    n_dual = zero_folds(syn_masks, cc.outer.k * cc.ctx.k0, r, budget)
     return Fraction(qk * n_dual - m**r, qk - 1)
 
 
@@ -144,15 +150,6 @@ class BadBoundReport:
     b_r: Fraction
     bad_count: int
 
-    def as_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "c": self.c,
-            "threshold": float(self.threshold),
-            "b_r": float(self.b_r),
-            "bad_count": self.bad_count,
-        }
-
 
 def bad_bound(
     cc: ConcatCode, r: int, c: float, budget: int = 1 << 27
@@ -160,23 +157,17 @@ def bad_bound(
     """The bad-message budget B_r and the exact count of bad messages.
 
     A nonzero message is bad when |X_m| >= c * eps * N (eps = k0/n0, the rate
-    tied to Omega).  B_r is computed as an exact rational; bad_count <= B_r
-    holds for every even r.
+    tied to Omega).  B_r = q^k * moment_dual / threshold^r is Markov's bound on
+    the r-th moment, an exact rational; bad_count <= B_r for every even r.
     """
     if r < 0 or r % 2 != 0:
         raise ValueError(f"r must be a nonnegative even integer, got {r}")
     qk = cc.ctx.q**cc.outer.k
     if qk > budget:
         raise ValueError(f"message count {qk} exceeds budget {budget}")
-    m = cc.outer.n * cc.inner.n0
     eps = Fraction(cc.inner.k0, cc.inner.n0)
     threshold = Fraction(c) * eps * cc.N
-    n_dual, _ = tuple_counts(cc, r, budget)
-    b_r = (
-        Fraction(qk, qk - 1)
-        * Fraction(qk * n_dual - m**r)
-        / (threshold**r)
-    )
+    b_r = qk * moment_dual(cc, r, budget) / threshold**r
     wd = weight_distribution(cc, budget)
     bad = sum(count for w, count in wd.nonzero_messages() if abs(cc.N - 2 * w) >= threshold)
     return BadBoundReport(r, c, threshold, b_r, bad)
@@ -189,15 +180,6 @@ class WCountReport:
     bound: float
     tau: float
     nice: bool | None  # None when tau = 1/sqrt(n0) >= eps, so niceness is undefined
-
-    def as_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "count": self.count,
-            "bound": self.bound,
-            "tau": self.tau,
-            "nice": self.nice,
-        }
 
 
 def w_count_bound(N: int, n0: int, eps: float, r: int) -> float:
@@ -219,9 +201,8 @@ def count_W(cc: ConcatCode, r: int, budget: int = 1 << 27) -> WCountReport:
     check; when that tau is not below the inner rate the check is undefined
     at this instance size and ``nice`` is None.
     """
-    if r < 0:
-        raise ValueError("r must be nonnegative")
-    _, n_zero = tuple_counts(cc, r, budget)
+    g_masks, _ = _pair_masks(cc)
+    n_zero = zero_folds(g_masks, cc.outer.n * cc.ctx.k0, r, budget)
     n0 = cc.inner.n0
     eps = cc.inner.k0 / n0
     tau = 1.0 / math.sqrt(n0)
@@ -239,8 +220,8 @@ def poisson_product_check(
 
     Side (a): draw r ~ Poisson(lam * N) (truncated once the remaining tail
     mass is below tail_eps), then a uniform length-r tuple, and fold it to
-    g; the law is computed exactly by dynamic programming (r-step random walk
-    on GF(q)^n).  Side (b): the product over coordinates of the sparse
+    g; the law is computed exactly by the r-step walk on GF(q)^n with weight
+    1/m per pair.  Side (b): the product over coordinates of the sparse
     combination pmf with p = (1 - e^(-2 lam)) / 2.  The gap is bounded by the
     truncated tail plus rounding.
     """
@@ -249,38 +230,34 @@ def poisson_product_check(
     if not 0 < tail_eps < 1:
         raise ValueError("tail_eps must be in (0, 1)")
     ctx = cc.ctx
-    k0 = ctx.k0
     n = cc.outer.n
     states = ctx.q**n
     if states > 1 << 20:
         raise ValueError(f"state space {states} exceeds tabulation budget 2^20")
-    omega = cc.omega
-    masks = [b << (alpha * k0) for alpha in range(n) for b in omega]
-    m = len(masks)
-
-    # Side (a): mixture over r of the r-step walk.
-    idx = np.arange(states)
-    walk = np.zeros(states)
-    walk[0] = 1.0
-    mix = np.zeros(states)
+    m = n * cc.inner.n0
     mean = lam * m
     pois = math.exp(-mean)
+    if pois == 0.0:
+        raise ValueError(f"Poisson weight exp(-lam * m) underflows to 0 at lam * m = {mean}")
+    g_masks, _ = _pair_masks(cc)
+
+    # Side (a): mixture over r of the r-step walk.
+    walk: Dict[int, float] = {0: 1.0}
+    mix = np.zeros(states)
+    mix[0] = pois
     covered = pois
-    mix += pois * walk
     r = 0
     while 1.0 - covered > tail_eps:
-        step = np.zeros(states)
-        for mask in masks:
-            step += walk[idx ^ mask]
-        walk = step / m
+        walk = _walk_step(walk, g_masks, 1.0 / m)
         r += 1
         pois *= mean / r
         covered += pois
-        mix += pois * walk
+        for state, w in walk.items():
+            mix[state] += pois * w
 
     # Side (b): product of per-coordinate pmfs.
     p = (1.0 - math.exp(-2.0 * lam)) / 2.0
-    pm = d_pmf(ctx, omega, p)
+    pm = d_pmf(ctx, cc.omega, p)
     coord = np.asarray(pm.probs)
     prod = np.ones(1)
     for _ in range(n):

@@ -30,7 +30,7 @@ from .certify import (
 from .codes import BinaryCode, ConcatCode, OuterCode, min_distance, weight_distribution
 from .field import make_field
 from .linalg import sample_binary_code, sample_field_code
-from .moments import moment_direct, moment_dual
+from .moments import moment_direct, moment_dual, walk_work
 from .rng import derive_seed
 
 SCHEMA = "concatgv-sweep-v1"
@@ -97,6 +97,12 @@ class SweepConfig:
                 raise ValueError(f"tau={self.constants.tau} outside (0, {float(eps)})")
             if (1 << (self.n0 - self.k0)) > self.budgets.niceness:
                 raise ValueError("niceness check over budget for this config")
+        if any(r < 0 for r in self.toggles.r_list):
+            raise ValueError(f"r_list entries must be nonnegative, got {list(self.toggles.r_list)}")
+        if self.toggles.run_moments:
+            walks = [walk_work(self.n * self.n0, self.k * self.k0, r) for r in self.toggles.r_list]
+            if max([(1 << self.k0) ** self.k, *walks]) > self.budgets.moments:
+                raise ValueError("moment check over budget for this config")
         for f in dc_fields(Budgets):
             if getattr(self.budgets, f.name) <= 0:
                 raise ValueError(f"budget {f.name} must be positive")

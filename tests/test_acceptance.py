@@ -95,7 +95,7 @@ def test_c02_moment_identity_grid():
     checked = 0
     bad = 0
     for cc in grid_instances():
-        for r in (1, 2, 3):
+        for r in (1, 2, 3, 6, 8):
             checked += 1
             if moment_direct(cc, r) != moment_dual(cc, r):
                 bad += 1
@@ -129,7 +129,7 @@ def test_c04_bad_message_bound():
     checked = 0
     bad = 0
     for cc in grid_instances():
-        for r in (2, 4):
+        for r in (2, 4, 6, 8):
             for c in (1.0, 4.0):
                 rep = bad_bound(cc, r, c)
                 checked += 1

@@ -24,6 +24,64 @@ F2 = make_field(1)
 F4 = make_field(2)
 
 
+def tuple_counts(cc: ConcatCode, r: int):
+    """Reference: (#tuples with g in the outer dual, #tuples with g = 0) over ([n] x Omega)^r.
+
+    Odometer over all (n * n0)^r tuples; each step XORs the per-pair deltas of
+    the digits it changes into the packed g and its outer syndrome.
+    """
+    ctx, k0 = cc.ctx, cc.ctx.k0
+    g_delta, syn_delta = [], []
+    for alpha in range(cc.outer.n):
+        for b in cc.omega:
+            g_delta.append(b << (alpha * k0))
+            syn_delta.append(
+                sum(ctx.mul(row[alpha], b) << (i * k0) for i, row in enumerate(cc.outer.gen.rows))
+            )
+    m = len(g_delta)
+    digits = [0] * r
+    g = syn = 0
+    if r & 1:  # the r starting digits each contribute delta[0]; pairs cancel
+        g ^= g_delta[0]
+        syn ^= syn_delta[0]
+    n_dual = n_zero = 0
+    for _ in range(m**r):
+        if syn == 0:
+            n_dual += 1
+            if g == 0:
+                n_zero += 1
+        i = 0
+        while i < r:
+            d = digits[i]
+            g ^= g_delta[d]
+            syn ^= syn_delta[d]
+            if d + 1 == m:
+                digits[i] = 0
+                g ^= g_delta[0]
+                syn ^= syn_delta[0]
+                i += 1
+            else:
+                digits[i] = d + 1
+                g ^= g_delta[d + 1]
+                syn ^= syn_delta[d + 1]
+                break
+    return n_dual, n_zero
+
+
+def zero_omega_instance() -> ConcatCode:
+    # a zero inner-generator column puts 0 into omega
+    inner = BinaryCode(BitMatrix((0b001, 0b100), 3))
+    outer = OuterCode(FieldMatrix(((1, 2),), 2, F4))
+    return ConcatCode(outer, inner)
+
+
+def repeated_omega_instance() -> ConcatCode:
+    # columns 0, 1 and columns 2, 3 of the inner generator are equal
+    inner = BinaryCode(BitMatrix((0b0011, 0b1100), 4))
+    outer = OuterCode(FieldMatrix(((1, 3), (0, 1)), 2, F4))
+    return ConcatCode(outer, inner)
+
+
 def one_bit_instance() -> ConcatCode:
     inner = BinaryCode(BitMatrix((1,), 1))
     outer = OuterCode(FieldMatrix(((1,),), 1, F2))
@@ -85,6 +143,45 @@ def test_moment_identity_on_grid():
             assert moment_direct(cc, r) == moment_dual(cc, r)
 
 
+def test_walk_counts_match_odometer_reference():
+    instances = [*grid_instances(3), zero_omega_instance(), repeated_omega_instance()]
+    assert 0 in instances[-2].omega
+    assert len(set(instances[-1].omega)) < len(instances[-1].omega)
+    for cc in instances:
+        qk = cc.ctx.q**cc.outer.k
+        m = cc.outer.n * cc.inner.n0
+        for r in range(5):
+            n_dual, n_zero = tuple_counts(cc, r)
+            assert moment_dual(cc, r) == Fraction(qk * n_dual - m**r, qk - 1)
+            assert count_W(cc, r).count == n_zero
+
+
+def test_walk_reaches_r8_beyond_tuple_enumeration():
+    # 48^8 tuples is far over the default budget; the walk visits <= 2^12 states per step
+    ctx = make_field(4)
+    inner = BinaryCode(sample_binary_code(8, 4, 1))
+    outer = OuterCode(sample_field_code(ctx, 6, 3, 2))
+    cc = ConcatCode(outer, inner)
+    assert (cc.outer.n * cc.inner.n0) ** 8 > 1 << 27
+    assert moment_direct(cc, 8) == moment_dual(cc, 8)
+    rep = bad_bound(cc, 8, 1.0)
+    assert Fraction(rep.bad_count) <= rep.b_r
+
+
+def test_walk_work_bound():
+    # every call the tuple count m^r admitted is still admitted when m >= 2
+    for m in (2, 3, 9, 48):
+        for bits in (0, 1, 4, 12):
+            for r in range(9):
+                assert moments.walk_work(m, bits, r) <= m**r
+    assert moments.walk_work(48, 12, 8) == (1 + 48 + 48**2 + 4 * 4096) * 48 + 48
+    for m, bits in ((1, 3), (2, 0), (5, 7)):
+        for r in range(1, 12):
+            assert moments.walk_work(m, bits, r) == sum(min(2**bits, m**t) * m for t in range(r - 1)) + m
+    # saturates after two steps, so a huge r costs no big powers
+    assert moments.walk_work(16, 4, 10**9) == 16 + 16 + (10**9 - 2) * 16 * 16
+
+
 def test_moment_budgets():
     cc = one_bit_instance()
     with pytest.raises(ValueError):
@@ -109,6 +206,20 @@ def test_budgets_fail_before_enumerating(monkeypatch):
         bad_bound(cc, 2, 1.0, small)
 
 
+def test_walk_budget_fails_before_walking(monkeypatch):
+    monkeypatch.setattr(moments, "_walk_step", forbidden)
+    cc = next(grid_instances(1, master=9))
+    m = cc.outer.n * cc.inner.n0
+    syn_bits = cc.outer.k * cc.ctx.k0
+    g_bits = cc.outer.n * cc.ctx.k0
+    with pytest.raises(ValueError, match="walk work"):
+        moment_dual(cc, 4, moments.walk_work(m, syn_bits, 4) - 1)
+    with pytest.raises(ValueError, match="walk work"):
+        count_W(cc, 4, moments.walk_work(m, g_bits, 4) - 1)
+    with pytest.raises(ValueError, match="walk work"):
+        bad_bound(cc, 4, 1.0, moments.walk_work(m, syn_bits, 4) - 1)
+
+
 def test_direct_and_dual_sides_stay_independent(monkeypatch):
     # direct enumerates messages only, dual enumerates tuples only, so their
     # equality is a cross-check of two computations, not one.
@@ -117,7 +228,8 @@ def test_direct_and_dual_sides_stay_independent(monkeypatch):
     for r in (2, 3):
         by_bias = Fraction(sum(bias(cc, m) ** r for m in all_messages(cc.outer) if any(m)), qk - 1)
         with monkeypatch.context() as mp:
-            mp.setattr(moments, "tuple_counts", forbidden)
+            mp.setattr(moments, "zero_folds", forbidden)
+            mp.setattr(moments, "_walk_step", forbidden)
             direct = moment_direct(cc, r)
         with monkeypatch.context() as mp:
             mp.setattr(moments, "weight_distribution", forbidden)
@@ -265,9 +377,7 @@ def test_poisson_product_acceptance_instances():
 
 def test_zero_omega_entry_is_consistent_everywhere():
     # a zero inner-generator column puts 0 into omega; every path must agree
-    inner = BinaryCode(BitMatrix((0b001, 0b100), 3))
-    outer = OuterCode(FieldMatrix(((1, 2),), 2, F4))
-    cc = ConcatCode(outer, inner)
+    cc = zero_omega_instance()
     assert 0 in cc.omega
     for m in all_messages(cc.outer):
         assert cc.encode(m).bit_count() == (cc.N - bias(cc, m)) // 2
@@ -320,6 +430,14 @@ def test_poisson_mixture_matches_explicit_tuple_oracle():
 
     ours = poisson_product_check(cc, lam, tail_eps=tail_eps)
     assert abs(ours - oracle_gap) <= 1e-12
+
+
+def test_poisson_rejects_underflowing_weight():
+    # exp(-800) is 0.0 in floats, so the Poisson tail would never be covered
+    cc = one_bit_instance()
+    with pytest.raises(ValueError, match="underflow"):
+        poisson_product_check(cc, 800.0)
+    assert poisson_product_check(cc, 2.0) <= 1e-9
 
 
 def test_poisson_budget():

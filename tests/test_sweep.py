@@ -107,6 +107,26 @@ def test_config_validation_before_trials():
         bad_tau.validate()
 
 
+def test_moment_config_rejected_before_trials():
+    base = {"k0": 2, "n0": 4, "n": 4, "k": 2, "trials": 1, "master_seed": 0}
+    with pytest.raises(ValueError, match="r_list"):
+        config_from_dict({**base, "toggles": {"run_moments": True, "r_list": [-1]}})
+    with pytest.raises(ValueError, match="moment check"):
+        config_from_dict({**base, "toggles": {"run_moments": True, "r_list": [10**9]}})
+    # q^k = 16 messages fit; the r = 4 walk over 16 pairs on 4 syndrome bits does not
+    with pytest.raises(ValueError, match="moment check"):
+        config_from_dict({**base, "budgets": {"moments": 100},
+                          "toggles": {"run_moments": True, "r_list": [2, 4]}})
+    with pytest.raises(ValueError, match="moment check"):
+        config_from_dict({**base, "budgets": {"moments": 15},
+                          "toggles": {"run_moments": True, "r_list": [0]}})
+    # the r = 2 walk needs 16 + 16 updates: admitted, and the trial then runs within budget
+    tight = config_from_dict({**base, "budgets": {"moments": 32},
+                              "toggles": {"run_moments": True, "r_list": [2]}})
+    rows, _ = run_sweep(tight)
+    assert rows[0].moments_equal is True
+
+
 def test_config_from_dict_roundtrip():
     cfg = config_from_dict(SMALL.to_dict())
     assert cfg == SMALL
