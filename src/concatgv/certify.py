@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 from typing import List, Sequence, Tuple
 
-from .codes import BinaryCode, OuterCode, WeightDistribution, all_messages, weight_distribution
+import numpy as np
+
+from .codes import BinaryCode, OuterCode, WeightDistribution, codeword_table, weight_distribution
 from .field import FieldCtx
 from .linalg import nullspace_basis
 from .rng import SplitMix64
@@ -211,8 +212,11 @@ def soft_condition(
 ) -> SoftReport:
     """Pr[x ~ pmf^n lands in the nonzero dual], and delta = prob * q^k - 1.
 
-    exact: sums prod(pmf[g_alpha]) over all q^(n-k) dual codewords, in the
-    dual's message odometer order.
+    exact: sums prod(pmf[g_alpha]) over all q^(n-k) - 1 nonzero dual
+    codewords, read off the dual's codeword table.  Each product is taken
+    left to right over the coordinates and the terms are added one at a time
+    in table order, so the float result does not depend on numpy's summation
+    order.  The budget is checked on q^(n-k) before the dual is built.
     montecarlo: draws `budget` vectors x ~ pmf^n, tests dual membership, and
     returns a Wilson 95% confidence interval flagged is_exact=False.
     """
@@ -221,18 +225,18 @@ def soft_condition(
     q = outer.ctx.q
     qk = q**outer.k
     if mode == "exact":
+        size = q ** (outer.n - outer.k)
+        if size > budget:
+            raise ValueError(f"dual size {size} exceeds budget {budget}")
         dual = _dual_generator(outer)
         prob = 0.0
         if dual is not None:
-            size = q**dual.k
-            if size > budget:
-                raise ValueError(f"dual size {size} exceeds budget {budget}")
-            for msg in islice(all_messages(dual), 1, None):  # skip the zero codeword
-                term = 1.0
-                for sym in dual.encode(msg):
-                    term *= pmf[sym]
-                    if term == 0.0:
-                        break
+            words = codeword_table(dual)[1:]  # skip the zero codeword
+            probs = np.array(pmf.probs)
+            terms = np.ones(len(words))
+            for a in range(dual.n):
+                terms *= probs[words[:, a]]
+            for term in terms.tolist():  # sum() and np.sum round differently
                 prob += term
         return SoftReport(prob, prob * qk - 1.0, True)
     if mode == "montecarlo":
@@ -342,7 +346,15 @@ def entropy_hypothesis(
 ) -> EntropyReport:
     """Check every nonzero codeword's smoothed min-entropy against the
     threshold (1 - cgamma * eps) * log2(q), with smoothing level ceta * eps
-    and eps the outer rate."""
+    and eps the outer rate.
+
+    The smoothed min-entropy of a codeword depends only on its count
+    profile: its nonzero symbol counts in increasing symbol value.  Zero
+    probabilities never enter the water-filling sums, so codewords with the
+    same profile run the same float operations, and each profile is
+    evaluated once, on the first codeword of the codeword table that has it.
+    n_checked still counts every nonzero codeword.
+    """
     ctx = outer.ctx
     q = ctx.q
     if q**outer.k > budget:
@@ -352,15 +364,16 @@ def entropy_hypothesis(
     if not 0 <= eta < 1:
         raise ValueError(f"smoothing level ceta*eps = {eta} outside [0, 1)")
     threshold = (1.0 - cgamma * eps) * math.log2(q)
+    words = codeword_table(outer)[1:]
+    # The run boundaries of a sorted codeword fix its run lengths, which are
+    # its nonzero symbol counts in increasing symbol value.
+    runs = np.sort(words, axis=1)
+    _, first = np.unique(runs[:, 1:] != runs[:, :-1], axis=0, return_index=True)
     min_entropy = math.inf
-    n_checked = 0
-    for msg in all_messages(outer):
-        if not any(msg):
-            continue
-        c = outer.encode(msg)
-        h = smooth_min_entropy(empirical_dist(ctx, c), eta, halved_tv)
+    for i in first.tolist():
+        h = smooth_min_entropy(empirical_dist(ctx, words[i].tolist()), eta, halved_tv)
         min_entropy = min(min_entropy, h)
-        n_checked += 1
+    n_checked = len(words)
     ratio = None
     if n0 is not None and 0 < eps < 1:
         ratio = n0 * eps * eps / math.log2(1.0 / eps)

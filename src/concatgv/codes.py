@@ -17,7 +17,6 @@ Conventions fixed here and used everywhere else:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -312,26 +311,27 @@ def min_distance(
     raise ValueError(f"unknown mode {mode!r}")
 
 
+def codeword_table(outer: OuterCode) -> np.ndarray:
+    """All q^k codewords of the outer code as a (q^k, n) array.
+
+    Row i is the codeword of the message whose digit j is (i // q^j) % q,
+    so row 0 is the zero codeword and digit 0 varies fastest.  Each generator
+    row contributes a (q, n) table of its scalar multiples, k*q*n field
+    multiplies in all; the codewords are then XOR sums, one broadcast per row.
+    The dtype is the smallest unsigned type that holds q - 1.
+    """
+    ctx = outer.ctx
+    dtype = np.min_scalar_type(ctx.q - 1)
+    table = np.zeros((1, outer.n), dtype=dtype)
+    for row in outer.gen.rows:
+        multiples = np.array([[ctx.mul(v, g) for g in row] for v in range(ctx.q)], dtype=dtype)
+        table = (multiples[:, None, :] ^ table[None, :, :]).reshape(-1, outer.n)
+    return table
+
+
 def outer_min_distance(outer: OuterCode, budget: int = 1 << 24) -> int:
-    """Exact minimum symbol weight of the outer code, by message enumeration."""
+    """Exact minimum symbol weight of the outer code, over its codeword table."""
     if outer.ctx.q**outer.k > budget:
         raise ValueError("outer code too large for exact distance")
-    return min(
-        (sum(1 for s in outer.encode(msg) if s) for msg in islice(all_messages(outer), 1, None)),
-        default=outer.n + 1,
-    )
-
-
-def all_messages(outer: OuterCode) -> Iterable[Tuple[int, ...]]:
-    """All q^k messages of the outer code, zero first, in odometer order."""
-    q = outer.ctx.q
-    k = outer.k
-    msg = [0] * k
-    yield tuple(msg)
-    for _ in range(q**k - 1):
-        i = 0
-        while msg[i] == q - 1:
-            msg[i] = 0
-            i += 1
-        msg[i] += 1
-        yield tuple(msg)
+    weights = np.count_nonzero(codeword_table(outer)[1:], axis=1)
+    return int(weights.min()) if weights.size else outer.n + 1

@@ -15,6 +15,7 @@ between GF(2^k0) symbols and k0-bit vectors.
 
 from __future__ import annotations
 
+import functools
 from typing import List
 
 # Lexicographically smallest irreducible polynomial per degree (bitmask with
@@ -259,6 +260,11 @@ class FieldCtx:
         return hash((self.k0, self.modulus))
 
 
+@functools.cache
 def make_field(k0: int) -> FieldCtx:
-    """Build GF(2^k0) with the table modulus and a verified self-dual basis."""
+    """GF(2^k0) with the table modulus and a verified self-dual basis.
+
+    Built once per degree and shared: a FieldCtx is immutable and its
+    operations are pure.  An out-of-range degree raises on every call.
+    """
     return FieldCtx(k0)

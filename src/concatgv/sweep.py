@@ -97,6 +97,10 @@ class SweepConfig:
                 raise ValueError(f"tau={self.constants.tau} outside (0, {float(eps)})")
             if (1 << (self.n0 - self.k0)) > self.budgets.niceness:
                 raise ValueError("niceness check over budget for this config")
+        if self.toggles.run_entropy:
+            eta = self.constants.c_eta * (self.k / self.n)  # as entropy_hypothesis computes it
+            if not 0 <= eta < 1:
+                raise ValueError(f"smoothing level c_eta*k/n = {eta} outside [0, 1)")
         if any(r < 0 for r in self.toggles.r_list):
             raise ValueError(f"r_list entries must be nonnegative, got {list(self.toggles.r_list)}")
         if self.toggles.run_moments:

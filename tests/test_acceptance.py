@@ -22,7 +22,6 @@ from concatgv.codes import (
     BinaryCode,
     ConcatCode,
     OuterCode,
-    all_messages,
     bias,
 )
 from concatgv.field import make_field
@@ -31,6 +30,7 @@ from concatgv.moments import bad_bound, count_W, moment_direct, moment_dual, poi
 from concatgv.rng import SplitMix64, derive_seed
 from concatgv.sweep import SweepConfig, emit_csv, emit_json, run_sweep
 
+from oracles import all_messages
 from test_certify import lp_min_entropy_oracle, naive_soft_oracle
 
 MASTER_SEED = 20260810

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from scipy import optimize, stats
 
+from concatgv import certify
 from concatgv.certify import (
     C_TILDE_DEFAULT,
+    EntropyReport,
     Pmf,
     bernoulli_p,
     check_nice,
@@ -20,10 +22,12 @@ from concatgv.certify import (
     weight_stats,
     wilson_interval,
 )
-from concatgv.codes import BinaryCode, OuterCode, weight_distribution
-from concatgv.field import make_field
-from concatgv.linalg import BitMatrix, FieldMatrix, sample_binary_code, sample_field_code
+from concatgv.codes import BinaryCode, OuterCode, outer_min_distance, weight_distribution
+from concatgv.field import FieldCtx, make_field
+from concatgv.linalg import BitMatrix, FieldMatrix, nullspace_basis, sample_binary_code, sample_field_code
 from concatgv.rng import SplitMix64, derive_seed
+
+from oracles import all_messages
 
 F4 = make_field(2)
 F8 = make_field(3)
@@ -243,6 +247,64 @@ def test_soft_condition_field_mismatch():
         soft_condition(outer, pm, "exact")
 
 
+def soft_loop_reference(outer: OuterCode, pmf: Pmf) -> float:
+    """The per-codeword exact sum: encode each nonzero dual message in
+    odometer order, multiply its coordinates' probabilities left to right,
+    and add the terms one at a time."""
+    dual_gen = nullspace_basis(outer.gen, "right")
+    if dual_gen.nrows == 0:
+        return 0.0
+    dual = OuterCode(dual_gen)
+    prob = 0.0
+    for msg in all_messages(dual):
+        if not any(msg):
+            continue
+        term = 1.0
+        for sym in dual.encode(msg):
+            term *= pmf[sym]
+            if term == 0.0:
+                break
+        prob += term
+    return prob
+
+
+def pmf_with_zeros(ctx) -> Pmf:
+    """Unequal weights, with every third symbol (from 1) at probability 0."""
+    raw = [0.0 if v % 3 == 1 else v + 1.0 for v in range(ctx.q)]
+    return Pmf(ctx, tuple(x / sum(raw) for x in raw))
+
+
+def small_outer_codes(max_words: int):
+    """Sampled outer codes over GF(2^k0), k0 <= 4, 1 <= k <= n <= 4, two seeds
+    each, with at most max_words codewords."""
+    for k0 in (1, 2, 3, 4):
+        ctx = make_field(k0)
+        for n in range(1, 5):
+            for k in range(1, n + 1):
+                if ctx.q**k > max_words:
+                    continue
+                for seed in range(2):
+                    yield OuterCode(sample_field_code(ctx, n, k, derive_seed(100 * k0 + 10 * n + k, seed)))
+
+
+def test_exact_soft_condition_is_bit_identical_to_codeword_loop():
+    rng = SplitMix64(404)
+    checked = no_dual = 0
+    for outer in small_outer_codes(1 << 16):
+        ctx = outer.ctx
+        if ctx.q ** (outer.n - outer.k) > 4096:
+            continue
+        omega = [1 + rng.randrange(ctx.q - 1) if ctx.q > 2 else 1 for _ in range(3)]
+        for pm in (d_pmf(ctx, omega, 0.05 + 0.4 * rng.uniform()), pmf_with_zeros(ctx)):
+            rep = soft_condition(outer, pm, "exact")
+            prob = soft_loop_reference(outer, pm)
+            assert rep.prob == prob
+            assert rep.delta == prob * ctx.q**outer.k - 1.0
+            checked += 1
+        no_dual += outer.k == outer.n
+    assert checked > 100 and no_dual > 0
+
+
 # -- empirical distribution and smoothed min-entropy ---------------------------
 
 
@@ -369,14 +431,81 @@ def test_entropy_hypothesis_permutation_codewords_pass():
 def test_entropy_hypothesis_min_is_min_of_per_codeword():
     outer = OuterCode(sample_field_code(F4, 4, 2, 55))
     rep = entropy_hypothesis(outer, cgamma=1.0, ceta=0.4)
-    from concatgv.codes import all_messages
-
     values = []
     for m in all_messages(outer):
         if any(m):
             pm = empirical_dist(F4, outer.encode(m))
             values.append(smooth_min_entropy(pm, 0.4 * outer.k / outer.n))
     assert rep.min_entropy == min(values)
+
+
+def entropy_loop_reference(outer, cgamma, ceta, n0, halved_tv) -> EntropyReport:
+    """The per-codeword entropy check: one smoothed min-entropy per nonzero
+    codeword, in odometer order."""
+    eps = outer.k / outer.n
+    eta = ceta * eps
+    min_entropy = math.inf
+    n_checked = 0
+    for msg in all_messages(outer):
+        if any(msg):
+            pm = empirical_dist(outer.ctx, outer.encode(msg))
+            min_entropy = min(min_entropy, smooth_min_entropy(pm, eta, halved_tv))
+            n_checked += 1
+    threshold = (1.0 - cgamma * eps) * math.log2(outer.ctx.q)
+    ratio = n0 * eps * eps / math.log2(1.0 / eps) if 0 < eps < 1 else None
+    return EntropyReport(eta, threshold, min_entropy, min_entropy >= threshold, n_checked, ratio)
+
+
+def count_profiles(outer) -> int:
+    """Distinct nonzero symbol counts, in increasing symbol value, over the
+    nonzero codewords."""
+    profiles = set()
+    for msg in all_messages(outer):
+        if any(msg):
+            word = outer.encode(msg)
+            counts = [word.count(v) for v in range(outer.ctx.q)]
+            profiles.add(tuple(c for c in counts if c))
+    return len(profiles)
+
+
+def test_entropy_hypothesis_is_bit_identical_to_codeword_loop(monkeypatch):
+    calls = 0
+    real = smooth_min_entropy
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(certify, "smooth_min_entropy", counted)
+    fewer = 0
+    for outer in small_outer_codes(256):
+        for ceta in (0.0, 0.5, 0.9):
+            for halved_tv in (True, False):
+                calls = 0
+                rep = entropy_hypothesis(outer, 1.0, ceta, n0=8, halved_tv=halved_tv)
+                assert calls == count_profiles(outer)
+                fewer += calls < rep.n_checked
+                assert rep == entropy_loop_reference(outer, 1.0, ceta, 8, halved_tv)
+    assert fewer > 0
+
+
+def test_table_budgets_fail_before_any_multiply(monkeypatch):
+    outer = OuterCode(sample_field_code(F8, 4, 2, 7))
+    pm = d_pmf(F8, [1, 2, 4], 0.2)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("field multiply before the budget check")
+
+    monkeypatch.setattr(FieldCtx, "mul", forbidden)
+    with pytest.raises(ValueError, match="dual size 64 exceeds budget 63"):
+        soft_condition(outer, pm, "exact", budget=63)
+    with pytest.raises(ValueError, match="codeword count 64 exceeds budget 63"):
+        entropy_hypothesis(outer, 1.0, 1.0, budget=63)
+    with pytest.raises(ValueError, match="smoothing level"):
+        entropy_hypothesis(outer, 1.0, 2.0)
+    with pytest.raises(ValueError, match="too large"):
+        outer_min_distance(outer, budget=63)
 
 
 # -- weight statistics -----------------------------------------------------------

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -5,8 +6,8 @@ from concatgv.codes import (
     BinaryCode,
     ConcatCode,
     OuterCode,
-    all_messages,
     bias,
+    codeword_table,
     min_distance,
     outer_min_distance,
     weight_distribution,
@@ -14,6 +15,8 @@ from concatgv.codes import (
 from concatgv.field import make_field
 from concatgv.linalg import BitMatrix, FieldMatrix, sample_binary_code, sample_field_code
 from concatgv.rng import SplitMix64, derive_seed
+
+from oracles import all_messages
 
 F2 = make_field(1)
 F4 = make_field(2)
@@ -210,3 +213,24 @@ def test_all_messages_order_and_count():
     msgs = list(all_messages(outer))
     assert msgs[0] == (0,)
     assert len(msgs) == 4 and len(set(msgs)) == 4
+
+
+@pytest.mark.parametrize("k0", [1, 2, 3, 4])
+def test_codeword_table_matches_encode_in_message_order(k0):
+    ctx = make_field(k0)
+    for n in range(1, 5):
+        for k in range(1, n + 1):
+            outer = OuterCode(sample_field_code(ctx, n, k, derive_seed(10 * n + k, k0)))
+            table = codeword_table(outer)
+            assert table.shape == (ctx.q**k, n) and table.dtype == np.uint8
+            assert [tuple(row) for row in table.tolist()] == [outer.encode(m) for m in all_messages(outer)]
+            weights = [sum(1 for s in outer.encode(m) if s) for m in all_messages(outer) if any(m)]
+            assert outer_min_distance(outer) == min(weights)
+
+
+def test_codeword_table_dtype_holds_every_symbol():
+    ctx = make_field(9)  # q - 1 = 511 needs 16 bits
+    outer = OuterCode(sample_field_code(ctx, 2, 1, 5))
+    table = codeword_table(outer)
+    assert table.dtype == np.uint16
+    assert [tuple(row) for row in table.tolist()] == [outer.encode(m) for m in all_messages(outer)]

@@ -42,6 +42,16 @@ def test_make_field_degree_bounds():
         make_field(17)
 
 
+def test_make_field_is_built_once_per_degree():
+    assert make_field(4) is make_field(4)
+    assert make_field(3) is not make_field(4)
+    for _ in range(2):  # a refused degree is refused again, not cached
+        with pytest.raises(ValueError):
+            make_field(0)
+        with pytest.raises(ValueError):
+            make_field(17)
+
+
 def test_reducible_modulus_rejected():
     with pytest.raises(ValueError):
         FieldCtx(2, 0b101)  # x^2 + 1 = (x+1)^2

@@ -6,7 +6,7 @@ import pytest
 
 from concatgv import codes, moments
 from concatgv.certify import check_nice
-from concatgv.codes import BinaryCode, ConcatCode, OuterCode, bias, all_messages
+from concatgv.codes import BinaryCode, ConcatCode, OuterCode, bias
 from concatgv.field import make_field
 from concatgv.linalg import BitMatrix, FieldMatrix, sample_binary_code, sample_field_code
 from concatgv.moments import (
@@ -19,6 +19,8 @@ from concatgv.moments import (
     w_count_bound,
 )
 from concatgv.rng import derive_seed
+
+from oracles import all_messages
 
 F2 = make_field(1)
 F4 = make_field(2)

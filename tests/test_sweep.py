@@ -127,6 +127,24 @@ def test_moment_config_rejected_before_trials():
     assert rows[0].moments_equal is True
 
 
+def test_entropy_smoothing_level_rejected_before_trials():
+    # eta = c_eta * k / n must lie in [0, 1) whenever the entropy check runs
+    with pytest.raises(ValueError, match="smoothing level"):
+        config_from_dict({"k0": 2, "n0": 2, "n": 3, "k": 3, "trials": 1, "master_seed": 0,
+                          "toggles": {"run_entropy": True}})
+    base = {"k0": 2, "n0": 4, "n": 4, "k": 2, "trials": 1, "master_seed": 0}
+    with pytest.raises(ValueError, match="smoothing level"):
+        config_from_dict({**base, "constants": {"c_eta": 2.5}, "toggles": {"run_entropy": True}})
+    with pytest.raises(ValueError, match="smoothing level"):
+        config_from_dict({**base, "constants": {"c_eta": -0.5}, "toggles": {"run_entropy": True}})
+    # the same constants are fine while the entropy check is off
+    config_from_dict({**base, "constants": {"c_eta": 2.5}})
+    # eta = 0.95 is admitted, and the trial then runs the check
+    rows, _ = run_sweep(config_from_dict({**base, "constants": {"c_eta": 1.9},
+                                          "toggles": {"run_entropy": True}}))
+    assert rows[0].entropy_min is not None
+
+
 def test_config_from_dict_roundtrip():
     cfg = config_from_dict(SMALL.to_dict())
     assert cfg == SMALL
