@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -51,10 +52,16 @@ def h2_inv(y: float) -> float:
 
 
 def gv_check(point: RateDistancePoint, epsilon: float, c: float) -> bool:
-    """The operational low-rate GV target: rate >= eps^2 and distance >= 1/2 - c*eps."""
+    """The operational low-rate GV target: rate >= eps^2 and distance >= 1/2 - c*eps.
+
+    The comparison runs in the arithmetic of the inputs.  Only Fraction
+    inputs (point, epsilon and c) give an exact verdict; with floats a point
+    that sits on a bound, such as rate k0*k/(n0*n) = eps^2, can fall on either
+    side of it by one rounding.
+    """
     if epsilon <= 0 or c <= 0:
         raise ValueError("epsilon and c must be positive")
-    return point.rate >= epsilon**2 and point.rel_distance >= 0.5 - c * epsilon
+    return point.rate >= epsilon**2 and point.rel_distance >= Fraction(1, 2) - c * epsilon
 
 
 def gv_rate(delta: float) -> float:

@@ -140,14 +140,6 @@ class NicenessReport:
     per_weight: Tuple[Tuple[int, float], ...]  # (count, bound) for i = 1..n0
     worst_ratio: float
 
-    def as_dict(self) -> dict:
-        return {
-            "tau": self.tau,
-            "ok": self.ok,
-            "per_weight": [[c, b] for c, b in self.per_weight],
-            "worst_ratio": self.worst_ratio,
-        }
-
 
 def check_nice(inner: BinaryCode, tau: float, budget: int = 1 << 20) -> NicenessReport:
     """Exact tau-niceness check of the inner code by enumerating its dual."""
@@ -184,16 +176,6 @@ class SoftReport:
     ci_low: float | None = None
     ci_high: float | None = None
     draws: int | None = None
-
-    def as_dict(self) -> dict:
-        return {
-            "prob": self.prob,
-            "delta": self.delta,
-            "is_exact": self.is_exact,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "draws": self.draws,
-        }
 
 
 def _dual_generator(outer: OuterCode) -> "OuterCode | None":
@@ -325,16 +307,6 @@ class EntropyReport:
     n_checked: int
     n0_ratio: float | None = None  # n0 * eps^2 / log2(1/eps), reported not asserted
 
-    def as_dict(self) -> dict:
-        return {
-            "eta": self.eta,
-            "threshold": self.threshold,
-            "min_entropy": self.min_entropy,
-            "ok": self.ok,
-            "n_checked": self.n_checked,
-            "n0_ratio": self.n0_ratio,
-        }
-
 
 def entropy_hypothesis(
     outer: OuterCode,
@@ -392,15 +364,6 @@ class WeightStats:
     alpha: float
     avg_weight_ratio: float
     next_slab_ratio: float
-
-    def as_dict(self) -> dict:
-        return {
-            "T": self.T,
-            "j_star": self.j_star,
-            "alpha": self.alpha,
-            "avg_weight_ratio": self.avg_weight_ratio,
-            "next_slab_ratio": self.next_slab_ratio,
-        }
 
 
 def weight_stats(delta: WeightDistribution, T: int) -> WeightStats:

@@ -1,9 +1,11 @@
 """Command-line interface.
 
 Subcommands: field, sample-code, concat, distance, nice-check, soft-check,
-entropy-check, moment-check, gv-compare, sweep.  Every subcommand accepts
---seed, --budget, --out and --format (ignored where they have no meaning);
-reports echo seeds and budgets so runs can be reproduced from their outputs.
+entropy-check, moment-check, gv-compare, sweep.  Each subcommand takes only
+the flags it reads: every one takes --out (a file, or for gv-compare a
+directory; default stdout), --seed goes to sample-code, distance and
+soft-check, --budget to distance and the four checks, and --format to sweep.
+Reports echo seeds and budgets so runs can be reproduced from their outputs.
 If the environment variable CONCATGV_OUTDIR is set, relative --out paths are
 resolved inside it.
 """
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -28,10 +31,10 @@ from .certify import (
 )
 from .codes import BinaryCode, ConcatCode, OuterCode, min_distance
 from .field import make_field
-from .fileio import dumps_code, load_binary_code, load_outer_code, save_code
+from .fileio import dumps_code, load_binary_code, load_outer_code
 from .linalg import sample_binary_code, sample_field_code
 from .moments import moment_direct, moment_dual
-from .sweep import config_from_dict, report_emit, run_sweep
+from .sweep import config_from_dict, emit_csv, emit_json, reemit_json, run_sweep
 
 
 def _resolve_out(path: str | None) -> Path | None:
@@ -44,13 +47,17 @@ def _resolve_out(path: str | None) -> Path | None:
     return p
 
 
-def _emit(args, doc: dict) -> None:
-    text = json.dumps(doc, indent=2) + "\n"
+def _write(args, text: str) -> None:
+    """The one report writer: stdout, or the --out file as ASCII, line ends untranslated."""
     out = _resolve_out(args.out)
     if out is None:
         sys.stdout.write(text)
     else:
-        out.write_text(text, encoding="ascii")
+        out.write_text(text, encoding="ascii", newline="")
+
+
+def _emit(args, doc: dict) -> None:
+    _write(args, reemit_json(doc))
 
 
 def _load_concat(args) -> ConcatCode:
@@ -69,11 +76,7 @@ def cmd_sample_code(args) -> int:
         code = OuterCode(sample_field_code(ctx, args.n, args.k, args.seed))
     else:
         code = BinaryCode(sample_binary_code(args.n, args.k, args.seed))
-    out = _resolve_out(args.out)
-    if out is None:
-        sys.stdout.write(dumps_code(code))
-    else:
-        save_code(out, code)
+    _write(args, dumps_code(code))
     return 0
 
 
@@ -126,7 +129,7 @@ def cmd_distance(args) -> int:
 def cmd_nice_check(args) -> int:
     inner = load_binary_code(args.inner)
     rep = check_nice(inner, args.tau, args.budget)
-    _emit(args, {"inner": args.inner, "budget": args.budget, **rep.as_dict()})
+    _emit(args, {"inner": args.inner, "budget": args.budget, **dataclasses.asdict(rep)})
     return 0
 
 
@@ -147,7 +150,7 @@ def cmd_soft_check(args) -> int:
             "mode": args.mode,
             "seed": args.seed,
             "budget": args.budget,
-            **rep.as_dict(),
+            **dataclasses.asdict(rep),
         },
     )
     return 0
@@ -171,7 +174,7 @@ def cmd_entropy_check(args) -> int:
             "c_eta": args.c_eta,
             "tv_convention": args.tv_convention,
             "budget": args.budget,
-            **rep.as_dict(),
+            **dataclasses.asdict(rep),
         },
     )
     return 0
@@ -233,14 +236,7 @@ def cmd_sweep(args) -> int:
         data = json.load(fh)
     cfg = config_from_dict(data)
     rows, agg = run_sweep(cfg)
-    out = _resolve_out(args.out)
-    if out is None:
-        from .sweep import emit_csv, emit_json
-
-        text = emit_csv(rows, cfg) if args.format == "csv" else emit_json(rows, agg, cfg)
-        sys.stdout.write(text)
-    else:
-        report_emit(rows, agg, cfg, args.format, out)
+    _write(args, emit_csv(rows, cfg) if args.format == "csv" else emit_json(rows, agg, cfg))
     total = sum(r.wall_time_s for r in rows)
     print(
         f"sweep: {len(rows)} trials, total {total:.2f}s, "
@@ -257,62 +253,68 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    shared = {
+        "seed": dict(type=int, default=0, help="PRNG seed (64-bit)"),
+        "budget": dict(type=int, default=1 << 20, help="enumeration budget"),
+    }
+
+    def add(name, fn, help, *flags):
+        p = sub.add_parser(name, help=help)
         p.set_defaults(fn=fn)
-        p.add_argument("--seed", type=int, default=0, help="PRNG seed (64-bit)")
-        p.add_argument("--budget", type=int, default=1 << 20, help="enumeration budget")
-        p.add_argument("--out", type=str, default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="json")
+        p.add_argument("--out", type=str, default=None,
+                       help="output file (default stdout); for gv-compare a directory (default .)")
+        for flag in flags:
+            p.add_argument(f"--{flag}", **shared[flag])
         return p
 
-    p = add("field", cmd_field, help="print a field descriptor")
+    p = add("field", cmd_field, "print a field descriptor")
     p.add_argument("--k0", type=int, required=True)
 
-    p = add("sample-code", cmd_sample_code, help="sample a uniform random linear code")
+    p = add("sample-code", cmd_sample_code, "sample a uniform random linear code", "seed")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--k0", type=int, default=None, help="field degree for outer codes; omit for binary")
 
-    p = add("concat", cmd_concat, help="describe a concatenated code")
+    p = add("concat", cmd_concat, "describe a concatenated code")
     p.add_argument("--outer", required=True)
     p.add_argument("--inner", required=True)
 
-    p = add("distance", cmd_distance, help="minimum distance of a code")
+    p = add("distance", cmd_distance, "minimum distance of a code", "seed", "budget")
     p.add_argument("--code", default=None, help="binary code file")
     p.add_argument("--outer", default=None)
     p.add_argument("--inner", default=None)
     p.add_argument("--mode", choices=("exact", "montecarlo", "auto"), default="auto")
 
-    p = add("nice-check", cmd_nice_check, help="tau-niceness of an inner code")
+    p = add("nice-check", cmd_nice_check, "tau-niceness of an inner code", "budget")
     p.add_argument("--inner", required=True)
     p.add_argument("--tau", type=float, required=True)
 
-    p = add("soft-check", cmd_soft_check, help="soft-decoding condition on an outer code")
+    p = add("soft-check", cmd_soft_check, "soft-decoding condition on an outer code", "seed", "budget")
     p.add_argument("--outer", required=True)
     p.add_argument("--inner", required=True)
     p.add_argument("--p", type=float, default=None, help="explicit Bernoulli parameter")
     p.add_argument("--c-tilde", type=float, default=C_TILDE_DEFAULT)
     p.add_argument("--mode", choices=("exact", "montecarlo"), default="exact")
 
-    p = add("entropy-check", cmd_entropy_check, help="smooth min-entropy condition")
+    p = add("entropy-check", cmd_entropy_check, "smooth min-entropy condition", "budget")
     p.add_argument("--outer", required=True)
     p.add_argument("--c-gamma", type=float, required=True)
     p.add_argument("--c-eta", type=float, required=True)
     p.add_argument("--n0", type=int, default=None, help="inner length for the n0 diagnostic")
     p.add_argument("--tv-convention", choices=("halved", "unhalved"), default="halved")
 
-    p = add("moment-check", cmd_moment_check, help="verify the moment identity (--budget: walk work)")
+    p = add("moment-check", cmd_moment_check, "verify the moment identity (--budget: walk work)", "budget")
     p.add_argument("--outer", required=True)
     p.add_argument("--inner", required=True)
     p.add_argument("--r", type=lambda s: [int(x) for x in s.split(",")], default=[1, 2, 3])
 
-    p = add("gv-compare", cmd_gv_compare, help="emit (delta, R) curve data files")
+    p = add("gv-compare", cmd_gv_compare, "emit (delta, R) curve data files")
     p.add_argument("--grid", type=int, default=1000)
     p.add_argument("--points", default=None, help="sweep CSV to extract measured points from")
 
-    p = add("sweep", cmd_sweep, help="run a seeded parameter sweep from a JSON config")
+    p = add("sweep", cmd_sweep, "run a seeded parameter sweep from a JSON config")
     p.add_argument("--config", required=True)
+    p.add_argument("--format", choices=("csv", "json"), default="json")
 
     return parser
 

@@ -17,6 +17,7 @@ Conventions fixed here and used everywhere else:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -229,6 +230,13 @@ class WeightDistribution:
     def max_bias(self) -> int:
         """max |length - 2 weight| over the nonzero messages."""
         return max(abs(self.length - 2 * j) for j, _ in self.nonzero_messages())
+
+    def moment(self, r: int) -> Fraction:
+        """Mean of (length - 2 weight)^r over the nonzero messages.  Exact."""
+        if r < 0:
+            raise ValueError("r must be nonnegative")
+        total = sum(count * (self.length - 2 * j) ** r for j, count in self.nonzero_messages())
+        return Fraction(total, self.total - 1)
 
 
 def _basis_words_and_length(code: BinaryCode | ConcatCode):

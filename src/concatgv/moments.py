@@ -119,14 +119,10 @@ def zero_folds(masks: Counter, bits: int, r: int, budget: int) -> int:
 
 def moment_direct(cc: ConcatCode, r: int, budget: int = 1 << 24) -> Fraction:
     """E over nonzero messages of X_m^r, by message enumeration.  Exact."""
-    if r < 0:
-        raise ValueError("r must be nonnegative")
     qk = cc.ctx.q**cc.outer.k
     if qk > budget:
         raise ValueError(f"message count {qk} exceeds budget {budget}")
-    wd = weight_distribution(cc, budget)
-    total = sum(count * (cc.N - 2 * w) ** r for w, count in wd.nonzero_messages())
-    return Fraction(total, qk - 1)
+    return weight_distribution(cc, budget).moment(r)
 
 
 def moment_dual(cc: ConcatCode, r: int, budget: int = 1 << 27) -> Fraction:

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field as dc_field, fields as dc_fields
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
+from .bounds import RateDistancePoint, gv_check
 from .certify import (
     bernoulli_p,
     C_DEFAULT,
@@ -30,7 +31,7 @@ from .certify import (
 from .codes import BinaryCode, ConcatCode, OuterCode, min_distance, weight_distribution
 from .field import make_field
 from .linalg import sample_binary_code, sample_field_code
-from .moments import moment_direct, moment_dual, walk_work
+from .moments import moment_dual, walk_work
 from .rng import derive_seed
 
 SCHEMA = "concatgv-sweep-v1"
@@ -97,10 +98,14 @@ class SweepConfig:
                 raise ValueError(f"tau={self.constants.tau} outside (0, {float(eps)})")
             if (1 << (self.n0 - self.k0)) > self.budgets.niceness:
                 raise ValueError("niceness check over budget for this config")
+        if self.constants.c <= 0:
+            raise ValueError(f"GV constant c must be positive, got {self.constants.c}")
         if self.toggles.run_entropy:
             eta = self.constants.c_eta * (self.k / self.n)  # as entropy_hypothesis computes it
             if not 0 <= eta < 1:
                 raise ValueError(f"smoothing level c_eta*k/n = {eta} outside [0, 1)")
+            if (1 << self.k0) ** self.k > self.budgets.entropy:
+                raise ValueError("entropy check over budget for this config")
         if any(r < 0 for r in self.toggles.r_list):
             raise ValueError(f"r_list entries must be nonnegative, got {list(self.toggles.r_list)}")
         if self.toggles.run_moments:
@@ -116,24 +121,13 @@ class SweepConfig:
         return Fraction(self.k, self.n)
 
     def to_dict(self) -> dict:
-        return {
-            "k0": self.k0,
-            "n0": self.n0,
-            "n": self.n,
-            "k": self.k,
-            "trials": self.trials,
-            "master_seed": self.master_seed,
-            "budgets": {f.name: getattr(self.budgets, f.name) for f in dc_fields(Budgets)},
-            "constants": {f.name: getattr(self.constants, f.name) for f in dc_fields(Constants)},
-            "toggles": {
-                "run_nice": self.toggles.run_nice,
-                "run_soft": self.toggles.run_soft,
-                "run_entropy": self.toggles.run_entropy,
-                "run_moments": self.toggles.run_moments,
-                "r_list": list(self.toggles.r_list),
-            },
-            "equal_rate": self.equal_rate,
-        }
+        # Shallow vars() copies keep field order; dataclasses.asdict deep-copies
+        # and costs several times more on every config_hash and emit_json.
+        doc = dict(vars(self))
+        for part in ("budgets", "constants", "toggles"):
+            doc[part] = dict(vars(doc[part]))
+        doc["toggles"]["r_list"] = list(self.toggles.r_list)
+        return doc
 
 
 def _from_dict(cls, data: dict, where: str):
@@ -187,24 +181,7 @@ class SweepRow:
     wall_time_s: float  # in-memory only; never serialized
 
 
-CSV_COLUMNS = [
-    "trial",
-    "seed_inner",
-    "seed_outer",
-    "rate",
-    "distance",
-    "rel_distance",
-    "distance_exact",
-    "x_max",
-    "nice_ok",
-    "soft_prob",
-    "soft_delta",
-    "soft_exact",
-    "entropy_ok",
-    "entropy_min",
-    "moments_equal",
-    "gv_ok",
-]
+CSV_COLUMNS = [f.name for f in dc_fields(SweepRow) if f.name != "wall_time_s"]
 
 
 def run_trial(config: SweepConfig, trial: int) -> SweepRow:
@@ -221,6 +198,7 @@ def run_trial(config: SweepConfig, trial: int) -> SweepRow:
     q = ctx.q
 
     exact = q**config.k <= config.budgets.distance
+    wd = None
     if exact:
         wd = weight_distribution(cc, config.budgets.distance)
         d, x_max = wd.min_weight, wd.max_bias
@@ -229,7 +207,7 @@ def run_trial(config: SweepConfig, trial: int) -> SweepRow:
         x_max = None
 
     nice_ok = None
-    if config.toggles.run_nice and (1 << (config.n0 - config.k0)) <= config.budgets.niceness:
+    if config.toggles.run_nice:
         nice_ok = check_nice(inner, config.constants.tau, config.budgets.niceness).ok
 
     soft_prob = soft_delta = None
@@ -247,7 +225,7 @@ def run_trial(config: SweepConfig, trial: int) -> SweepRow:
 
     entropy_ok = None
     entropy_min = None
-    if config.toggles.run_entropy and q**config.k <= config.budgets.entropy:
+    if config.toggles.run_entropy:
         rep = entropy_hypothesis(
             outer,
             config.constants.c_gamma,
@@ -259,18 +237,18 @@ def run_trial(config: SweepConfig, trial: int) -> SweepRow:
 
     moments_equal = None
     if config.toggles.run_moments:
+        if wd is None:
+            wd = weight_distribution(cc, config.budgets.moments)
         moments_equal = all(
-            moment_direct(cc, r, config.budgets.moments)
-            == moment_dual(cc, r, config.budgets.moments)
+            wd.moment(r) == moment_dual(cc, r, config.budgets.moments)
             for r in config.toggles.r_list
         )
 
-    # GV verdict in exact arithmetic so rate == eps^2 never fails to a float ulp.
-    eps = config.eps
+    # Fractions, so that rate == eps^2 is never lost to a float ulp.
     rate = Fraction(cc.K, cc.N)
-    gv_ok = rate >= eps * eps and Fraction(d, cc.N) >= Fraction(1, 2) - Fraction(
-        config.constants.c
-    ) * eps
+    gv_ok = gv_check(
+        RateDistancePoint(rate, Fraction(d, cc.N)), config.eps, Fraction(config.constants.c)
+    )
 
     return SweepRow(
         trial=trial,
@@ -355,17 +333,3 @@ def emit_json(rows: List[SweepRow], agg: dict, config: SweepConfig) -> str:
 def reemit_json(doc: dict) -> str:
     """Canonical JSON rendering; parse -> reemit is byte-identical."""
     return json.dumps(doc, indent=2, ensure_ascii=True) + "\n"
-
-
-def report_emit(rows: List[SweepRow], agg: dict, config: SweepConfig, fmt: str, path) -> None:
-    if fmt == "csv":
-        text = emit_csv(rows, config)
-    elif fmt == "json":
-        text = emit_json(rows, agg, config)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
-    try:
-        with open(path, "w", encoding="ascii", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise OSError(f"cannot write report to {path}: {exc}") from exc

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -73,6 +74,27 @@ def test_gv_check_examples():
     for c in (0.5, 1.0, 4.0):
         assert gv_check(RateDistancePoint(eps**2, 0.5), eps, c)
     assert not gv_check(RateDistancePoint(eps**2, 0.5 - 2 * 1.0 * eps), eps, 1.0)
+
+
+def test_gv_check_exact_on_both_bounds():
+    # Every equal-rate shape k0/n0 = k/n puts its rate exactly on eps^2; with
+    # Fraction inputs a point on both bounds passes and one just below fails.
+    tiny = Fraction(1, 10**30)
+    for n0 in range(2, 20):
+        for k0 in range(1, n0):
+            for n in range(k0, 40):
+                eps = Fraction(k0, n0)
+                if (eps * n).denominator != 1:
+                    continue
+                for c in (Fraction(1), Fraction(1, 3)):
+                    edge = Fraction(1, 2) - c * eps
+                    if edge < 0:
+                        continue
+                    assert gv_check(RateDistancePoint(eps * eps, edge), eps, c)
+                    assert not gv_check(RateDistancePoint(eps * eps - tiny, edge), eps, c)
+                    if edge > 0:
+                        assert not gv_check(RateDistancePoint(eps * eps, edge - tiny), eps, c)
+    assert gv_check(RateDistancePoint(Fraction(1, 100), Fraction(2, 5)), Fraction(1, 10), 1)
 
 
 def test_gv_check_monotone_in_c():

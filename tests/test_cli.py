@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -218,3 +219,85 @@ def test_main_callable_directly(tmp_path, capsys):
     assert main(["field", "--k0", "1"]) == 0
     out = capsys.readouterr().out
     assert json.loads(out)["field"]["k0"] == 1
+
+
+# -- pinned reports -----------------------------------------------------------
+
+# sha256 of stdout, with the temporary directory replaced by "<tmp>".  Every
+# report field, its order and its float rendering are pinned.
+CLI_GOLDEN = {
+    "field": (["field", "--k0", "3"],
+              "dbdcd6ee9a877d0e93a4ed18570c97e2e29a49ea1876a1e7cfa9ee2f76bb6079"),
+    "sample-binary": (["sample-code", "--n", "8", "--k", "3", "--seed", "11"],
+                      "61520e95c4da27227fd6597ca64e38c623e5fedd303058c0a17bd7cc519c6943"),
+    "sample-outer": (["sample-code", "--n", "5", "--k", "2", "--k0", "3", "--seed", "12"],
+                     "23f088eb93dd014f5eb1b549bea6078644365a1df32ef835100f1c882576623e"),
+    "concat": (["concat", "OUTER", "INNER"],
+               "5771f3e8770cdb330e41939b49e76e162d83783c380dce165be6b42c3a04126a"),
+    "distance-exact": (["distance", "OUTER", "INNER", "--mode", "exact"],
+                       "f70032cfcd7cf968f3ccc0946f818429b44c07fad4805f9cbbc62f767c1dc0e9"),
+    "distance-montecarlo": (["distance", "OUTER", "INNER", "--mode", "montecarlo",
+                             "--budget", "50", "--seed", "7"],
+                            "f08aa14489792285fb5cff3062c6b5bef067d124682b8eed753d1b0327ac8a62"),
+    "distance-code": (["distance", "--code", "<tmp>/inner.code"],
+                      "82ab356d1e63d6c74c104c76f14c69cd3b5a3d35c8c2ea714e580d34dc85e165"),
+    "nice-check": (["nice-check", "--inner", "<tmp>/inner.code", "--tau", "0.2", "--budget", "4096"],
+                   "04b73cdf1d31a0f2bf5e0f40c72627ff163a93cf4fd4f61d62dc2c35e47fb371"),
+    "soft-check-exact": (["soft-check", "OUTER", "INNER"],
+                         "b78ee6f762aa30fc7a7dc5aca04aeb6aaa415abfb1290ac0192a8ec301152db6"),
+    "soft-check-montecarlo": (["soft-check", "OUTER", "INNER", "--mode", "montecarlo",
+                               "--budget", "300", "--seed", "9"],
+                              "62b1afbfcffb1acbfbb5f50eca2faea639a533b18c44313c1aeaa6d2b929b42c"),
+    "entropy-check-halved": (["entropy-check", "--outer", "<tmp>/outer.code", "--c-gamma", "1.0",
+                              "--c-eta", "1.0", "--n0", "6", "--budget", "4096"],
+                             "32b2a8b3352a1b32979558cd7a71b1212feab5f7e5b7c7e037bc3b4d0a8ebd4d"),
+    "entropy-check-unhalved": (["entropy-check", "--outer", "<tmp>/outer.code", "--c-gamma", "0.5",
+                                "--c-eta", "0.5", "--tv-convention", "unhalved"],
+                               "f576168b8c35204018e53abbd079d778e41e83de0dbf2a20b33c71fc5e2f8881"),
+    "moment-check": (["moment-check", "OUTER", "INNER", "--r", "1,2,4", "--budget", "100000"],
+                     "4a66f0884e161e6af1dafc8c2b2a14d8a846c912476cc709f140a5137da8b591"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_GOLDEN))
+def test_cli_report_is_pinned(name, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("CONCATGV_OUTDIR", raising=False)
+    tmp = str(tmp_path)
+    assert main(["sample-code", "--n", "6", "--k", "2", "--seed", "5",
+                 "--out", f"{tmp}/inner.code"]) == 0
+    assert main(["sample-code", "--n", "4", "--k", "2", "--k0", "2", "--seed", "6",
+                 "--out", f"{tmp}/outer.code"]) == 0
+    capsys.readouterr()
+    argv, digest = CLI_GOLDEN[name]
+    pair = {"OUTER": ["--outer", "<tmp>/outer.code"], "INNER": ["--inner", "<tmp>/inner.code"]}
+    argv = [a.replace("<tmp>", tmp) for x in argv for a in pair.get(x, [x])]
+    assert main(argv) == 0
+    out = capsys.readouterr().out.replace(tmp, "<tmp>")
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+
+# Every (subcommand, flag) pair whose flag the subcommand does not read.
+UNREAD_FLAGS = [
+    (["field", "--k0", "2"], ("--seed", "--budget", "--format")),
+    (["sample-code", "--n", "4", "--k", "2"], ("--budget", "--format")),
+    (["concat", "--outer", "o", "--inner", "i"], ("--seed", "--budget", "--format")),
+    (["distance", "--code", "c"], ("--format",)),
+    (["nice-check", "--inner", "i", "--tau", "0.2"], ("--seed", "--format")),
+    (["soft-check", "--outer", "o", "--inner", "i"], ("--format",)),
+    (["entropy-check", "--outer", "o", "--c-gamma", "1", "--c-eta", "1"], ("--seed", "--format")),
+    (["moment-check", "--outer", "o", "--inner", "i"], ("--seed", "--format")),
+    (["gv-compare"], ("--seed", "--budget", "--format")),
+    (["sweep", "--config", "c"], ("--seed", "--budget")),
+]
+
+
+@pytest.mark.parametrize(
+    "argv", [base + [flag, "csv" if flag == "--format" else "5"]
+             for base, flags in UNREAD_FLAGS for flag in flags],
+    ids=lambda argv: f"{argv[0]}{argv[-2]}",
+)
+def test_cli_refuses_flags_it_does_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -105,6 +105,18 @@ def test_config_validation_before_trials():
     )
     with pytest.raises(ValueError, match="tau"):
         bad_tau.validate()
+    # gv_check needs c > 0: refused before any trial runs
+    for c in (0.0, -1.0):
+        with pytest.raises(ValueError, match="GV constant"):
+            SweepConfig(k0=2, n0=4, n=4, k=2, trials=1, master_seed=0,
+                        constants=Constants(c=c)).validate()
+    # q^k = 16 codewords: an entropy budget of 8 is refused, 16 runs the check
+    entropy_on = {"k0": 2, "n0": 4, "n": 4, "k": 2, "trials": 1, "master_seed": 0,
+                  "toggles": {"run_entropy": True}}
+    with pytest.raises(ValueError, match="entropy check over budget"):
+        config_from_dict({**entropy_on, "budgets": {"entropy": 8}})
+    rows, _ = run_sweep(config_from_dict({**entropy_on, "budgets": {"entropy": 16}}))
+    assert rows[0].entropy_min is not None
 
 
 def test_moment_config_rejected_before_trials():
@@ -164,6 +176,30 @@ def test_certificates_toggle_on():
         assert r.entropy_ok is not None
         assert r.moments_equal is True
     assert agg["frac_nice"] is not None
+
+
+@pytest.mark.parametrize("distance_budget", [1 << 20, 8])
+def test_one_weight_distribution_per_trial(distance_budget, monkeypatch):
+    # The distance, x_max and every moment_direct side read one enumeration;
+    # in Monte Carlo distance mode the moments build it themselves, once.
+    import concatgv.codes as codes
+
+    calls = []
+    span = codes._span_weight_counts
+
+    def counted(*args):
+        calls.append(args)
+        return span(*args)
+
+    monkeypatch.setattr(codes, "_span_weight_counts", counted)
+    cfg = SweepConfig(
+        k0=2, n0=4, n=4, k=2, trials=1, master_seed=5,
+        budgets=Budgets(distance=distance_budget),
+        toggles=Toggles(run_moments=True, r_list=(1, 2, 4)),
+    )
+    row = run_trial(cfg, 0)
+    assert row.moments_equal is True and row.distance_exact == (distance_budget > 16)
+    assert len(calls) == 1
 
 
 def test_montecarlo_distance_mode_flagged():
