@@ -20,7 +20,6 @@ from .certify import (
     d_pmf,
     empirical_dist,
     entropy_hypothesis,
-    sample_d,
     smooth_min_entropy,
     soft_condition,
     weight_stats,

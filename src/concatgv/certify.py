@@ -83,28 +83,6 @@ def bernoulli_p(c_tilde: float, eps: float) -> float:
     return (1.0 - math.exp(-2.0 * c_tilde * eps * eps)) / 2.0
 
 
-def sample_d(ctx: FieldCtx, omega: Sequence[int], p: float, seed: int) -> int:
-    """One draw from the distribution computed by :func:`d_pmf`."""
-    return sample_d_many(ctx, omega, p, seed, 1)[0]
-
-
-def sample_d_many(
-    ctx: FieldCtx, omega: Sequence[int], p: float, seed: int, count: int
-) -> List[int]:
-    """`count` i.i.d. draws from one seeded stream."""
-    if not 0 <= p <= 0.5:
-        raise ValueError(f"p={p} outside [0, 1/2]")
-    rng = SplitMix64(seed)
-    out = []
-    for _ in range(count):
-        acc = 0
-        for b in omega:
-            if rng.uniform() < p:
-                acc ^= b
-        out.append(acc)
-    return out
-
-
 def sample_pmf_many(pmf: Pmf, seed: int, count: int) -> List[int]:
     """Draws from an arbitrary pmf by CDF inversion (used by Monte Carlo modes)."""
     cdf = []
@@ -272,30 +250,36 @@ def smooth_min_entropy(pmf: Pmf, eta: float, halved_tv: bool = True) -> float:
     Water-filling: the optimal smoothed distribution caps every probability at
     a level t and refills the trimmed mass below the cap, which costs TV
     distance sum(max(P - t, 0)) under the halved convention
-    Delta_TV = 1/2 sum|P - Q|.  Binary-search the smallest feasible cap
-    t >= 1/q; the entropy is -log2(t).  With the unhalved convention the same
-    move costs twice as much, so the budget is eta / 2.
+    Delta_TV = 1/2 sum|P - Q|.  With the unhalved convention the same move
+    costs twice as much, so the budget is eta / 2.  The cap is the smallest
+    t >= 1/q whose cost is within the budget, and the entropy is -log2(t).
+
+    Closed form: with the nonzero probabilities sorted p_1 >= p_2 >= ...,
+    the cost on [p_(j+1), p_j] is S_j - j t with S_j = p_1 + ... + p_j, so
+    t = (S_j - budget) / j at the first j with t >= p_(j+1) (p_(m+1) = 0).
+    Every float is a dyadic rational, so the probabilities and the budget are
+    scaled to integers over one power of two: j and the 1/q floor are chosen
+    by integer compares, and t is rounded once, as a quotient of integers.
+    The result depends only on the multiset of probabilities.
     """
     if not 0 <= eta < 1:
         raise ValueError(f"eta={eta} outside [0, 1)")
     budget = eta if halved_tv else eta / 2.0
     q = pmf.ctx.q
-    probs = pmf.probs
-
-    def excess(t: float) -> float:
-        return sum(p - t for p in probs if p > t)
-
-    lo = 1.0 / q
-    hi = max(probs)
-    if hi <= lo or excess(lo) <= budget:
+    ratios = [p.as_integer_ratio() for p in sorted(pmf.probs, reverse=True) if p]
+    b_num, b_den = budget.as_integer_ratio()
+    scale = max(b_den, *(den for _, den in ratios))  # all powers of two
+    probs = [num * (scale // den) for num, den in ratios]
+    cost = b_num * (scale // b_den)
+    head = 0
+    for j, (p, below) in enumerate(zip(probs, probs[1:] + [0]), 1):
+        head += p
+        if head - cost >= j * below:
+            break
+    num, den = head - cost, j * scale
+    if q * num <= den:  # the cap 1/q is within the budget
         return math.log2(q)
-    for _ in range(100):
-        mid = (lo + hi) / 2
-        if excess(mid) <= budget:
-            hi = mid
-        else:
-            lo = mid
-    return max(0.0, -math.log2(hi))
+    return max(0.0, -math.log2(num / den))
 
 
 @dataclass(frozen=True)
@@ -320,12 +304,14 @@ def entropy_hypothesis(
     threshold (1 - cgamma * eps) * log2(q), with smoothing level ceta * eps
     and eps the outer rate.
 
-    The smoothed min-entropy of a codeword depends only on its count
-    profile: its nonzero symbol counts in increasing symbol value.  Zero
-    probabilities never enter the water-filling sums, so codewords with the
-    same profile run the same float operations, and each profile is
-    evaluated once, on the first codeword of the codeword table that has it.
-    n_checked still counts every nonzero codeword.
+    The smoothed min-entropy of a codeword is a function of its empirical
+    distribution's probability multiset, that is of the sorted multiset of
+    its symbol counts (see :func:`smooth_min_entropy`).  The codeword table's
+    rows are grouped by count profile: the run boundaries of the sorted row,
+    packed into uint64 words and grouped by one stable lexsort.  Each profile
+    maps to its sorted count multiset, and each multiset is evaluated once,
+    on one codeword that has it.  n_checked still counts every nonzero
+    codeword.
     """
     ctx = outer.ctx
     q = ctx.q
@@ -338,13 +324,24 @@ def entropy_hypothesis(
     threshold = (1.0 - cgamma * eps) * math.log2(q)
     words = codeword_table(outer)[1:]
     # The run boundaries of a sorted codeword fix its run lengths, which are
-    # its nonzero symbol counts in increasing symbol value.
+    # its nonzero symbol counts in increasing symbol value.  The n - 1
+    # boundary bits are packed into as many uint64 words as they need.
     runs = np.sort(words, axis=1)
-    _, first = np.unique(runs[:, 1:] != runs[:, :-1], axis=0, return_index=True)
-    min_entropy = math.inf
-    for i in first.tolist():
-        h = smooth_min_entropy(empirical_dist(ctx, words[i].tolist()), eta, halved_tv)
-        min_entropy = min(min_entropy, h)
+    bits = np.packbits(runs[:, 1:] != runs[:, :-1], axis=1)
+    keys = np.zeros((len(words), bits.shape[1] // 8 + 1), np.uint64)
+    keys.view(np.uint8)[:, : bits.shape[1]] = bits
+    order = np.lexsort(keys.T)
+    ordered = keys[order]
+    starts = np.ones(len(order), bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    multisets = {}
+    for i in order[starts].tolist():
+        word = words[i].tolist()
+        multisets.setdefault(tuple(sorted(map(word.count, set(word)))), word)
+    min_entropy = min(
+        (smooth_min_entropy(empirical_dist(ctx, word), eta, halved_tv) for word in multisets.values()),
+        default=math.inf,
+    )
     n_checked = len(words)
     ratio = None
     if n0 is not None and 0 < eps < 1:

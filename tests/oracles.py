@@ -1,7 +1,10 @@
 """Reference enumerations that the tests check the package's fast paths against."""
 
-from typing import Iterable, Tuple
+import math
+from fractions import Fraction
+from typing import Dict, Iterable, Sequence, Tuple
 
+from concatgv.certify import Pmf
 from concatgv.codes import OuterCode
 
 
@@ -19,3 +22,44 @@ def all_messages(outer: OuterCode) -> Iterable[Tuple[int, ...]]:
             i += 1
         msg[i] += 1
         yield tuple(msg)
+
+
+def bisect_min_entropy(pmf: Pmf, eta: float, halved_tv: bool = True) -> float:
+    """The smoothed min-entropy by a 100-step bisection on the water level:
+    the smallest cap t >= 1/q whose cost sum(max(P - t, 0)) is within the
+    budget (eta, or eta / 2 under the unhalved TV convention)."""
+    budget = eta if halved_tv else eta / 2.0
+    q = pmf.ctx.q
+    probs = pmf.probs
+
+    def excess(t: float) -> float:
+        return sum(p - t for p in probs if p > t)
+
+    lo = 1.0 / q
+    hi = max(probs)
+    if hi <= lo or excess(lo) <= budget:
+        return math.log2(q)
+    for _ in range(100):
+        mid = (lo + hi) / 2
+        if excess(mid) <= budget:
+            hi = mid
+        else:
+            lo = mid
+    return max(0.0, -math.log2(hi))
+
+
+def d_pmf_oracle(q: int, omega: Sequence[int], p: float) -> Dict[int, Fraction]:
+    """The law of sum(zeta_b * b for b in omega), zeta_b i.i.d. Bernoulli(p),
+    in Fractions: every one of the 2^|omega| coin patterns, weighted
+    p^w (1 - p)^(|omega| - w), adds its XOR of the chosen entries."""
+    p = Fraction(p)
+    size = len(omega)
+    weights = [p**w * (1 - p) ** (size - w) for w in range(size + 1)]
+    law = {v: Fraction(0) for v in range(q)}
+    for mask in range(1 << size):
+        acc = 0
+        for i, b in enumerate(omega):
+            if (mask >> i) & 1:
+                acc ^= b
+        law[acc] += weights[mask.bit_count()]
+    return law

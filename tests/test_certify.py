@@ -1,13 +1,13 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy import optimize, stats
+from scipy import optimize
 
 from concatgv import certify
 from concatgv.certify import (
-    C_TILDE_DEFAULT,
     EntropyReport,
     Pmf,
     bernoulli_p,
@@ -15,7 +15,6 @@ from concatgv.certify import (
     d_pmf,
     empirical_dist,
     entropy_hypothesis,
-    sample_d_many,
     sample_pmf_many,
     smooth_min_entropy,
     soft_condition,
@@ -27,10 +26,11 @@ from concatgv.field import FieldCtx, make_field
 from concatgv.linalg import BitMatrix, FieldMatrix, nullspace_basis, sample_binary_code, sample_field_code
 from concatgv.rng import SplitMix64, derive_seed
 
-from oracles import all_messages
+from oracles import all_messages, bisect_min_entropy, d_pmf_oracle
 
 F4 = make_field(2)
 F8 = make_field(3)
+F16 = make_field(4)
 
 
 # -- niceness ----------------------------------------------------------------
@@ -133,51 +133,26 @@ def test_d_pmf_sums_to_one_and_permutation_invariant():
 
 
 def test_d_pmf_matches_subset_enumeration_oracle():
-    # oracle: walk all 2^|omega| coin outcomes explicitly
+    # exact for p with a short binary expansion, where d_pmf's float products
+    # and sums over at most 16 coins round nothing; within rounding otherwise
     rng = SplitMix64(4096)
-    for _ in range(25):
-        size = 1 + rng.randrange(9)
-        omega = [rng.randrange(8) for _ in range(size)]
-        p = rng.uniform() / 2
-        pm = d_pmf(F8, omega, p)
-        oracle = [0.0] * 8
-        for mask in range(1 << size):
-            acc = 0
-            weight = 0
-            for i, b in enumerate(omega):
-                if (mask >> i) & 1:
-                    acc ^= b
-                    weight += 1
-            oracle[acc] += p**weight * (1 - p) ** (size - weight)
-        assert max(abs(a - b) for a, b in zip(pm.probs, oracle)) < 1e-14
-
-
-@pytest.mark.parametrize(
-    "omega,p",
-    [
-        ([2], 0.3),
-        ([2, 2], 0.3),
-        ([2, 3, 1], bernoulli_p(C_TILDE_DEFAULT, 0.1)),
-    ],
-)
-def test_sample_d_matches_pmf_chisquare(omega, p):
-    draws = 1_000_000
-    pm = d_pmf(F4, omega, p)
-    samples = sample_d_many(F4, omega, p, seed=2024, count=draws)
-    counts = [0] * 4
-    for s in samples:
-        counts[s] += 1
-    observed, expected = [], []
-    for v in range(4):
-        if pm[v] == 0.0:
-            assert counts[v] == 0
-        else:
-            observed.append(counts[v])
-            expected.append(pm[v] * draws)
-    # chi-square expects matched totals; renormalize the tiny float slack
-    expected = np.asarray(expected) * (sum(observed) / sum(expected))
-    _, pvalue = stats.chisquare(observed, expected)
-    assert pvalue > 0.01
+    for ctx in (F4, F8, F16):
+        for _ in range(12):
+            size = 1 + rng.randrange(12)
+            omega = [rng.randrange(ctx.q) for _ in range(size)]
+            short = (0.25, 0.375, 0.5)
+            for p in short + (rng.uniform() / 2,):
+                pm = d_pmf(ctx, omega, p)
+                oracle = d_pmf_oracle(ctx.q, omega, p)
+                assert sum(oracle.values()) == 1
+                if p in short:
+                    assert all(Fraction(pm[v]) == oracle[v] for v in range(ctx.q))
+                else:
+                    assert max(abs(pm[v] - float(oracle[v])) for v in range(ctx.q)) < 1e-14
+    # omega with n0 = 16 entries, the largest inner length
+    omega = [1, 2, 4, 8] * 4
+    oracle = d_pmf_oracle(16, omega, 0.125)
+    assert all(Fraction(d_pmf(F16, omega, 0.125)[v]) == oracle[v] for v in range(16))
 
 
 # -- soft condition ------------------------------------------------------------
@@ -360,8 +335,44 @@ def test_smooth_min_entropy_examples():
     assert smooth_min_entropy(point, 0.0) == 0.0
     uniform = Pmf(F4, (0.25,) * 4)
     for eta in (0.0, 0.1, 0.9):
-        assert smooth_min_entropy(uniform, eta) == pytest.approx(2.0, abs=1e-12)
-    assert smooth_min_entropy(point, 0.5) == pytest.approx(1.0, abs=1e-9)
+        assert smooth_min_entropy(uniform, eta) == 2.0
+    assert smooth_min_entropy(point, 0.5) == 1.0
+
+
+def test_smooth_min_entropy_is_exact_at_a_dyadic_cap():
+    # profile (3, 1) at eta = 1/2: trimming 3/4 to the cap 1/4 costs exactly
+    # 1/2, so the cap is 1/4 and the entropy 2 bits, which the bisection
+    # misses by one ulp
+    pm = Pmf(F16, (0.75, 0.25) + (0.0,) * 14)
+    p1, p2, eta = Fraction(3, 4), Fraction(1, 4), Fraction(1, 2)
+    cap = (p1 - eta) / 1  # j = 1
+    assert cap == Fraction(1, 4) and cap >= p2 and cap > Fraction(1, 16)
+    assert smooth_min_entropy(pm, 0.5) == 2.0 == -math.log2(cap)
+    assert bisect_min_entropy(pm, 0.5) == pytest.approx(2.0, abs=1e-14)
+
+
+def random_pmfs(ctx, rng, count):
+    """Empirical pmfs of random words of length 1..24, and normalized random
+    weights on a random support."""
+    for _ in range(count):
+        word = [rng.randrange(ctx.q) for _ in range(1 + rng.randrange(24))]
+        yield empirical_dist(ctx, word)
+        support = 1 + rng.randrange(ctx.q)
+        raw = [rng.uniform() for _ in range(support)] + [0.0] * (ctx.q - support)
+        yield Pmf(ctx, tuple(x / sum(raw) for x in raw))
+
+
+def test_smooth_min_entropy_matches_bisection_oracle():
+    rng = SplitMix64(2718)
+    checked = 0
+    for ctx in (F4, F8, F16):
+        for pm in random_pmfs(ctx, rng, 200):
+            for eta in (0.0, 0.05, 0.25, 0.5, 0.75, 0.99):
+                for halved_tv in (True, False):
+                    ours = smooth_min_entropy(pm, eta, halved_tv)
+                    assert abs(ours - bisect_min_entropy(pm, eta, halved_tv)) <= 1e-14
+                    checked += 1
+    assert checked == 3 * 400 * 12
 
 
 def test_smooth_min_entropy_eta_range():
@@ -456,16 +467,27 @@ def entropy_loop_reference(outer, cgamma, ceta, n0, halved_tv) -> EntropyReport:
     return EntropyReport(eta, threshold, min_entropy, min_entropy >= threshold, n_checked, ratio)
 
 
-def count_profiles(outer) -> int:
-    """Distinct nonzero symbol counts, in increasing symbol value, over the
-    nonzero codewords."""
-    profiles = set()
+def count_multisets(outer) -> int:
+    """Distinct sorted multisets of nonzero symbol counts over the nonzero
+    codewords."""
+    multisets = set()
     for msg in all_messages(outer):
         if any(msg):
             word = outer.encode(msg)
             counts = [word.count(v) for v in range(outer.ctx.q)]
-            profiles.add(tuple(c for c in counts if c))
-    return len(profiles)
+            multisets.add(tuple(sorted(c for c in counts if c)))
+    return len(multisets)
+
+
+def wide_outer_codes():
+    """Outer codes of length 70, whose sorted-row boundary masks have 69 bits,
+    two uint64 key words.  The first is binary with codewords of weight 1, 2
+    and 3: their masks differ only in bits 66..68, so a key cut to 64 bits
+    would put them in one group."""
+    f2 = make_field(1)
+    yield OuterCode(FieldMatrix(((1,) + (0,) * 69, (0, 1, 1) + (0,) * 67), 70, f2))
+    for k in (1, 2):
+        yield OuterCode(sample_field_code(F4, 70, k, derive_seed(70, k)))
 
 
 def test_entropy_hypothesis_is_bit_identical_to_codeword_loop(monkeypatch):
@@ -479,15 +501,16 @@ def test_entropy_hypothesis_is_bit_identical_to_codeword_loop(monkeypatch):
 
     monkeypatch.setattr(certify, "smooth_min_entropy", counted)
     fewer = 0
-    for outer in small_outer_codes(256):
+    for outer in itertools.chain(small_outer_codes(256), wide_outer_codes()):
         for ceta in (0.0, 0.5, 0.9):
             for halved_tv in (True, False):
                 calls = 0
                 rep = entropy_hypothesis(outer, 1.0, ceta, n0=8, halved_tv=halved_tv)
-                assert calls == count_profiles(outer)
+                assert calls == count_multisets(outer)
                 fewer += calls < rep.n_checked
                 assert rep == entropy_loop_reference(outer, 1.0, ceta, 8, halved_tv)
     assert fewer > 0
+    assert count_multisets(next(wide_outer_codes())) == 3
 
 
 def test_table_budgets_fail_before_any_multiply(monkeypatch):
