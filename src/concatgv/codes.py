@@ -16,6 +16,7 @@ Conventions fixed here and used everywhere else:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple
@@ -146,7 +147,7 @@ class ConcatCode:
     def rate(self) -> float:
         return self.K / self.N
 
-    @property
+    @functools.cached_property
     def omega(self) -> Tuple[int, ...]:
         """The derived multiset: inner generator columns as field elements."""
         ctx = self.ctx
@@ -167,15 +168,21 @@ class ConcatCode:
 
     def message_basis_words(self) -> List[int]:
         """Codewords of the K single-bit messages; the concat map is GF(2)-linear,
-        so every codeword is an XOR of these."""
-        k0 = self.inner.k0
-        words = []
-        for i in range(self.outer.k):
-            for j in range(k0):
-                msg = [0] * self.outer.k
-                msg[i] = self.ctx.from_coords(1 << j)
-                words.append(self.encode(msg))
-        return words
+        so every codeword is an XOR of these.
+
+        Message bit j of outer symbol i is nu_j in position i, whose outer
+        codeword is nu_j times generator row i: K * n multiplies in all.
+        """
+        ctx = self.ctx
+        n0 = self.inner.n0
+        return [
+            sum(
+                self.inner.encode(ctx.coords(ctx.mul(nu, g))) << (alpha * n0)
+                for alpha, g in enumerate(row)
+            )
+            for row in self.outer.gen.rows
+            for nu in ctx.basis
+        ]
 
 
 def bias(cc: ConcatCode, msg: Sequence[int]) -> int:
@@ -260,10 +267,10 @@ def _span_weight_counts(words: List[int], length: int) -> List[int]:
         [[(w >> (64 * j)) & 0xFFFFFFFFFFFFFFFF for j in range(limbs)] for w in words],
         dtype=np.uint64,
     ).reshape(len(words), limbs)
-    block = np.zeros((1, limbs), dtype=np.uint64)
-    for b in basis[:BLOCK_BITS]:
-        block = np.concatenate([block, block ^ b])
-    high = basis[BLOCK_BITS:]
+    low, high = basis[:BLOCK_BITS], basis[BLOCK_BITS:]
+    block = np.zeros((1 << len(low), limbs), dtype=np.uint64)
+    for i, b in enumerate(low):  # rows [2^i, 2^(i+1)) are rows [0, 2^i) plus b
+        np.bitwise_xor(block[: 1 << i], b, out=block[1 << i : 2 << i])
     counts = np.zeros(length + 1, dtype=np.int64)
     shift = np.zeros(limbs, dtype=np.uint64)
     for t in range(1 << len(high)):
@@ -304,6 +311,8 @@ def min_distance(
         rng = SplitMix64(seed)
         dim = len(words)
         best = length + 1
+        if dim == 0:  # no nonzero codeword to draw; the exact-mode convention
+            return best, False
         for _ in range(budget):
             m = 0
             while m == 0:

@@ -3,7 +3,10 @@
 Field elements are plain ints: the bits of the value are the coefficients of
 the polynomial representation (bit i = coefficient of x^i).  Addition is XOR;
 multiplication is carry-less multiplication reduced modulo a fixed irreducible
-polynomial.  Each :class:`FieldCtx` also carries a basis nu_1..nu_k0 that is
+polynomial.  That definition is evaluated only while a :class:`FieldCtx` is
+built: it generates the powers of the smallest primitive element into
+log/antilog tables, and every multiply, inverse and power afterwards is a
+table lookup.  Each :class:`FieldCtx` also carries a basis nu_1..nu_k0 that is
 *self-dual* for the trace form, i.e. Tr(nu_i * nu_j) = 1 iff i == j.  Writing
 elements in that basis makes the trace form the plain GF(2) dot product:
 
@@ -51,6 +54,21 @@ def _poly_rem(f: int, d: int) -> int:
     return f
 
 
+def _clmul(a: int, b: int, modulus: int) -> int:
+    """Carry-less multiply of a and b reduced mod modulus, by shift and add.
+    The definition of the field product; only the table build runs it."""
+    r = 0
+    top = 1 << (modulus.bit_length() - 1)
+    while b:
+        if b & 1:
+            r ^= a
+        b >>= 1
+        a <<= 1
+        if a & top:
+            a ^= modulus
+    return r
+
+
 def is_irreducible(poly: int) -> bool:
     """Irreducibility over GF(2) by trial division up to half the degree."""
     deg = poly.bit_length() - 1
@@ -83,6 +101,8 @@ class FieldCtx:
         self.k0 = k0
         self.q = 1 << k0
         self.modulus = modulus
+        self._build_tables()
+        self._verify_tables()
         # Trace is GF(2)-linear, so Tr(x) = parity(x & mask) where bit j of
         # mask is Tr(x^j).  This is the precomputed trace table, stored as a
         # k0-bit linear functional instead of 2^k0 individual bits.
@@ -113,32 +133,49 @@ class FieldCtx:
 
     # -- arithmetic ---------------------------------------------------------
 
+    def _build_tables(self) -> None:
+        """Log/antilog tables from the powers of the smallest primitive element.
+
+        ``_exp[i]`` is g^i, stored for i < 2(q-1) so that the sum of two logs
+        indexes it without a modulo; ``_log`` inverts it on the nonzero
+        elements (``_log[0]`` is never read).  A candidate g whose powers
+        return to 1 before q-1 steps is not primitive and is skipped.
+        """
+        order = self.q - 1
+        for g in range(1, self.q):
+            powers, x = [1], g
+            while x != 1:
+                powers.append(x)
+                x = _clmul(x, g, self.modulus)
+            if len(powers) == order:
+                break
+        self._exp: List[int] = powers + powers
+        self._log: List[int] = [0] * self.q
+        for i, x in enumerate(powers):
+            self._log[x] = i
+
+    def _verify_tables(self) -> None:
+        if set(self._exp[: self.q - 1]) != set(range(1, self.q)):
+            raise AssertionError("antilog table does not cover the nonzero elements")
+
     def mul(self, a: int, b: int) -> int:
-        """Carry-less multiply reduced mod the field modulus."""
-        r = 0
-        top = 1 << self.k0
-        while b:
-            if b & 1:
-                r ^= a
-            b >>= 1
-            a <<= 1
-            if a & top:
-                a ^= self.modulus
-        return r
+        """Field product of two elements, by adding their logs."""
+        if a and b:
+            return self._exp[self._log[a] + self._log[b]]
+        return 0
 
     def pow(self, a: int, e: int) -> int:
-        r = 1
-        while e:
-            if e & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return r
+        """a^e for any integer e; a negative power of 0 raises, and 0^0 = 1."""
+        if a:
+            return self._exp[self._log[a] * e % (self.q - 1)]
+        if e < 0:
+            raise ZeroDivisionError("0 has no inverse")
+        return 0 if e else 1
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no inverse")
-        return self.pow(a, self.q - 2)
+        return self._exp[self.q - 1 - self._log[a]]
 
     # -- trace and identification -------------------------------------------
 

@@ -63,3 +63,33 @@ def d_pmf_oracle(q: int, omega: Sequence[int], p: float) -> Dict[int, Fraction]:
                 acc ^= b
         law[acc] += weights[mask.bit_count()]
     return law
+
+
+def clmul_mod(a: int, b: int, modulus: int, k0: int) -> int:
+    """Schoolbook product in GF(2)[x]/(modulus), modulus of degree k0: XOR the
+    partial products a * x^i over the set bits i of b, then clear the degrees
+    2k0-2 down to k0 with shifted copies of the modulus."""
+    prod = 0
+    for i in range(k0):
+        if (b >> i) & 1:
+            prod ^= a << i
+    for d in range(2 * k0 - 2, k0 - 1, -1):
+        if (prod >> d) & 1:
+            prod ^= modulus << (d - k0)
+    return prod
+
+
+def pow_mod(a: int, e: int, modulus: int, k0: int) -> int:
+    """a^e by square-and-multiply over ``clmul_mod``; a negative e raises
+    a^(2^k0 - 2) = a^-1 to -e, and a negative power of 0 raises."""
+    if e < 0:
+        if a == 0:
+            raise ZeroDivisionError("0 has no inverse")
+        a, e = pow_mod(a, (1 << k0) - 2, modulus, k0), -e
+    r = 1
+    while e:
+        if e & 1:
+            r = clmul_mod(r, a, modulus, k0)
+        a = clmul_mod(a, a, modulus, k0)
+        e >>= 1
+    return r

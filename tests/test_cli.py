@@ -3,9 +3,11 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import concatgv
 from concatgv.cli import main
 from concatgv.codes import BinaryCode, OuterCode
 from concatgv.field import make_field
@@ -13,11 +15,20 @@ from concatgv.fileio import load_binary_code, load_outer_code, parse_code, save_
 from concatgv.linalg import sample_binary_code, sample_field_code
 
 
+# The CLI subprocesses import the same concatgv as this test process.
+SRC = str(Path(concatgv.__file__).resolve().parent.parent)
+
+
+def python_path() -> str:
+    return os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+
+
 def run_cli(*argv, check=True):
     proc = subprocess.run(
         [sys.executable, "-m", "concatgv.cli", *argv],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": python_path()},
     )
     if check and proc.returncode != 0:
         raise AssertionError(f"CLI failed: {proc.stderr}")
@@ -207,7 +218,7 @@ def test_cli_outdir_env(tmp_path):
         capture_output=True, text=True,
         env={
             "PATH": "/usr/bin:/bin",
-            "PYTHONPATH": os.environ.get("PYTHONPATH", ""),
+            "PYTHONPATH": python_path(),
             "CONCATGV_OUTDIR": str(tmp_path),
         },
     )

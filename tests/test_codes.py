@@ -74,6 +74,46 @@ def test_omega_is_generator_columns_in_order():
     assert len(cc.omega) == inner.n0  # duplicates kept
 
 
+def test_omega_is_computed_once():
+    cc = tiny_concat(4, k0=3, n0=5)
+    assert cc.omega is cc.omega
+    assert cc.omega == tuple(cc.ctx.from_coords(cc.inner.gen.column(b)) for b in range(5))
+
+
+def sparse_outer(ctx, n: int, k: int, seed: int) -> OuterCode:
+    """A full-rank k x n generator with about half its entries zero."""
+    rng = SplitMix64(seed)
+    while True:
+        rows = [[rng.randrange(ctx.q) if rng.bits(1) else 0 for _ in range(n)] for _ in range(k)]
+        try:
+            return OuterCode(FieldMatrix(rows, n, ctx))
+        except ValueError:
+            continue
+
+
+@pytest.mark.parametrize("k0", range(1, 6))
+def test_message_basis_words_are_codewords_of_single_bit_messages(k0):
+    ctx = make_field(k0)
+    zeros_seen = 0
+    for n0 in (k0, k0 + 2):
+        inner = BinaryCode(sample_binary_code(n0, k0, derive_seed(n0, k0)))
+        for n in range(1, 4):
+            for k in range(1, n + 1):
+                for outer in (
+                    OuterCode(sample_field_code(ctx, n, k, derive_seed(10 * n + k, k0))),
+                    sparse_outer(ctx, n, k, derive_seed(10 * n + k, 100 + k0)),
+                ):
+                    zeros_seen += sum(row.count(0) for row in outer.gen.rows)
+                    cc = ConcatCode(outer, inner)
+                    want = [
+                        cc.encode(tuple(ctx.from_coords(1 << j) if t == i else 0 for t in range(k)))
+                        for i in range(k)
+                        for j in range(k0)
+                    ]
+                    assert cc.message_basis_words() == want
+    assert zeros_seen > 0
+
+
 def test_bias_of_zero_message_is_N():
     cc = tiny_concat(2)
     assert bias(cc, (0,) * cc.outer.k) == cc.N
@@ -193,6 +233,11 @@ def test_montecarlo_upper_bounds_exact():
     d_mc, is_exact = min_distance(cc, "montecarlo", budget=500, seed=5)
     assert not is_exact
     assert d_mc >= d_exact
+
+
+def test_montecarlo_on_dimension_zero_returns_without_drawing():
+    zero = BinaryCode(BitMatrix((), 5))
+    assert min_distance(zero, "montecarlo", budget=10) == (6, False)
 
 
 def test_dual_membership_examples():

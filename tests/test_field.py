@@ -9,6 +9,8 @@ from concatgv.field import (
 )
 from concatgv.rng import SplitMix64
 
+from oracles import clmul_mod, pow_mod
+
 
 def poly_divides(d: int, f: int) -> bool:
     dd = d.bit_length() - 1
@@ -180,5 +182,59 @@ def test_every_irreducible_modulus_up_to_degree_8():
             if brute_force_irreducible(cand):
                 ctx = FieldCtx(k0, cand)
                 assert len(ctx.basis) == k0
+                # the antilog table lists the powers of one generator, each
+                # nonzero element exactly once
+                g = ctx._exp[1]
+                powers = ctx._exp[: ctx.q - 1]
+                assert sorted(powers) == list(range(1, ctx.q))
+                assert all(
+                    clmul_mod(x, g, cand, k0) == y for x, y in zip(powers, ctx._exp[1:])
+                )
                 built += 1
     assert built == 69
+
+
+def check_powers(f, a, e0, count):
+    """pow(a, e) for the count exponents from e0 up, against the oracle."""
+    want = pow_mod(a, e0, f.modulus, f.k0)
+    for e in range(e0, e0 + count):
+        assert f.pow(a, e) == want, (a, e)
+        want = clmul_mod(want, a, f.modulus, f.k0)
+
+
+@pytest.mark.parametrize("k0", range(1, 9))
+def test_arithmetic_matches_schoolbook_exhaustive(k0):
+    f = make_field(k0)
+    for a in f.elements():
+        for b in f.elements():
+            assert f.mul(a, b) == clmul_mod(a, b, f.modulus, k0)
+    for a in range(1, f.q):
+        assert clmul_mod(a, f.inv(a), f.modulus, k0) == 1
+        check_powers(f, a, -(f.q + 1), 2 * f.q + 3)  # wraps past both ends of the order
+    assert [f.pow(0, e) for e in range(4)] == [1, 0, 0, 0]
+
+
+@pytest.mark.parametrize("k0", range(9, 17))
+def test_arithmetic_matches_schoolbook_random(k0):
+    f = make_field(k0)
+    rng = SplitMix64(k0 * 7919)
+    for _ in range(10_000):
+        a = rng.randrange(f.q)
+        b = rng.randrange(f.q)
+        assert f.mul(a, b) == clmul_mod(a, b, f.modulus, k0)
+        if a:
+            assert clmul_mod(a, f.inv(a), f.modulus, k0) == 1
+    # 10^4 (base, exponent) pairs: 100 bases, 100 consecutive exponents each
+    for _ in range(100):
+        check_powers(f, 1 + rng.randrange(f.q - 1), rng.randrange(4 * f.q) - 2 * f.q, 100)
+
+
+def test_pow_of_zero_and_negative_exponents():
+    f = make_field(4)
+    assert f.pow(3, -1) == f.inv(3)
+    assert f.pow(0, 0) == 1 and f.pow(0, 5) == 0
+    for e in (-1, -16):
+        with pytest.raises(ZeroDivisionError):
+            f.pow(0, e)
+    with pytest.raises(ZeroDivisionError):
+        f.inv(0)
