@@ -49,7 +49,6 @@ from .moments import (
     bad_bound,
     count_W,
     g_of_tuple,
-    moment_direct,
     moment_dual,
     poisson_product_check,
 )

@@ -22,7 +22,6 @@ import numpy as np
 
 from .codes import BinaryCode, OuterCode, WeightDistribution, codeword_table, weight_distribution
 from .field import FieldCtx
-from .linalg import nullspace_basis
 from .rng import SplitMix64
 
 C_TILDE_DEFAULT = 4 * math.log(2)
@@ -125,7 +124,7 @@ def check_nice(inner: BinaryCode, tau: float, budget: int = 1 << 20) -> Niceness
     eps = k0 / n0
     if not 0 < tau < eps:
         raise ValueError(f"tau={tau} outside (0, eps={eps})")
-    counts = weight_distribution(BinaryCode(inner.dual()), budget).delta
+    counts = weight_distribution(inner.dual(), budget).delta
     scale = 2.0 ** (-n0 * (eps - tau))
     per_weight = []
     worst = 0.0
@@ -156,13 +155,6 @@ class SoftReport:
     draws: int | None = None
 
 
-def _dual_generator(outer: OuterCode) -> "OuterCode | None":
-    dual_gen = nullspace_basis(outer.gen, "right")
-    if dual_gen.nrows == 0:
-        return None
-    return OuterCode(dual_gen)
-
-
 def soft_condition(
     outer: OuterCode,
     pmf: Pmf,
@@ -188,16 +180,14 @@ def soft_condition(
         size = q ** (outer.n - outer.k)
         if size > budget:
             raise ValueError(f"dual size {size} exceeds budget {budget}")
-        dual = _dual_generator(outer)
+        words = codeword_table(outer.dual())[1:]  # skip the zero codeword
+        probs = np.array(pmf.probs)
+        terms = np.ones(len(words))
+        for a in range(outer.n):
+            terms *= probs[words[:, a]]
         prob = 0.0
-        if dual is not None:
-            words = codeword_table(dual)[1:]  # skip the zero codeword
-            probs = np.array(pmf.probs)
-            terms = np.ones(len(words))
-            for a in range(dual.n):
-                terms *= probs[words[:, a]]
-            for term in terms.tolist():  # sum() and np.sum round differently
-                prob += term
+        for term in terms.tolist():  # sum() and np.sum round differently
+            prob += term
         return SoftReport(prob, prob * qk - 1.0, True)
     if mode == "montecarlo":
         rng_seed = seed

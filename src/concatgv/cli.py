@@ -29,11 +29,11 @@ from .certify import (
     entropy_hypothesis,
     soft_condition,
 )
-from .codes import BinaryCode, ConcatCode, OuterCode, min_distance
+from .codes import BinaryCode, ConcatCode, OuterCode, min_distance, weight_distribution
 from .field import make_field
 from .fileio import dumps_code, load_binary_code, load_outer_code
 from .linalg import sample_binary_code, sample_field_code
-from .moments import moment_direct, moment_dual
+from .moments import moment_dual
 from .sweep import config_from_dict, emit_csv, emit_json, reemit_json, run_sweep
 
 
@@ -182,9 +182,10 @@ def cmd_entropy_check(args) -> int:
 
 def cmd_moment_check(args) -> int:
     cc = _load_concat(args)
+    wd = weight_distribution(cc, args.budget)  # one enumeration serves every r
     records = []
     for r in args.r:
-        direct = moment_direct(cc, r, args.budget)
+        direct = wd.moment(r)
         dual = moment_dual(cc, r, args.budget)
         records.append(
             {

@@ -58,9 +58,9 @@ class BinaryCode:
                 cw ^= row
         return cw
 
-    def dual(self) -> BitMatrix:
-        """Generator of the dual code, one basis row per dual dimension."""
-        return nullspace_basis(self.gen, "right")
+    def dual(self) -> BinaryCode:
+        """The dual code, read off the generator's cached echelon form."""
+        return BinaryCode(nullspace_basis(self.gen))
 
 
 @dataclass(frozen=True)
@@ -101,6 +101,11 @@ class OuterCode:
                     if row[a]:
                         out[a] ^= ctx.mul(mi, row[a])
         return tuple(out)
+
+    def dual(self) -> OuterCode:
+        """The dual code (0-dimensional when k = n), read off the generator's
+        cached echelon form."""
+        return OuterCode(nullspace_basis(self.gen))
 
     def dual_membership(self, x: Sequence[int]) -> bool:
         """True iff x is orthogonal to every generator row (x in the dual code)."""

@@ -298,10 +298,14 @@ class FieldCtx:
 
 
 @functools.cache
-def make_field(k0: int) -> FieldCtx:
-    """GF(2^k0) with the table modulus and a verified self-dual basis.
+def make_field(k0: int, modulus: int | None = None) -> FieldCtx:
+    """GF(2^k0) modulo ``modulus`` (default: the table modulus), with a
+    verified self-dual basis.
 
-    Built once per degree and shared: a FieldCtx is immutable and its
-    operations are pure.  An out-of-range degree raises on every call.
+    Built once per (k0, modulus) and shared: a FieldCtx is immutable and its
+    operations are pure.  Naming the table modulus returns the default
+    field's object.  An invalid degree or modulus raises on every call.
     """
-    return FieldCtx(k0)
+    if modulus is not None and modulus == SMALLEST_IRREDUCIBLE.get(k0):
+        return make_field(k0)
+    return FieldCtx(k0, modulus)

@@ -20,7 +20,7 @@ import re
 from pathlib import Path
 
 from .codes import BinaryCode, OuterCode
-from .field import FieldCtx
+from .field import make_field
 from .linalg import BitMatrix, FieldMatrix
 
 _HEADER_RE = re.compile(
@@ -42,7 +42,7 @@ def _unpack_row(packed: int, n: int, k0: int):
 
 def dumps_code(code: BinaryCode | OuterCode) -> str:
     if isinstance(code, BinaryCode):
-        ctx = FieldCtx(1)
+        ctx = make_field(1)
         n, k = code.n0, code.k0
         packed = list(code.gen.rows)
     elif isinstance(code, OuterCode):
@@ -72,11 +72,16 @@ def parse_code(text: str):
     k0 = int(m.group(2))
     n = int(m.group(3))
     k = int(m.group(4))
-    ctx = FieldCtx(k0, modulus)
+    ctx = make_field(k0, modulus)
     if len(lines) - 1 != k:
         raise ValueError(f"expected {k} generator rows, found {len(lines) - 1}")
-    rows = tuple(_unpack_row(int(ln, 16), n, k0) for ln in lines[1:])
-    return ctx, rows, n, k
+    rows = []
+    for ln in lines[1:]:
+        packed = int(ln, 16)
+        if packed < 0 or packed >> (n * k0):
+            raise ValueError(f"row {ln!r} does not fit {n} entries of {k0} bits")
+        rows.append(_unpack_row(packed, n, k0))
+    return ctx, tuple(rows), n, k
 
 
 def load_outer_code(path) -> OuterCode:

@@ -3,10 +3,15 @@
 GF(2) matrices store each row as one int, bit j = column j.  Field matrices
 store rows as lists of element values plus the owning :class:`FieldCtx`.
 Matrices are immutable after construction; every operation here is pure.
+Each matrix reduces itself to row echelon form once, on first use
+(``m.rref``); its rank and right kernel are read off that one result, so a
+sampled generator that was ranked on acceptance is not reduced again by the
+code built from it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import List, Sequence
 
@@ -33,6 +38,11 @@ class BitMatrix:
     @property
     def nrows(self) -> int:
         return len(self.rows)
+
+    @functools.cached_property
+    def rref(self) -> tuple:
+        """(reduced nonzero rows, pivot columns), computed once."""
+        return _gf2_rref(self.rows)
 
     def column(self, j: int) -> int:
         """Column j packed as an int, bit i = entry of row i."""
@@ -66,45 +76,36 @@ class FieldMatrix:
     def nrows(self) -> int:
         return len(self.rows)
 
+    @functools.cached_property
+    def rref(self) -> tuple:
+        """(reduced nonzero rows, pivot columns), computed once."""
+        return _field_rref(self)
 
-def gf2_rank(rows: Sequence[int]) -> int:
-    """Rank over GF(2) via elimination on int-packed rows."""
-    pivots: List[int] = []
+
+def _gf2_rref(rows: Sequence[int]):
+    """RREF over GF(2); returns (reduced nonzero rows, pivot column indices).
+
+    A row's pivot is its lowest set bit.  Each row is reduced by the kept rows
+    until it is 0 or has a pivot no kept row has, and is then kept; the kept
+    rows are back-substituted from the highest pivot down.
+    """
+    by_pivot = {}
     for r in rows:
-        r = int(r)
         while r:
-            hit = False
-            for p in pivots:
-                if p.bit_length() == r.bit_length():
-                    r ^= p
-                    hit = True
-                    break
-            if not hit:
+            low = r & -r
+            if low not in by_pivot:
+                by_pivot[low] = r
                 break
-        if r:
-            pivots.append(r)
-    return len(pivots)
-
-
-def _gf2_rref(rows: Sequence[int], cols: int):
-    """RREF over GF(2); returns (reduced nonzero rows, pivot column indices)."""
-    mat = [int(r) for r in rows]
-    pivots: List[int] = []
-    r = 0
-    for c in range(cols):
-        bit = 1 << c
-        pivot_row = next((i for i in range(r, len(mat)) if mat[i] & bit), None)
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        for i in range(len(mat)):
-            if i != r and (mat[i] & bit):
-                mat[i] ^= mat[r]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
+            r ^= by_pivot[low]
+    lows = sorted(by_pivot)
+    reduced: List[int] = []
+    for low in reversed(lows):
+        r = by_pivot[low]
+        for b in reduced:
+            if r & b & -b:
+                r ^= b
+        reduced.append(r)
+    return tuple(reversed(reduced)), tuple(low.bit_length() - 1 for low in lows)
 
 
 def _field_rref(m: FieldMatrix):
@@ -128,31 +129,23 @@ def _field_rref(m: FieldMatrix):
         r += 1
         if r == len(mat):
             break
-    return mat[:r], pivots
+    return tuple(tuple(row) for row in mat[:r]), tuple(pivots)
 
 
 def rank(m: BitMatrix | FieldMatrix) -> int:
     """Rank over the matrix's field."""
-    if isinstance(m, BitMatrix):
-        return gf2_rank(m.rows)
-    return len(_field_rref(m)[0])
+    return len(m.rref[0])
 
 
-def nullspace_basis(m: BitMatrix | FieldMatrix, side: str = "right"):
-    """Basis of the requested kernel, returned as a matrix of basis *rows*.
+def nullspace_basis(m: BitMatrix | FieldMatrix):
+    """Basis of the right kernel {x : m @ x^T = 0}, as a matrix of basis *rows*.
 
-    right: all x with m @ x^T = 0 (kernel dim = cols - rank).
-    left:  all y with y @ m = 0   (kernel dim = rows - rank).
-    A trivial kernel yields a 0-row matrix.
+    One row per free column of m.rref (kernel dim = cols - rank); a trivial
+    kernel yields a 0-row matrix.
     """
-    if side not in ("right", "left"):
-        raise ValueError(f"side must be 'right' or 'left', got {side!r}")
-    if side == "left":
-        return nullspace_basis(_transpose(m), "right")
+    rref, pivots = m.rref
+    free = sorted(set(range(m.cols)) - set(pivots))
     if isinstance(m, BitMatrix):
-        rref, pivots = _gf2_rref(m.rows, m.cols)
-        pivot_set = set(pivots)
-        free = [c for c in range(m.cols) if c not in pivot_set]
         basis = []
         for f in free:
             v = 1 << f
@@ -161,10 +154,6 @@ def nullspace_basis(m: BitMatrix | FieldMatrix, side: str = "right"):
                     v |= 1 << p
             basis.append(v)
         return BitMatrix(tuple(basis), m.cols)
-    ctx = m.ctx
-    rref, pivots = _field_rref(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
     basis = []
     for f in free:
         v = [0] * m.cols
@@ -172,14 +161,7 @@ def nullspace_basis(m: BitMatrix | FieldMatrix, side: str = "right"):
         for row, p in zip(rref, pivots):
             v[p] = row[f]  # -row[f], but char 2
         basis.append(tuple(v))
-    return FieldMatrix(tuple(basis), m.cols, ctx)
-
-
-def _transpose(m: BitMatrix | FieldMatrix):
-    if isinstance(m, BitMatrix):
-        return BitMatrix(tuple(m.column(j) for j in range(m.cols)), m.nrows)
-    cols = [tuple(r[j] for r in m.rows) for j in range(m.cols)]
-    return FieldMatrix(tuple(cols), m.nrows, m.ctx)
+    return FieldMatrix(tuple(basis), m.cols, m.ctx)
 
 
 def sample_binary_code(n: int, k: int, seed: int) -> BitMatrix:
@@ -192,9 +174,9 @@ def sample_binary_code(n: int, k: int, seed: int) -> BitMatrix:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     rng = SplitMix64(seed)
     while True:
-        rows = tuple(rng.bits(n) for _ in range(k))
-        if gf2_rank(rows) == k:
-            return BitMatrix(rows, n)
+        m = BitMatrix(tuple(rng.bits(n) for _ in range(k)), n)
+        if rank(m) == k:
+            return m
 
 
 def sample_field_code(ctx: FieldCtx, n: int, k: int, seed: int) -> FieldMatrix:
@@ -207,4 +189,3 @@ def sample_field_code(ctx: FieldCtx, n: int, k: int, seed: int) -> FieldMatrix:
         m = FieldMatrix(rows, n, ctx)
         if rank(m) == k:
             return m
-

@@ -117,19 +117,12 @@ def zero_folds(masks: Counter, bits: int, r: int, budget: int) -> int:
     return sum(mult * dist.get(mask, 0) for mask, mult in masks.items())
 
 
-def moment_direct(cc: ConcatCode, r: int, budget: int = 1 << 24) -> Fraction:
-    """E over nonzero messages of X_m^r, by message enumeration.  Exact."""
-    qk = cc.ctx.q**cc.outer.k
-    if qk > budget:
-        raise ValueError(f"message count {qk} exceeds budget {budget}")
-    return weight_distribution(cc, budget).moment(r)
-
-
 def moment_dual(cc: ConcatCode, r: int, budget: int = 1 << 27) -> Fraction:
-    """The same moment through the dual-side tuple sum.  Exact.
+    """E over nonzero messages of X_m^r, through the dual-side tuple sum.  Exact.
 
-    Must equal ``moment_direct`` on every instance, as rationals; the test
-    suite enforces that equality across a whole grid of instances.
+    Must equal the direct side, ``weight_distribution(cc).moment(r)``, on
+    every instance, as rationals; the test suite enforces that equality
+    across a whole grid of instances.
     """
     qk = cc.ctx.q**cc.outer.k
     m = cc.outer.n * cc.inner.n0

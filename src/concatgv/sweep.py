@@ -130,25 +130,39 @@ class SweepConfig:
         return doc
 
 
-def _from_dict(cls, data: dict, where: str):
-    names = {f.name for f in dc_fields(cls)}
-    unknown = set(data) - names
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _from_dict(cls, data, where: str) -> dict:
+    """data as a dict of cls's fields: it must be an object with known keys,
+    and every field declared int must hold an int."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} must be a JSON object, got {data!r}")
+    types = {f.name: f.type for f in dc_fields(cls)}
+    unknown = set(data) - set(types)
     if unknown:
         raise ValueError(f"unknown config key(s) in {where}: {sorted(unknown)}")
-    return data
+    for key, value in data.items():
+        if types[key] == "int" and not _is_int(value):
+            raise ValueError(f"{where} key {key!r} must be an integer, got {value!r}")
+    return dict(data)
 
 
 def config_from_dict(data: dict) -> SweepConfig:
     """Build a SweepConfig from a parsed JSON document; unknown keys are errors."""
-    top = dict(_from_dict(SweepConfig, data, "config"))
+    top = _from_dict(SweepConfig, data, "config")
     if "budgets" in top:
         top["budgets"] = Budgets(**_from_dict(Budgets, top["budgets"], "budgets"))
     if "constants" in top:
         top["constants"] = Constants(**_from_dict(Constants, top["constants"], "constants"))
     if "toggles" in top:
-        tog = dict(_from_dict(Toggles, top["toggles"], "toggles"))
+        tog = _from_dict(Toggles, top["toggles"], "toggles")
         if "r_list" in tog:
-            tog["r_list"] = tuple(tog["r_list"])
+            r_list = tog["r_list"]
+            if not isinstance(r_list, (list, tuple)) or not all(map(_is_int, r_list)):
+                raise ValueError(f"toggles key 'r_list' must be a list of integers, got {r_list!r}")
+            tog["r_list"] = tuple(r_list)
         top["toggles"] = Toggles(**tog)
     cfg = SweepConfig(**top)
     cfg.validate()

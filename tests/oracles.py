@@ -93,3 +93,23 @@ def pow_mod(a: int, e: int, modulus: int, k0: int) -> int:
         a = clmul_mod(a, a, modulus, k0)
         e >>= 1
     return r
+
+
+def gf2_rref_by_columns(rows: Sequence[int], cols: int):
+    """Textbook Gauss-Jordan over GF(2), one column at a time from column 0:
+    (reduced nonzero rows, pivot columns), as tuples."""
+    mat = list(rows)
+    pivots = []
+    r = 0
+    for c in range(cols):
+        bit = 1 << c
+        pivot_row = next((i for i in range(r, len(mat)) if mat[i] & bit), None)
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        for i in range(len(mat)):
+            if i != r and (mat[i] & bit):
+                mat[i] ^= mat[r]
+        pivots.append(c)
+        r += 1
+    return tuple(mat[:r]), tuple(pivots)

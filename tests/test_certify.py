@@ -73,7 +73,7 @@ def test_full_length_inner_code_has_trivial_dual():
 def test_check_nice_counts_match_weight_distribution():
     inner = BinaryCode(sample_binary_code(10, 4, 33))
     rep = check_nice(inner, 0.2)
-    dual = BinaryCode(inner.dual())
+    dual = inner.dual()
     wd = weight_distribution(dual)
     assert tuple(c for c, _ in rep.per_weight) == wd.delta[1:]
 
@@ -226,7 +226,7 @@ def soft_loop_reference(outer: OuterCode, pmf: Pmf) -> float:
     """The per-codeword exact sum: encode each nonzero dual message in
     odometer order, multiply its coordinates' probabilities left to right,
     and add the terms one at a time."""
-    dual_gen = nullspace_basis(outer.gen, "right")
+    dual_gen = nullspace_basis(outer.gen)
     if dual_gen.nrows == 0:
         return 0.0
     dual = OuterCode(dual_gen)

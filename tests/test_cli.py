@@ -86,6 +86,41 @@ def test_code_file_nonstandard_modulus(tmp_path):
     assert loaded.ctx.modulus == 0xD
 
 
+def test_parse_code_shares_one_field_per_header():
+    text = "CODE v1 field=0x1002b/16 n=2 k=1\n10001\n"
+    assert parse_code(text)[0] is parse_code(text)[0] is make_field(16)
+    alt = "CODE v1 field=0xd/3 n=3 k=1\nb1\n"
+    ctx = parse_code(alt)[0]
+    assert ctx is parse_code(alt)[0] and ctx.modulus == 0xD and ctx != make_field(3)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "CODE v1 field=0x13/4 n=2 k=1\nfff\n",  # bit 8 of an 8-bit row
+        "CODE v1 field=0x13/4 n=2 k=1\n-1\n",
+        "CODE v1 field=0x2/1 n=3 k=1\n8\n",  # bit 3 of a 3-bit row
+        "CODE v1 field=0x2/1 n=3 k=1\n-5\n",
+    ],
+)
+def test_parse_code_rejects_rows_that_do_not_fit(text, tmp_path, capsys):
+    row = text.splitlines()[1]
+    with pytest.raises(ValueError, match=repr(row)):
+        parse_code(text)
+    path = tmp_path / "bad.code"
+    path.write_text(text)
+    if "/4 " in text:
+        load = load_outer_code
+        argv = ["entropy-check", "--outer", str(path), "--c-gamma", "1", "--c-eta", "0.5"]
+    else:
+        load = load_binary_code
+        argv = ["distance", "--code", str(path)]
+    with pytest.raises(ValueError, match=repr(row)):
+        load(path)
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 # -- CLI ----------------------------------------------------------------------
 
 
@@ -209,6 +244,28 @@ def test_cli_sweep_unknown_key_fails(tmp_path):
     proc = run_cli("sweep", "--config", str(cfg_path), check=False)
     assert proc.returncode == 1
     assert "unknown config key" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "patch",
+    [
+        {"toggles": {"r_list": 2}},
+        {"k0": "2"},
+        {"budgets": []},
+        {"trials": 1.5},
+        {"master_seed": True},
+        None,  # a top-level [1]
+    ],
+)
+def test_cli_sweep_malformed_config_fails(patch, tmp_path, capsys):
+    base = {"k0": 2, "n0": 4, "n": 4, "k": 2, "trials": 1, "master_seed": 0}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps([1] if patch is None else {**base, **patch}))
+    assert main(["sweep", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    key = "config" if patch is None else next(iter(patch))
+    assert key in err
 
 
 def test_cli_outdir_env(tmp_path):

@@ -2,17 +2,20 @@ import math
 
 import pytest
 
+from concatgv import linalg
+from concatgv.codes import BinaryCode, OuterCode
 from concatgv.field import make_field
 from concatgv.linalg import (
     BitMatrix,
     FieldMatrix,
-    gf2_rank,
     nullspace_basis,
     rank,
     sample_binary_code,
     sample_field_code,
 )
 from concatgv.rng import SplitMix64, derive_seed
+
+from oracles import gf2_rref_by_columns
 
 
 def test_rank_examples():
@@ -27,6 +30,16 @@ def test_rank_examples():
     assert rank(FieldMatrix(((1, 2), (0, 1)), 2, ctx)) == 2
 
 
+def test_gf2_rref_matches_column_by_column_elimination():
+    rng = SplitMix64(17)
+    for _ in range(3000):
+        n, k = rng.randrange(13), rng.randrange(9)
+        rows = [rng.bits(n) for _ in range(k)]
+        if k > 1 and rng.randrange(3) == 0:  # force a dependent row
+            rows.append(rows[0] ^ rows[-1])
+        assert BitMatrix(tuple(rows), n).rref == gf2_rref_by_columns(rows, n)
+
+
 def test_bitmatrix_validates_stray_bits():
     with pytest.raises(ValueError):
         BitMatrix((0b100,), 2)
@@ -34,17 +47,17 @@ def test_bitmatrix_validates_stray_bits():
 
 def test_nullspace_identity_trivial():
     ident = BitMatrix((1, 2, 4), 3)
-    ker = nullspace_basis(ident, "right")
+    ker = nullspace_basis(ident)
     assert ker.nrows == 0
     ctx = make_field(2)
     full = FieldMatrix(((1, 0), (0, 1)), 2, ctx)
-    assert nullspace_basis(full, "right").nrows == 0
+    assert nullspace_basis(full).nrows == 0
 
 
 def test_nullspace_repetition_dual_is_even_weight():
     n = 6
     rep = BitMatrix(((1 << n) - 1,), n)
-    dual = nullspace_basis(rep, "right")
+    dual = nullspace_basis(rep)
     assert dual.nrows == n - 1
     assert rank(dual) == n - 1
     # every vector in the span has even weight; check the whole span
@@ -58,7 +71,7 @@ def test_nullspace_repetition_dual_is_even_weight():
 def test_nullspace_field_membership():
     ctx = make_field(2)
     g = sample_field_code(ctx, 4, 2, seed=3)
-    dual = nullspace_basis(g, "right")
+    dual = nullspace_basis(g)
     assert dual.nrows == 2
     for row in dual.rows:
         for grow in g.rows:
@@ -69,8 +82,9 @@ def test_nullspace_field_membership():
 
 
 def test_left_nullspace():
+    # the left kernel {y : y @ m = 0} is the right kernel of m's transpose
     m = BitMatrix((0b11, 0b11, 0b01), 2)
-    left = nullspace_basis(m, "left")
+    left = nullspace_basis(BitMatrix(tuple(m.column(j) for j in range(m.cols)), m.nrows))
     assert left.nrows == 1
     y = left.rows[0]
     # y @ m = 0: xor of selected rows is zero
@@ -87,7 +101,7 @@ def test_double_dual_spans_original():
         for _ in range(10):
             k = 1 + rng.randrange(n)
             g = sample_binary_code(n, k, rng.u64())
-            dd = nullspace_basis(nullspace_basis(g, "right"), "right")
+            dd = nullspace_basis(nullspace_basis(g))
             assert rank(dd) == k
             stacked = BitMatrix(g.rows + dd.rows, n)
             assert rank(stacked) == k
@@ -128,8 +142,8 @@ def test_negative_correlation_of_membership():
     both = only_x = only_y = 0
     for t in range(trials):
         g = sample_binary_code(n, k, derive_seed(4242, t))
-        in_x = gf2_rank(g.rows + (x,)) == k
-        in_y = gf2_rank(g.rows + (y,)) == k
+        in_x = rank(BitMatrix(g.rows + (x,), n)) == k
+        in_y = rank(BitMatrix(g.rows + (y,), n)) == k
         both += in_x and in_y
         only_x += in_x
         only_y += in_y
@@ -145,3 +159,43 @@ def test_column_and_product():
     assert [m.column(j) for j in range(3)] == [0b01, 0b11, 0b10]
     # M @ 011 is the XOR of columns 0 and 1: row0 hits {0,1} (even), row1 {1} (odd)
     assert m.column(0) ^ m.column(1) == 0b10
+
+
+def counting(monkeypatch, name):
+    """Replace linalg.<name> by a wrapper that counts its calls."""
+    calls = []
+    fn = getattr(linalg, name)
+    monkeypatch.setattr(linalg, name, lambda *a: calls.append(1) or fn(*a))
+    return calls
+
+
+def test_rref_is_computed_once_and_immutable(monkeypatch):
+    gf2, field = counting(monkeypatch, "_gf2_rref"), counting(monkeypatch, "_field_rref")
+    ctx = make_field(2)
+    for m in (BitMatrix((0b110, 0b011), 3), FieldMatrix(((1, 2, 3), (2, 3, 1)), 3, ctx)):
+        assert isinstance(m.rref, tuple) and m.rref is m.rref
+        rows, pivots = m.rref
+        assert isinstance(rows, tuple) and isinstance(pivots, tuple)
+        assert rank(m) == len(rows) and nullspace_basis(m).nrows == m.cols - rank(m)
+    assert (len(gf2), len(field)) == (1, 1)
+    assert isinstance(FieldMatrix(((1, 2, 3),), 3, ctx).rref[0][0], tuple)
+
+
+def test_outer_code_and_its_dual_take_two_field_eliminations(monkeypatch):
+    # one for the sampled generator (read again by OuterCode and the kernel),
+    # one for the dual generator's own full-rank check
+    calls = counting(monkeypatch, "_field_rref")
+    ctx = make_field(4)
+    dual = OuterCode(sample_field_code(ctx, 6, 3, 5)).dual()
+    assert len(calls) == 2
+    assert (dual.n, dual.k) == (6, 3)
+
+
+def test_one_gf2_elimination_per_inner_draw(monkeypatch):
+    # rank calls made by the sampler are its draws; BinaryCode adds none
+    draws = counting(monkeypatch, "rank")
+    calls = counting(monkeypatch, "_gf2_rref")
+    for seed in range(40):
+        BinaryCode(sample_binary_code(4, 3, seed))
+        assert len(calls) == len(draws)
+    assert len(draws) > 40  # some were rejected: a random 3 x 4 binary matrix has rank < 3 w.p. 0.38

@@ -6,14 +6,13 @@ import pytest
 
 from concatgv import codes, moments
 from concatgv.certify import check_nice
-from concatgv.codes import BinaryCode, ConcatCode, OuterCode, bias
+from concatgv.codes import BinaryCode, ConcatCode, OuterCode, bias, weight_distribution
 from concatgv.field import make_field
 from concatgv.linalg import BitMatrix, FieldMatrix, sample_binary_code, sample_field_code
 from concatgv.moments import (
     bad_bound,
     count_W,
     g_of_tuple,
-    moment_direct,
     moment_dual,
     poisson_product_check,
     w_count_bound,
@@ -120,7 +119,7 @@ def test_g_of_tuple_examples():
 
 def test_moment_r0_is_one():
     cc = one_bit_instance()
-    assert moment_direct(cc, 0) == Fraction(1)
+    assert weight_distribution(cc).moment(0) == Fraction(1)
     assert moment_dual(cc, 0) == Fraction(1)
 
 
@@ -129,20 +128,20 @@ def test_one_bit_instance_moments():
     cc = one_bit_instance()
     assert bias(cc, (1,)) == -1
     for r in range(7):
-        assert moment_direct(cc, r) == Fraction((-1) ** r)
+        assert weight_distribution(cc).moment(r) == Fraction((-1) ** r)
         assert moment_dual(cc, r) == Fraction((-1) ** r)
 
 
 def test_even_moments_nonnegative():
     for cc in grid_instances(2):
         for r in (2, 4):
-            assert moment_direct(cc, r) >= 0
+            assert weight_distribution(cc).moment(r) >= 0
 
 
 def test_moment_identity_on_grid():
     for cc in grid_instances(5):
         for r in (1, 2, 3):
-            assert moment_direct(cc, r) == moment_dual(cc, r)
+            assert weight_distribution(cc).moment(r) == moment_dual(cc, r)
 
 
 def test_walk_counts_match_odometer_reference():
@@ -165,7 +164,7 @@ def test_walk_reaches_r8_beyond_tuple_enumeration():
     outer = OuterCode(sample_field_code(ctx, 6, 3, 2))
     cc = ConcatCode(outer, inner)
     assert (cc.outer.n * cc.inner.n0) ** 8 > 1 << 27
-    assert moment_direct(cc, 8) == moment_dual(cc, 8)
+    assert weight_distribution(cc).moment(8) == moment_dual(cc, 8)
     rep = bad_bound(cc, 8, 1.0)
     assert Fraction(rep.bad_count) <= rep.b_r
 
@@ -187,7 +186,7 @@ def test_walk_work_bound():
 def test_moment_budgets():
     cc = one_bit_instance()
     with pytest.raises(ValueError):
-        moment_direct(cc, 1, budget=1)
+        weight_distribution(cc, budget=1).moment(1)
     with pytest.raises(ValueError):
         moment_dual(cc, 6, budget=0)
 
@@ -203,7 +202,7 @@ def test_budgets_fail_before_enumerating(monkeypatch):
     with pytest.raises(ValueError):
         codes.weight_distribution(cc, small)
     with pytest.raises(ValueError):
-        moment_direct(cc, 2, small)
+        codes.weight_distribution(cc, small).moment(2)
     with pytest.raises(ValueError):
         bad_bound(cc, 2, 1.0, small)
 
@@ -232,7 +231,7 @@ def test_direct_and_dual_sides_stay_independent(monkeypatch):
         with monkeypatch.context() as mp:
             mp.setattr(moments, "zero_folds", forbidden)
             mp.setattr(moments, "_walk_step", forbidden)
-            direct = moment_direct(cc, r)
+            direct = weight_distribution(cc).moment(r)
         with monkeypatch.context() as mp:
             mp.setattr(moments, "weight_distribution", forbidden)
             mp.setattr(codes, "_span_weight_counts", forbidden)
@@ -384,7 +383,7 @@ def test_zero_omega_entry_is_consistent_everywhere():
     for m in all_messages(cc.outer):
         assert cc.encode(m).bit_count() == (cc.N - bias(cc, m)) // 2
     for r in (1, 2, 3, 4):
-        assert moment_direct(cc, r) == moment_dual(cc, r)
+        assert weight_distribution(cc).moment(r) == moment_dual(cc, r)
     # each coordinate paired once with the zero entry folds to 0
     assert count_W(cc, 1).count == cc.outer.n
     assert poisson_product_check(cc, 0.3, 1e-12) <= 1e-9

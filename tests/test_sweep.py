@@ -180,7 +180,7 @@ def test_certificates_toggle_on():
 
 @pytest.mark.parametrize("distance_budget", [1 << 20, 8])
 def test_one_weight_distribution_per_trial(distance_budget, monkeypatch):
-    # The distance, x_max and every moment_direct side read one enumeration;
+    # The distance, x_max and every direct moment read one enumeration;
     # in Monte Carlo distance mode the moments build it themselves, once.
     import concatgv.codes as codes
 
@@ -230,3 +230,25 @@ def test_emitted_eps_equals_both_rates_under_equal_rate():
     _, agg = run_sweep(SMALL)
     assert SMALL.equal_rate
     assert agg["eps"] == SMALL.k / SMALL.n == SMALL.k0 / SMALL.n0
+
+
+@pytest.mark.parametrize("all_on", [False, True])
+def test_eliminations_per_trial(all_on, monkeypatch):
+    # Each sampler draw is reduced once, and the codes built from the accepted
+    # draws reuse that echelon form; only the niceness and soft checks reduce
+    # a further matrix each, the dual generator they build.
+    from concatgv import linalg
+
+    counts = {}
+    for name in ("rank", "_gf2_rref", "_field_rref"):
+        fn = getattr(linalg, name)
+        counts[name] = calls = []
+        monkeypatch.setattr(linalg, name, lambda *a, fn=fn, calls=calls: calls.append(a) or fn(*a))
+    toggles = Toggles(run_nice=True, run_soft=True, run_entropy=True, run_moments=True) if all_on else Toggles()
+    cfg = SweepConfig(k0=2, n0=4, n=4, k=2, trials=8, master_seed=7, toggles=toggles)
+    run_sweep(cfg)
+    draws = [m for (m,) in counts["rank"]]
+    binary = sum(isinstance(m, linalg.BitMatrix) for m in draws)
+    assert len(counts["_gf2_rref"]) == binary + all_on * cfg.trials
+    assert len(counts["_field_rref"]) == len(draws) - binary + all_on * cfg.trials
+    assert len(draws) >= 2 * cfg.trials
