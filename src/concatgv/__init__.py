@@ -14,7 +14,6 @@ from .certify import (
     NicenessReport,
     Pmf,
     SoftReport,
-    WeightStats,
     bernoulli_p,
     check_nice,
     d_pmf,
@@ -22,7 +21,6 @@ from .certify import (
     entropy_hypothesis,
     smooth_min_entropy,
     soft_condition,
-    weight_stats,
 )
 from .codes import (
     BinaryCode,
@@ -34,7 +32,7 @@ from .codes import (
     weight_distribution,
 )
 from .field import FieldCtx, make_field
-from .fileio import load_binary_code, load_outer_code, save_code
+from .fileio import load_binary_code, load_outer_code
 from .linalg import (
     BitMatrix,
     FieldMatrix,
@@ -48,7 +46,6 @@ from .moments import (
     WCountReport,
     bad_bound,
     count_W,
-    g_of_tuple,
     moment_dual,
     poisson_product_check,
 )

@@ -1,4 +1,4 @@
-"""Certifiers for the three sufficient conditions, plus weight statistics.
+"""Certifiers for the three sufficient conditions.
 
 * tau-niceness of the inner code: every weight class of the inner dual holds
   at most binom(n0, i) * 2^(-n0 (eps - tau)) codewords, eps = k0/n0.
@@ -14,13 +14,15 @@ not tuning, so sweeps should treat them as knobs.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .codes import BinaryCode, OuterCode, WeightDistribution, codeword_table, weight_distribution
+from .codes import BinaryCode, OuterCode, codeword_table, weight_distribution
 from .field import FieldCtx
 from .rng import SplitMix64
 
@@ -83,26 +85,12 @@ def bernoulli_p(c_tilde: float, eps: float) -> float:
 
 
 def sample_pmf_many(pmf: Pmf, seed: int, count: int) -> List[int]:
-    """Draws from an arbitrary pmf by CDF inversion (used by Monte Carlo modes)."""
-    cdf = []
-    acc = 0.0
-    for p in pmf.probs:
-        acc += p
-        cdf.append(acc)
+    """Draws from an arbitrary pmf by CDF inversion (used by Monte Carlo modes):
+    each draw is the first index whose cumulative probability exceeds u."""
+    cdf = list(itertools.accumulate(pmf.probs))
     cdf[-1] = 1.0
     rng = SplitMix64(seed)
-    out = []
-    for _ in range(count):
-        u = rng.uniform()
-        lo, hi = 0, len(cdf) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if cdf[mid] > u:
-                hi = mid
-            else:
-                lo = mid + 1
-        out.append(lo)
-    return out
+    return [bisect.bisect_right(cdf, rng.uniform()) for _ in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -337,36 +325,3 @@ def entropy_hypothesis(
     if n0 is not None and 0 < eps < 1:
         ratio = n0 * eps * eps / math.log2(1.0 / eps)
     return EntropyReport(eta, threshold, min_entropy, min_entropy >= threshold, n_checked, ratio)
-
-
-# ---------------------------------------------------------------------------
-# Weight-distribution statistics
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class WeightStats:
-    T: int
-    j_star: int
-    alpha: float
-    avg_weight_ratio: float
-    next_slab_ratio: float
-
-
-def weight_stats(delta: WeightDistribution, T: int) -> WeightStats:
-    """j* = minimal j with sum(delta[0..j]) >= T, and the two slab ratios."""
-    if not 1 <= T <= delta.total:
-        raise ValueError(f"T={T} outside [1, {delta.total}]")
-    n = delta.length
-    acc = 0
-    j_star = n
-    for j, dj in enumerate(delta.delta):
-        acc += dj
-        if acc >= T:
-            j_star = j
-            break
-    prefix = sum(delta.delta[: j_star + 1])
-    weighted = sum(i * delta.delta[i] for i in range(j_star + 1))
-    avg_ratio = weighted / (j_star * prefix) if j_star > 0 else 0.0
-    next_slab = delta.delta[j_star + 1] if j_star + 1 <= n else 0
-    return WeightStats(T, j_star, j_star / n, avg_ratio, next_slab / prefix)

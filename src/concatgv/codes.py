@@ -46,10 +46,6 @@ class BinaryCode:
     def k0(self) -> int:
         return self.gen.nrows
 
-    @property
-    def rate(self) -> float:
-        return self.k0 / self.n0
-
     def encode(self, msg_bits: int) -> int:
         """Codeword of a k0-bit message (XOR of the selected generator rows)."""
         cw = 0
@@ -84,10 +80,6 @@ class OuterCode:
     @property
     def k(self) -> int:
         return self.gen.nrows
-
-    @property
-    def rate(self) -> float:
-        return self.k / self.n
 
     def encode(self, msg: Sequence[int]) -> Tuple[int, ...]:
         """Codeword of a length-k message over the field."""
@@ -313,6 +305,8 @@ def min_distance(
         return weight_distribution(code, budget).min_weight, True
     words, length = _basis_words_and_length(code)
     if mode == "montecarlo":
+        if budget < 1:
+            raise ValueError(f"Monte Carlo distance needs at least one draw, got budget {budget}")
         rng = SplitMix64(seed)
         dim = len(words)
         best = length + 1
@@ -349,11 +343,3 @@ def codeword_table(outer: OuterCode) -> np.ndarray:
         multiples = np.array([[ctx.mul(v, g) for g in row] for v in range(ctx.q)], dtype=dtype)
         table = (multiples[:, None, :] ^ table[None, :, :]).reshape(-1, outer.n)
     return table
-
-
-def outer_min_distance(outer: OuterCode, budget: int = 1 << 24) -> int:
-    """Exact minimum symbol weight of the outer code, over its codeword table."""
-    if outer.ctx.q**outer.k > budget:
-        raise ValueError("outer code too large for exact distance")
-    weights = np.count_nonzero(codeword_table(outer)[1:], axis=1)
-    return int(weights.min()) if weights.size else outer.n + 1

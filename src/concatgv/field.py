@@ -5,8 +5,8 @@ the polynomial representation (bit i = coefficient of x^i).  Addition is XOR;
 multiplication is carry-less multiplication reduced modulo a fixed irreducible
 polynomial.  That definition is evaluated only while a :class:`FieldCtx` is
 built: it generates the powers of the smallest primitive element into
-log/antilog tables, and every multiply, inverse and power afterwards is a
-table lookup.  Each :class:`FieldCtx` also carries a basis nu_1..nu_k0 that is
+log/antilog tables, and every multiply and inverse afterwards is a table
+lookup.  Each :class:`FieldCtx` also carries a basis nu_1..nu_k0 that is
 *self-dual* for the trace form, i.e. Tr(nu_i * nu_j) = 1 iff i == j.  Writing
 elements in that basis makes the trace form the plain GF(2) dot product:
 
@@ -164,14 +164,6 @@ class FieldCtx:
             return self._exp[self._log[a] + self._log[b]]
         return 0
 
-    def pow(self, a: int, e: int) -> int:
-        """a^e for any integer e; a negative power of 0 raises, and 0^0 = 1."""
-        if a:
-            return self._exp[self._log[a] * e % (self.q - 1)]
-        if e < 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return 0 if e else 1
-
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no inverse")
@@ -271,9 +263,6 @@ class FieldCtx:
                     raise AssertionError("constructed basis is not self-dual")
 
     # -- misc -----------------------------------------------------------------
-
-    def elements(self) -> range:
-        return range(self.q)
 
     def descriptor(self) -> dict:
         """Serializable field descriptor embedded in code files and reports."""

@@ -56,10 +56,6 @@ def dumps_code(code: BinaryCode | OuterCode) -> str:
     return "\n".join(lines) + "\n"
 
 
-def save_code(path, code: BinaryCode | OuterCode) -> None:
-    Path(path).write_text(dumps_code(code), encoding="ascii")
-
-
 def parse_code(text: str):
     """Parse a code file into (ctx, rows-of-entry-tuples, n, k)."""
     lines = [ln for ln in text.splitlines() if ln.strip()]

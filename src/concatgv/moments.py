@@ -22,30 +22,12 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Dict, Sequence, Tuple
+from typing import Any, Dict, Tuple
 
 import numpy as np
 
 from .certify import check_nice, d_pmf
 from .codes import ConcatCode, weight_distribution
-
-
-def g_of_tuple(cc: ConcatCode, pairs: Sequence[Tuple[int, int]]) -> Tuple[int, ...]:
-    """Fold a tuple of (coordinate, omega-index) pairs into a vector over GF(q).
-
-    Coordinate alpha of the result is the field sum of the omega entries
-    listed at alpha; empty coordinates are zero.
-    """
-    n = cc.outer.n
-    omega = cc.omega
-    g = [0] * n
-    for alpha, beta in pairs:
-        if not 0 <= alpha < n:
-            raise IndexError(f"coordinate {alpha} out of range [0, {n})")
-        if not 0 <= beta < len(omega):
-            raise IndexError(f"omega index {beta} out of range [0, {len(omega)})")
-        g[alpha] ^= omega[beta]
-    return tuple(g)
 
 
 def _pair_masks(cc: ConcatCode) -> Tuple[Counter, Counter]:

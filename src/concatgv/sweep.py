@@ -134,36 +134,46 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+# Declared field type -> (check on the JSON value, what the error asks for).
+# Values are kept as given, so an int constant hashes as before; a list of
+# ints becomes the tuple the dataclass holds.
+_FIELD_CHECKS = {
+    "int": (_is_int, "an integer"),
+    "float": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
+    "bool": (lambda v: isinstance(v, bool), "a boolean"),
+    "Tuple[int, ...]": (
+        lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v)),
+        "a list of integers",
+    ),
+}
+
+
 def _from_dict(cls, data, where: str) -> dict:
     """data as a dict of cls's fields: it must be an object with known keys,
-    and every field declared int must hold an int."""
+    and every scalar or tuple field must hold a value of its declared type."""
     if not isinstance(data, dict):
         raise ValueError(f"{where} must be a JSON object, got {data!r}")
     types = {f.name: f.type for f in dc_fields(cls)}
     unknown = set(data) - set(types)
     if unknown:
         raise ValueError(f"unknown config key(s) in {where}: {sorted(unknown)}")
+    out = dict(data)
     for key, value in data.items():
-        if types[key] == "int" and not _is_int(value):
-            raise ValueError(f"{where} key {key!r} must be an integer, got {value!r}")
-    return dict(data)
+        if types[key] in _FIELD_CHECKS:
+            check, what = _FIELD_CHECKS[types[key]]
+            if not check(value):
+                raise ValueError(f"{where} key {key!r} must be {what}, got {value!r}")
+            if isinstance(value, list):
+                out[key] = tuple(value)
+    return out
 
 
 def config_from_dict(data: dict) -> SweepConfig:
     """Build a SweepConfig from a parsed JSON document; unknown keys are errors."""
     top = _from_dict(SweepConfig, data, "config")
-    if "budgets" in top:
-        top["budgets"] = Budgets(**_from_dict(Budgets, top["budgets"], "budgets"))
-    if "constants" in top:
-        top["constants"] = Constants(**_from_dict(Constants, top["constants"], "constants"))
-    if "toggles" in top:
-        tog = _from_dict(Toggles, top["toggles"], "toggles")
-        if "r_list" in tog:
-            r_list = tog["r_list"]
-            if not isinstance(r_list, (list, tuple)) or not all(map(_is_int, r_list)):
-                raise ValueError(f"toggles key 'r_list' must be a list of integers, got {r_list!r}")
-            tog["r_list"] = tuple(r_list)
-        top["toggles"] = Toggles(**tog)
+    for part, cls in (("budgets", Budgets), ("constants", Constants), ("toggles", Toggles)):
+        if part in top:
+            top[part] = cls(**_from_dict(cls, top[part], part))
     cfg = SweepConfig(**top)
     cfg.validate()
     return cfg

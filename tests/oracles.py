@@ -2,10 +2,11 @@
 
 import math
 from fractions import Fraction
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from concatgv.certify import Pmf
-from concatgv.codes import OuterCode
+from concatgv.codes import ConcatCode, OuterCode
+from concatgv.rng import SplitMix64
 
 
 def all_messages(outer: OuterCode) -> Iterable[Tuple[int, ...]]:
@@ -79,22 +80,6 @@ def clmul_mod(a: int, b: int, modulus: int, k0: int) -> int:
     return prod
 
 
-def pow_mod(a: int, e: int, modulus: int, k0: int) -> int:
-    """a^e by square-and-multiply over ``clmul_mod``; a negative e raises
-    a^(2^k0 - 2) = a^-1 to -e, and a negative power of 0 raises."""
-    if e < 0:
-        if a == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        a, e = pow_mod(a, (1 << k0) - 2, modulus, k0), -e
-    r = 1
-    while e:
-        if e & 1:
-            r = clmul_mod(r, a, modulus, k0)
-        a = clmul_mod(a, a, modulus, k0)
-        e >>= 1
-    return r
-
-
 def gf2_rref_by_columns(rows: Sequence[int], cols: int):
     """Textbook Gauss-Jordan over GF(2), one column at a time from column 0:
     (reduced nonzero rows, pivot columns), as tuples."""
@@ -113,3 +98,39 @@ def gf2_rref_by_columns(rows: Sequence[int], cols: int):
         pivots.append(c)
         r += 1
     return tuple(mat[:r]), tuple(pivots)
+
+
+def g_of_tuple(cc: ConcatCode, pairs: Sequence[Tuple[int, int]]) -> Tuple[int, ...]:
+    """Fold a tuple of (coordinate, omega-index) pairs into a vector over GF(q).
+
+    Coordinate alpha of the result is the field sum of the omega entries
+    listed at alpha; empty coordinates are zero.
+    """
+    n = cc.outer.n
+    omega = cc.omega
+    g = [0] * n
+    for alpha, beta in pairs:
+        if not 0 <= alpha < n:
+            raise IndexError(f"coordinate {alpha} out of range [0, {n})")
+        if not 0 <= beta < len(omega):
+            raise IndexError(f"omega index {beta} out of range [0, {len(omega)})")
+        g[alpha] ^= omega[beta]
+    return tuple(g)
+
+
+def inversion_draws(probs: Sequence[float], seed: int, count: int) -> List[int]:
+    """CDF inversion by linear scan: for each u of SplitMix64(seed), the first
+    i whose left-to-right partial sum of probs exceeds u, the last partial
+    sum read as 1."""
+    rng = SplitMix64(seed)
+    last = len(probs) - 1
+    out = []
+    for _ in range(count):
+        u = rng.uniform()
+        acc = 0.0
+        for i, p in enumerate(probs):
+            acc = 1.0 if i == last else acc + p
+            if acc > u:
+                break
+        out.append(i)
+    return out

@@ -1,6 +1,7 @@
 import itertools
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,15 +19,14 @@ from concatgv.certify import (
     sample_pmf_many,
     smooth_min_entropy,
     soft_condition,
-    weight_stats,
     wilson_interval,
 )
-from concatgv.codes import BinaryCode, OuterCode, outer_min_distance, weight_distribution
+from concatgv.codes import BinaryCode, OuterCode, weight_distribution
 from concatgv.field import FieldCtx, make_field
 from concatgv.linalg import BitMatrix, FieldMatrix, nullspace_basis, sample_binary_code, sample_field_code
 from concatgv.rng import SplitMix64, derive_seed
 
-from oracles import all_messages, bisect_min_entropy, d_pmf_oracle
+from oracles import all_messages, bisect_min_entropy, d_pmf_oracle, inversion_draws
 
 F4 = make_field(2)
 F8 = make_field(3)
@@ -527,43 +527,6 @@ def test_table_budgets_fail_before_any_multiply(monkeypatch):
         entropy_hypothesis(outer, 1.0, 1.0, budget=63)
     with pytest.raises(ValueError, match="smoothing level"):
         entropy_hypothesis(outer, 1.0, 2.0)
-    with pytest.raises(ValueError, match="too large"):
-        outer_min_distance(outer, budget=63)
-
-
-# -- weight statistics -----------------------------------------------------------
-
-
-def full_space_distribution(n):
-    gen = BitMatrix(tuple(1 << i for i in range(n)), n)
-    return weight_distribution(BinaryCode(gen))
-
-
-def test_weight_stats_t1():
-    ws = weight_stats(full_space_distribution(4), 1)
-    assert ws.j_star == 0 and ws.alpha == 0.0
-    assert ws.avg_weight_ratio == 0.0
-
-
-def test_weight_stats_full_space_t5():
-    ws = weight_stats(full_space_distribution(4), 5)
-    assert ws.j_star == 1
-    assert ws.avg_weight_ratio == pytest.approx(4 / 5, abs=1e-15)
-    assert ws.next_slab_ratio == pytest.approx(6 / 5, abs=1e-15)
-
-
-def test_weight_stats_monotone_in_T():
-    wd = full_space_distribution(6)
-    stars = [weight_stats(wd, t).j_star for t in range(1, wd.total + 1)]
-    assert all(a <= b for a, b in zip(stars, stars[1:]))
-
-
-def test_weight_stats_range_errors():
-    wd = full_space_distribution(3)
-    with pytest.raises(ValueError):
-        weight_stats(wd, 0)
-    with pytest.raises(ValueError):
-        weight_stats(wd, wd.total + 1)
 
 
 def test_sample_pmf_many_deterministic():
@@ -571,3 +534,48 @@ def test_sample_pmf_many_deterministic():
     a = sample_pmf_many(pm, 5, 100)
     b = sample_pmf_many(pm, 5, 100)
     assert a == b
+
+
+def pmfs_with_zeros(ctx, count, seed):
+    """Random pmfs over ctx in which each entry is zero with probability 1/2
+    (at least one entry nonzero), so runs of zeros lead, sit inside and trail."""
+    rng = SplitMix64(seed)
+    for _ in range(count):
+        weights = [rng.randrange(100) if rng.bits(1) else 0 for _ in range(ctx.q)]
+        if not any(weights):
+            weights[rng.randrange(ctx.q)] = 1
+        total = sum(weights)
+        yield Pmf(ctx, tuple(w / total for w in weights))
+
+
+def test_sample_pmf_many_matches_linear_scan_inversion():
+    trailing = 0
+    for i, pm in enumerate(pmfs_with_zeros(F8, 300, 17)):
+        trailing += pm.probs[-1] == 0
+        assert sample_pmf_many(pm, i, 200) == inversion_draws(pm.probs, i, 200)
+    assert trailing > 100
+
+
+@pytest.mark.parametrize(
+    "probs",
+    [
+        (0, 0.5, 0, 0.25, 0.125, 0.125, 0, 0),
+        (0.75, 0, 0, 0, 0, 0, 0, 0.25),
+        (0, 0, 0, 1.0, 0, 0, 0, 0),
+        (0.5, 0.5, 0, 0, 0, 0, 0, 0),
+    ],
+)
+def test_sample_pmf_many_never_draws_a_zero_probability_symbol(probs):
+    # dyadic probabilities add exactly, so the CDF is flat across every zero
+    pm = Pmf(F8, probs)
+    draws = sample_pmf_many(pm, 3, 4000)
+    assert draws == inversion_draws(probs, 3, 4000)
+    assert set(draws) == {s for s, p in enumerate(probs) if p}
+
+
+def test_sample_pmf_many_draws_the_first_index_past_u(monkeypatch):
+    # a u on a CDF step goes to the next symbol with mass, past the flat zeros
+    us = [0.0, 0.5, 0.75, 0.875, 1 - 2**-53]
+    monkeypatch.setattr(certify, "SplitMix64", lambda seed: SimpleNamespace(uniform=iter(us).__next__))
+    pm = Pmf(F8, (0, 0.5, 0, 0.25, 0.125, 0.125, 0, 0))
+    assert sample_pmf_many(pm, 0, len(us)) == [1, 3, 4, 5, 5]

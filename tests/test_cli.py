@@ -11,8 +11,9 @@ import concatgv
 from concatgv.cli import main
 from concatgv.codes import BinaryCode, OuterCode
 from concatgv.field import make_field
-from concatgv.fileio import load_binary_code, load_outer_code, parse_code, save_code
+from concatgv.fileio import dumps_code, load_binary_code, load_outer_code, parse_code
 from concatgv.linalg import sample_binary_code, sample_field_code
+from concatgv.sweep import config_from_dict
 
 
 # The CLI subprocesses import the same concatgv as this test process.
@@ -41,7 +42,7 @@ def run_cli(*argv, check=True):
 def test_code_file_roundtrip_binary(tmp_path):
     code = BinaryCode(sample_binary_code(8, 3, 4))
     path = tmp_path / "c.code"
-    save_code(path, code)
+    path.write_text(dumps_code(code))
     text = path.read_text()
     assert text.splitlines()[0] == "CODE v1 field=0x2/1 n=8 k=3"
     assert load_binary_code(path) == code
@@ -51,7 +52,7 @@ def test_code_file_roundtrip_outer(tmp_path):
     ctx = make_field(3)
     code = OuterCode(sample_field_code(ctx, 5, 2, 9))
     path = tmp_path / "o.code"
-    save_code(path, code)
+    path.write_text(dumps_code(code))
     text = path.read_text()
     assert text.splitlines()[0] == "CODE v1 field=0xb/3 n=5 k=2"
     assert load_outer_code(path) == code
@@ -67,7 +68,7 @@ def test_code_file_bad_header():
 def test_load_binary_rejects_field_files(tmp_path):
     ctx = make_field(2)
     path = tmp_path / "o.code"
-    save_code(path, OuterCode(sample_field_code(ctx, 3, 1, 2)))
+    path.write_text(dumps_code(OuterCode(sample_field_code(ctx, 3, 1, 2))))
     with pytest.raises(ValueError):
         load_binary_code(path)
 
@@ -79,7 +80,7 @@ def test_code_file_nonstandard_modulus(tmp_path):
     ctx = FieldCtx(3, 0xD)  # x^3 + x^2 + 1, the other degree-3 irreducible
     code = OuterCode(FieldMatrix(((1, 5, 3),), 3, ctx))
     path = tmp_path / "alt.code"
-    save_code(path, code)
+    path.write_text(dumps_code(code))
     assert "field=0xd/3" in path.read_text()
     loaded = load_outer_code(path)
     assert loaded == code
@@ -254,6 +255,10 @@ def test_cli_sweep_unknown_key_fails(tmp_path):
         {"budgets": []},
         {"trials": 1.5},
         {"master_seed": True},
+        {"constants": {"c": "1"}},
+        {"toggles": {"run_nice": "no"}},
+        {"equal_rate": 1},
+        {"constants": {"tau": True}},
         None,  # a top-level [1]
     ],
 )
@@ -266,6 +271,27 @@ def test_cli_sweep_malformed_config_fails(patch, tmp_path, capsys):
     assert err.startswith("error:")
     key = "config" if patch is None else next(iter(patch))
     assert key in err
+
+
+def test_cli_sweep_config_takes_an_int_for_a_float_field(tmp_path, capsys):
+    cfg = {"k0": 2, "n0": 4, "n": 4, "k": 2, "trials": 1, "master_seed": 0, "constants": {"c": 2}}
+    assert config_from_dict(cfg).constants.c == 2
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["sweep", "--config", str(cfg_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["constants"]["c"] == 2
+
+
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_cli_montecarlo_distance_refuses_zero_draws(budget, tmp_path, capsys):
+    outer, inner = tmp_path / "outer.code", tmp_path / "inner.code"
+    inner.write_text(dumps_code(BinaryCode(sample_binary_code(8, 4, 5))))
+    outer.write_text(dumps_code(OuterCode(sample_field_code(make_field(4), 6, 3, 6))))
+    argv = ["distance", "--outer", str(outer), "--inner", str(inner),
+            "--mode", "montecarlo", "--budget", budget]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
 
 
 def test_cli_outdir_env(tmp_path):

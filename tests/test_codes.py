@@ -9,7 +9,6 @@ from concatgv.codes import (
     bias,
     codeword_table,
     min_distance,
-    outer_min_distance,
     weight_distribution,
 )
 from concatgv.field import make_field
@@ -62,7 +61,7 @@ def test_identity_inner_reproduces_identification():
 
 def test_rate_is_product_of_rates():
     cc = tiny_concat(1)
-    assert cc.rate == pytest.approx(cc.outer.rate * cc.inner.rate)
+    assert cc.rate == pytest.approx((cc.outer.k / cc.outer.n) * (cc.inner.k0 / cc.inner.n0))
 
 
 def test_omega_is_generator_columns_in_order():
@@ -223,7 +222,7 @@ def test_concat_distance_at_least_product():
         d, exact = min_distance(cc)
         assert exact
         d_in, _ = min_distance(cc.inner)
-        d_out = outer_min_distance(cc.outer)
+        d_out = min(sum(map(bool, cc.outer.encode(m))) for m in all_messages(cc.outer) if any(m))
         assert d >= d_in * d_out
 
 
@@ -238,6 +237,13 @@ def test_montecarlo_upper_bounds_exact():
 def test_montecarlo_on_dimension_zero_returns_without_drawing():
     zero = BinaryCode(BitMatrix((), 5))
     assert min_distance(zero, "montecarlo", budget=10) == (6, False)
+
+
+@pytest.mark.parametrize("budget", [0, -3])
+def test_montecarlo_refuses_zero_draws(budget):
+    cc = tiny_concat(21, k0=2, n0=4, n=3, k=2)
+    with pytest.raises(ValueError, match="at least one draw"):
+        min_distance(cc, "montecarlo", budget=budget, seed=5)
 
 
 def test_dual_membership_examples():
@@ -269,8 +275,6 @@ def test_codeword_table_matches_encode_in_message_order(k0):
             table = codeword_table(outer)
             assert table.shape == (ctx.q**k, n) and table.dtype == np.uint8
             assert [tuple(row) for row in table.tolist()] == [outer.encode(m) for m in all_messages(outer)]
-            weights = [sum(1 for s in outer.encode(m) if s) for m in all_messages(outer) if any(m)]
-            assert outer_min_distance(outer) == min(weights)
 
 
 def test_codeword_table_dtype_holds_every_symbol():

@@ -9,7 +9,7 @@ from concatgv.field import (
 )
 from concatgv.rng import SplitMix64
 
-from oracles import clmul_mod, pow_mod
+from oracles import clmul_mod
 
 
 def poly_divides(d: int, f: int) -> bool:
@@ -105,7 +105,7 @@ def test_gram_matrix_is_identity(k0):
 @pytest.mark.parametrize("k0", range(1, 7))
 def test_identification_roundtrip_exhaustive(k0):
     f = make_field(k0)
-    for x in f.elements():
+    for x in range(f.q):
         assert f.from_coords(f.coords(x)) == x
     assert f.coords(0) == 0
 
@@ -128,9 +128,9 @@ def test_identify_range_errors():
 @pytest.mark.parametrize("k0", range(1, 7))
 def test_trace_form_equals_dot_product_exhaustive(k0):
     f = make_field(k0)
-    for a in f.elements():
+    for a in range(f.q):
         ca = f.coords(a)
-        for b in f.elements():
+        for b in range(f.q):
             assert f.trace(f.mul(a, b)) == (ca & f.coords(b)).bit_count() & 1
 
 
@@ -153,7 +153,7 @@ def test_field_axioms_random_triples(k0):
 @pytest.mark.parametrize("k0", range(1, 7))
 def test_frobenius_invariance_exhaustive(k0):
     f = make_field(k0)
-    for x in f.elements():
+    for x in range(f.q):
         assert f.trace(f.mul(x, x)) == f.trace(x)
 
 
@@ -194,24 +194,14 @@ def test_every_irreducible_modulus_up_to_degree_8():
     assert built == 69
 
 
-def check_powers(f, a, e0, count):
-    """pow(a, e) for the count exponents from e0 up, against the oracle."""
-    want = pow_mod(a, e0, f.modulus, f.k0)
-    for e in range(e0, e0 + count):
-        assert f.pow(a, e) == want, (a, e)
-        want = clmul_mod(want, a, f.modulus, f.k0)
-
-
 @pytest.mark.parametrize("k0", range(1, 9))
 def test_arithmetic_matches_schoolbook_exhaustive(k0):
     f = make_field(k0)
-    for a in f.elements():
-        for b in f.elements():
+    for a in range(f.q):
+        for b in range(f.q):
             assert f.mul(a, b) == clmul_mod(a, b, f.modulus, k0)
     for a in range(1, f.q):
         assert clmul_mod(a, f.inv(a), f.modulus, k0) == 1
-        check_powers(f, a, -(f.q + 1), 2 * f.q + 3)  # wraps past both ends of the order
-    assert [f.pow(0, e) for e in range(4)] == [1, 0, 0, 0]
 
 
 @pytest.mark.parametrize("k0", range(9, 17))
@@ -224,17 +214,9 @@ def test_arithmetic_matches_schoolbook_random(k0):
         assert f.mul(a, b) == clmul_mod(a, b, f.modulus, k0)
         if a:
             assert clmul_mod(a, f.inv(a), f.modulus, k0) == 1
-    # 10^4 (base, exponent) pairs: 100 bases, 100 consecutive exponents each
-    for _ in range(100):
-        check_powers(f, 1 + rng.randrange(f.q - 1), rng.randrange(4 * f.q) - 2 * f.q, 100)
 
 
-def test_pow_of_zero_and_negative_exponents():
+def test_inverse_of_zero_raises():
     f = make_field(4)
-    assert f.pow(3, -1) == f.inv(3)
-    assert f.pow(0, 0) == 1 and f.pow(0, 5) == 0
-    for e in (-1, -16):
-        with pytest.raises(ZeroDivisionError):
-            f.pow(0, e)
     with pytest.raises(ZeroDivisionError):
         f.inv(0)

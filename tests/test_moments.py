@@ -12,14 +12,13 @@ from concatgv.linalg import BitMatrix, FieldMatrix, sample_binary_code, sample_f
 from concatgv.moments import (
     bad_bound,
     count_W,
-    g_of_tuple,
     moment_dual,
     poisson_product_check,
     w_count_bound,
 )
 from concatgv.rng import derive_seed
 
-from oracles import all_messages
+from oracles import all_messages, g_of_tuple
 
 F2 = make_field(1)
 F4 = make_field(2)
