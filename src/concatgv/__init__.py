@@ -6,7 +6,7 @@ smooth-min-entropy conditions, and run seeded ensemble sweeps against the
 Gilbert-Varshamov and Zyablov reference curves.
 """
 
-from .bounds import RateDistancePoint, gv_check, gv_rate, h2, h2_inv, zyablov_rate
+from .bounds import gv_check, gv_rate, h2, h2_inv, zyablov_rate
 from .certify import (
     C_DEFAULT,
     C_TILDE_DEFAULT,

@@ -6,22 +6,9 @@ Logs are base 2 and entropies are in bits throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class RateDistancePoint:
-    rate: float
-    rel_distance: float
-
-    def __post_init__(self):
-        if not 0 <= self.rate <= 1:
-            raise ValueError(f"rate {self.rate} outside [0, 1]")
-        if not 0 <= self.rel_distance <= 1:
-            raise ValueError(f"relative distance {self.rel_distance} outside [0, 1]")
 
 
 def h2(x: float) -> float:
@@ -51,17 +38,21 @@ def h2_inv(y: float) -> float:
     return (lo + hi) / 2
 
 
-def gv_check(point: RateDistancePoint, epsilon: float, c: float) -> bool:
+def gv_check(rate: float, rel_distance: float, epsilon: float, c: float) -> bool:
     """The operational low-rate GV target: rate >= eps^2 and distance >= 1/2 - c*eps.
 
     The comparison runs in the arithmetic of the inputs.  Only Fraction
-    inputs (point, epsilon and c) give an exact verdict; with floats a point
-    that sits on a bound, such as rate k0*k/(n0*n) = eps^2, can fall on either
-    side of it by one rounding.
+    inputs (rate, rel_distance, epsilon and c) give an exact verdict; with
+    floats a point that sits on a bound, such as rate k0*k/(n0*n) = eps^2,
+    can fall on either side of it by one rounding.
     """
+    if not 0 <= rate <= 1:
+        raise ValueError(f"rate {rate} outside [0, 1]")
+    if not 0 <= rel_distance <= 1:
+        raise ValueError(f"relative distance {rel_distance} outside [0, 1]")
     if epsilon <= 0 or c <= 0:
         raise ValueError("epsilon and c must be positive")
-    return point.rate >= epsilon**2 and point.rel_distance >= Fraction(1, 2) - c * epsilon
+    return rate >= epsilon**2 and rel_distance >= Fraction(1, 2) - c * epsilon
 
 
 def gv_rate(delta: float) -> float:
@@ -71,7 +62,7 @@ def gv_rate(delta: float) -> float:
     return 1.0 - h2(delta)
 
 
-def zyablov_rate(delta: float, grid: int = 10_000) -> float:
+def zyablov_rate(delta: float) -> float:
     """The concatenation trade-off R(delta) = max over d0 in (delta, 1/2] of
     (1 - h2(d0)) * (1 - delta/d0), by grid search plus local refinement."""
     if not 0 <= delta < 0.5:
@@ -79,7 +70,7 @@ def zyablov_rate(delta: float, grid: int = 10_000) -> float:
     if delta == 0.0:
         return 1.0
 
-    d0 = np.linspace(delta, 0.5, grid + 1)[1:]
+    d0 = np.linspace(delta, 0.5, 10_001)[1:]  # a 10^4-point grid
     with np.errstate(divide="ignore", invalid="ignore"):
         ent = -d0 * np.log2(d0) - (1 - d0) * np.log2(1 - d0)
     vals = (1.0 - ent) * (1.0 - delta / d0)

@@ -86,9 +86,11 @@ def bernoulli_p(c_tilde: float, eps: float) -> float:
 
 def sample_pmf_many(pmf: Pmf, seed: int, count: int) -> List[int]:
     """Draws from an arbitrary pmf by CDF inversion (used by Monte Carlo modes):
-    each draw is the first index whose cumulative probability exceeds u."""
+    each draw is the first index whose cumulative probability exceeds u.  The
+    CDF is 1 from the last nonzero entry on, so no u reaches a trailing zero."""
     cdf = list(itertools.accumulate(pmf.probs))
-    cdf[-1] = 1.0
+    last = max(i for i, p in enumerate(pmf.probs) if p)
+    cdf[last:] = [1.0] * (len(cdf) - last)
     rng = SplitMix64(seed)
     return [bisect.bisect_right(cdf, rng.uniform()) for _ in range(count)]
 
@@ -173,29 +175,28 @@ def soft_condition(
         terms = np.ones(len(words))
         for a in range(outer.n):
             terms *= probs[words[:, a]]
-        prob = 0.0
-        for term in terms.tolist():  # sum() and np.sum round differently
-            prob += term
+        # accumulate adds one term at a time, left to right; np.sum's pairwise
+        # order rounds differently.  The leading 0.0 keeps an empty dual at 0.
+        prob = float(np.add.accumulate(np.concatenate(([0.0], terms)))[-1])
         return SoftReport(prob, prob * qk - 1.0, True)
     if mode == "montecarlo":
-        rng_seed = seed
-        draws = budget
         n = outer.n
-        samples = sample_pmf_many(pmf, rng_seed, draws * n)
+        samples = sample_pmf_many(pmf, seed, budget * n)
         hits = 0
-        for t in range(draws):
+        for t in range(budget):
             x = samples[t * n : (t + 1) * n]
             if any(x) and outer.dual_membership(x):
                 hits += 1
-        phat, lo, hi = wilson_interval(hits, draws)
-        return SoftReport(phat, phat * qk - 1.0, False, lo, hi, draws)
+        phat, lo, hi = wilson_interval(hits, budget)
+        return SoftReport(phat, phat * qk - 1.0, False, lo, hi, budget)
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def wilson_interval(hits: int, trials: int, z: float = 1.959963984540054):
+def wilson_interval(hits: int, trials: int):
     """Wilson score 95% interval for a binomial proportion."""
     if trials <= 0:
         raise ValueError("trials must be positive")
+    z = 1.959963984540054  # the standard normal's 97.5% quantile
     phat = hits / trials
     z2 = z * z
     denom = 1 + z2 / trials

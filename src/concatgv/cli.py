@@ -16,6 +16,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -64,6 +65,13 @@ def _load_concat(args) -> ConcatCode:
     return ConcatCode(load_outer_code(args.outer), load_binary_code(args.inner))
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 def cmd_field(args) -> int:
     ctx = make_field(args.k0)
     _emit(args, {"field": ctx.descriptor()})
@@ -100,17 +108,14 @@ def cmd_concat(args) -> int:
 def cmd_distance(args) -> int:
     if args.code:
         code = load_binary_code(args.code)
-        size = 1 << code.k0
         desc = {"code": args.code}
     else:
         code = _load_concat(args)
-        size = 1 << code.K
         desc = {"outer": args.outer, "inner": args.inner}
     mode = args.mode
     if mode == "auto":
-        mode = "exact" if size <= args.budget else "montecarlo"
+        mode = "exact" if 1 << code.gen.nrows <= args.budget else "montecarlo"
     d, is_exact = min_distance(code, mode, args.budget, args.seed)
-    length = code.n0 if isinstance(code, BinaryCode) else code.N
     _emit(
         args,
         {
@@ -119,7 +124,7 @@ def cmd_distance(args) -> int:
             "seed": args.seed,
             "budget": args.budget,
             "distance": d,
-            "rel_distance": d / length,
+            "rel_distance": d / code.gen.cols,
             "is_exact": is_exact,
         },
     )
@@ -136,7 +141,7 @@ def cmd_nice_check(args) -> int:
 def cmd_soft_check(args) -> int:
     cc = _load_concat(args)
     eps = cc.inner.k0 / cc.inner.n0
-    p = args.p if args.p is not None else bernoulli_p(args.c_tilde, eps)
+    p = bernoulli_p(args.c_tilde, eps)
     pmf = d_pmf(cc.ctx, cc.omega, p)
     rep = soft_condition(cc.outer, pmf, args.mode, args.budget, args.seed)
     _emit(
@@ -288,19 +293,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("nice-check", cmd_nice_check, "tau-niceness of an inner code", "budget")
     p.add_argument("--inner", required=True)
-    p.add_argument("--tau", type=float, required=True)
+    p.add_argument("--tau", type=_finite_float, required=True)
 
     p = add("soft-check", cmd_soft_check, "soft-decoding condition on an outer code", "seed", "budget")
     p.add_argument("--outer", required=True)
     p.add_argument("--inner", required=True)
-    p.add_argument("--p", type=float, default=None, help="explicit Bernoulli parameter")
-    p.add_argument("--c-tilde", type=float, default=C_TILDE_DEFAULT)
+    p.add_argument("--c-tilde", type=_finite_float, default=C_TILDE_DEFAULT)
     p.add_argument("--mode", choices=("exact", "montecarlo"), default="exact")
 
     p = add("entropy-check", cmd_entropy_check, "smooth min-entropy condition", "budget")
     p.add_argument("--outer", required=True)
-    p.add_argument("--c-gamma", type=float, required=True)
-    p.add_argument("--c-eta", type=float, required=True)
+    p.add_argument("--c-gamma", type=_finite_float, required=True)
+    p.add_argument("--c-eta", type=_finite_float, required=True)
     p.add_argument("--n0", type=int, default=None, help="inner length for the n0 diagnostic")
     p.add_argument("--tv-convention", choices=("halved", "unhalved"), default="halved")
 

@@ -163,23 +163,19 @@ class ConcatCode:
                 word |= self.inner.encode(ctx.coords(sym)) << (alpha * n0)
         return word
 
-    def message_basis_words(self) -> List[int]:
-        """Codewords of the K single-bit messages; the concat map is GF(2)-linear,
-        so every codeword is an XOR of these.
-
-        Message bit j of outer symbol i is nu_j in position i, whose outer
-        codeword is nu_j times generator row i: K * n multiplies in all.
-        """
-        ctx = self.ctx
-        n0 = self.inner.n0
-        return [
-            sum(
-                self.inner.encode(ctx.coords(ctx.mul(nu, g))) << (alpha * n0)
-                for alpha, g in enumerate(row)
-            )
+    @functools.cached_property
+    def gen(self) -> BitMatrix:
+        """The K x N binary generator; the concatenation is GF(2)-linear, so its
+        rows span the code.  Row i * k0 + j is the codeword of nu_j in outer
+        position i: nu_j times outer generator row i, inner-encoded (K * n
+        multiplies in all)."""
+        ctx, encode, n0 = self.ctx, self.inner.encode, self.inner.n0
+        words = [
+            sum(encode(ctx.coords(ctx.mul(nu, g))) << (a * n0) for a, g in enumerate(row))
             for row in self.outer.gen.rows
             for nu in ctx.basis
         ]
+        return BitMatrix(words, self.N)
 
 
 def bias(cc: ConcatCode, msg: Sequence[int]) -> int:
@@ -243,12 +239,10 @@ class WeightDistribution:
         return Fraction(total, self.total - 1)
 
 
-def _basis_words_and_length(code: BinaryCode | ConcatCode):
-    if isinstance(code, BinaryCode):
-        return list(code.gen.rows), code.n0
-    if isinstance(code, ConcatCode):
-        return code.message_basis_words(), code.N
-    raise TypeError(f"unsupported code type {type(code).__name__}")
+def _binary_gen(code: BinaryCode | ConcatCode) -> BitMatrix:
+    if not isinstance(getattr(code, "gen", None), BitMatrix):
+        raise TypeError(f"unsupported code type {type(code).__name__}")
+    return code.gen
 
 
 # The first BLOCK_BITS basis words are expanded into all their 2^BLOCK_BITS
@@ -257,7 +251,7 @@ def _basis_words_and_length(code: BinaryCode | ConcatCode):
 BLOCK_BITS = 16
 
 
-def _span_weight_counts(words: List[int], length: int) -> List[int]:
+def _span_weight_counts(words: Sequence[int], length: int) -> List[int]:
     """Weight counts of all 2^len(words) XOR combinations of words."""
     limbs = -(-length // 64)
     basis = np.array(
@@ -282,11 +276,11 @@ def weight_distribution(
     code: BinaryCode | ConcatCode, budget: int = 1 << 24
 ) -> WeightDistribution:
     """Exact weight enumerator by enumerating every message's codeword."""
-    words, length = _basis_words_and_length(code)
-    size = 1 << len(words)
+    gen = _binary_gen(code)
+    size = 1 << gen.nrows
     if size > budget:
         raise ValueError(f"code size {size} exceeds budget {budget}")
-    return WeightDistribution(tuple(_span_weight_counts(words, length)))
+    return WeightDistribution(tuple(_span_weight_counts(gen.rows, gen.cols)))
 
 
 def min_distance(
@@ -303,13 +297,13 @@ def min_distance(
     """
     if mode == "exact":
         return weight_distribution(code, budget).min_weight, True
-    words, length = _basis_words_and_length(code)
+    gen = _binary_gen(code)
     if mode == "montecarlo":
         if budget < 1:
             raise ValueError(f"Monte Carlo distance needs at least one draw, got budget {budget}")
         rng = SplitMix64(seed)
-        dim = len(words)
-        best = length + 1
+        words, dim = gen.rows, gen.nrows
+        best = gen.cols + 1
         if dim == 0:  # no nonzero codeword to draw; the exact-mode convention
             return best, False
         for _ in range(budget):

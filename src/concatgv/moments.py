@@ -22,7 +22,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Dict, Tuple
+from typing import Any, Dict
 
 import numpy as np
 
@@ -30,26 +30,24 @@ from .certify import check_nice, d_pmf
 from .codes import ConcatCode, weight_distribution
 
 
-def _pair_masks(cc: ConcatCode) -> Tuple[Counter, Counter]:
-    """XOR masks of the (alpha, beta) pairs on the packed g and on its syndrome.
+def _g_masks(cc: ConcatCode) -> Counter:
+    """XOR masks of the (alpha, beta) pairs on the packed g, which holds
+    coordinate alpha in bits [alpha*k0, (alpha+1)*k0).  Omega may repeat
+    entries or contain 0, so each mask maps to its multiplicity."""
+    k0 = cc.ctx.k0
+    return Counter(b << (alpha * k0) for alpha in range(cc.outer.n) for b in cc.omega)
 
-    g packs coordinate alpha into bits [alpha*k0, (alpha+1)*k0); the syndrome
-    gen @ g packs row i the same way.  Omega may repeat entries or contain 0,
-    so each mask maps to its multiplicity.
-    """
+
+def _syndrome_masks(cc: ConcatCode) -> Counter:
+    """The same pairs' masks on the outer syndrome gen @ g, row i packed in
+    bits [i*k0, (i+1)*k0): pair (alpha, b) adds b * gen[i][alpha] to row i."""
     ctx = cc.ctx
-    k0 = ctx.k0
     gen = cc.outer.gen.rows
-    g_masks: Counter = Counter()
-    syn_masks: Counter = Counter()
-    for alpha in range(cc.outer.n):
-        for b in cc.omega:
-            g_masks[b << (alpha * k0)] += 1
-            syn = 0
-            for i, row in enumerate(gen):
-                syn |= ctx.mul(row[alpha], b) << (i * k0)
-            syn_masks[syn] += 1
-    return g_masks, syn_masks
+    return Counter(
+        sum(ctx.mul(row[alpha], b) << (i * ctx.k0) for i, row in enumerate(gen))
+        for alpha in range(cc.outer.n)
+        for b in cc.omega
+    )
 
 
 def walk_work(m: int, bits: int, r: int) -> int:
@@ -108,8 +106,7 @@ def moment_dual(cc: ConcatCode, r: int, budget: int = 1 << 27) -> Fraction:
     """
     qk = cc.ctx.q**cc.outer.k
     m = cc.outer.n * cc.inner.n0
-    _, syn_masks = _pair_masks(cc)
-    n_dual = zero_folds(syn_masks, cc.outer.k * cc.ctx.k0, r, budget)
+    n_dual = zero_folds(_syndrome_masks(cc), cc.outer.k * cc.ctx.k0, r, budget)
     return Fraction(qk * n_dual - m**r, qk - 1)
 
 
@@ -172,8 +169,7 @@ def count_W(cc: ConcatCode, r: int, budget: int = 1 << 27) -> WCountReport:
     check; when that tau is not below the inner rate the check is undefined
     at this instance size and ``nice`` is None.
     """
-    g_masks, _ = _pair_masks(cc)
-    n_zero = zero_folds(g_masks, cc.outer.n * cc.ctx.k0, r, budget)
+    n_zero = zero_folds(_g_masks(cc), cc.outer.n * cc.ctx.k0, r, budget)
     n0 = cc.inner.n0
     eps = cc.inner.k0 / n0
     tau = 1.0 / math.sqrt(n0)
@@ -210,7 +206,7 @@ def poisson_product_check(
     pois = math.exp(-mean)
     if pois == 0.0:
         raise ValueError(f"Poisson weight exp(-lam * m) underflows to 0 at lam * m = {mean}")
-    g_masks, _ = _pair_masks(cc)
+    g_masks = _g_masks(cc)
 
     # Side (a): mixture over r of the r-step walk.
     walk: Dict[int, float] = {0: 1.0}

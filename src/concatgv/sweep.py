@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import statistics
 import time
 from dataclasses import dataclass, field as dc_field, fields as dc_fields
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .bounds import RateDistancePoint, gv_check
+from .bounds import gv_check
 from .certify import (
     bernoulli_p,
     C_DEFAULT,
@@ -100,6 +101,8 @@ class SweepConfig:
                 raise ValueError("niceness check over budget for this config")
         if self.constants.c <= 0:
             raise ValueError(f"GV constant c must be positive, got {self.constants.c}")
+        if self.toggles.run_soft and self.constants.c_tilde < 0:
+            raise ValueError(f"constants.c_tilde must be nonnegative, got {self.constants.c_tilde}")
         if self.toggles.run_entropy:
             eta = self.constants.c_eta * (self.k / self.n)  # as entropy_hypothesis computes it
             if not 0 <= eta < 1:
@@ -109,6 +112,8 @@ class SweepConfig:
         if any(r < 0 for r in self.toggles.r_list):
             raise ValueError(f"r_list entries must be nonnegative, got {list(self.toggles.r_list)}")
         if self.toggles.run_moments:
+            if not self.toggles.r_list:
+                raise ValueError("toggles.r_list is empty, so run_moments would check nothing")
             walks = [walk_work(self.n * self.n0, self.k * self.k0, r) for r in self.toggles.r_list]
             if max([(1 << self.k0) ** self.k, *walks]) > self.budgets.moments:
                 raise ValueError("moment check over budget for this config")
@@ -136,10 +141,11 @@ def _is_int(v) -> bool:
 
 # Declared field type -> (check on the JSON value, what the error asks for).
 # Values are kept as given, so an int constant hashes as before; a list of
-# ints becomes the tuple the dataclass holds.
+# ints becomes the tuple the dataclass holds.  json reads NaN and Infinity, so
+# a float must be finite (isfinite is not asked of an int: it overflows).
 _FIELD_CHECKS = {
     "int": (_is_int, "an integer"),
-    "float": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
+    "float": (lambda v: _is_int(v) or isinstance(v, float) and math.isfinite(v), "a finite number"),
     "bool": (lambda v: isinstance(v, bool), "a boolean"),
     "Tuple[int, ...]": (
         lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v)),
@@ -270,9 +276,7 @@ def run_trial(config: SweepConfig, trial: int) -> SweepRow:
 
     # Fractions, so that rate == eps^2 is never lost to a float ulp.
     rate = Fraction(cc.K, cc.N)
-    gv_ok = gv_check(
-        RateDistancePoint(rate, Fraction(d, cc.N)), config.eps, Fraction(config.constants.c)
-    )
+    gv_ok = gv_check(rate, Fraction(d, cc.N), config.eps, Fraction(config.constants.c))
 
     return SweepRow(
         trial=trial,

@@ -120,17 +120,25 @@ def g_of_tuple(cc: ConcatCode, pairs: Sequence[Tuple[int, int]]) -> Tuple[int, .
 
 def inversion_draws(probs: Sequence[float], seed: int, count: int) -> List[int]:
     """CDF inversion by linear scan: for each u of SplitMix64(seed), the first
-    i whose left-to-right partial sum of probs exceeds u, the last partial
-    sum read as 1."""
+    i whose left-to-right partial sum of probs exceeds u, the partial sums
+    from the last nonzero probability on read as 1."""
     rng = SplitMix64(seed)
-    last = len(probs) - 1
+    last = max(i for i, p in enumerate(probs) if p)
     out = []
     for _ in range(count):
         u = rng.uniform()
         acc = 0.0
         for i, p in enumerate(probs):
-            acc = 1.0 if i == last else acc + p
+            acc = 1.0 if i >= last else acc + p
             if acc > u:
                 break
         out.append(i)
     return out
+
+
+def sequential_sum(terms: Iterable[float]) -> float:
+    """The terms added one at a time, left to right, starting from 0.0."""
+    total = 0.0
+    for term in terms:
+        total += term
+    return total

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from concatgv.bounds import (
-    RateDistancePoint,
     gv_check,
     gv_rate,
     h2,
@@ -72,8 +71,8 @@ def test_gv_taylor_coefficient():
 def test_gv_check_examples():
     eps = 0.1
     for c in (0.5, 1.0, 4.0):
-        assert gv_check(RateDistancePoint(eps**2, 0.5), eps, c)
-    assert not gv_check(RateDistancePoint(eps**2, 0.5 - 2 * 1.0 * eps), eps, 1.0)
+        assert gv_check(eps**2, 0.5, eps, c)
+    assert not gv_check(eps**2, 0.5 - 2 * 1.0 * eps, eps, 1.0)
 
 
 def test_gv_check_exact_on_both_bounds():
@@ -90,25 +89,24 @@ def test_gv_check_exact_on_both_bounds():
                     edge = Fraction(1, 2) - c * eps
                     if edge < 0:
                         continue
-                    assert gv_check(RateDistancePoint(eps * eps, edge), eps, c)
-                    assert not gv_check(RateDistancePoint(eps * eps - tiny, edge), eps, c)
+                    assert gv_check(eps * eps, edge, eps, c)
+                    assert not gv_check(eps * eps - tiny, edge, eps, c)
                     if edge > 0:
-                        assert not gv_check(RateDistancePoint(eps * eps, edge - tiny), eps, c)
-    assert gv_check(RateDistancePoint(Fraction(1, 100), Fraction(2, 5)), Fraction(1, 10), 1)
+                        assert not gv_check(eps * eps, edge - tiny, eps, c)
+    assert gv_check(Fraction(1, 100), Fraction(2, 5), Fraction(1, 10), 1)
 
 
 def test_gv_check_monotone_in_c():
     eps = 0.1
-    point = RateDistancePoint(eps**2, 0.42)
-    verdicts = [gv_check(point, eps, c) for c in (0.1, 0.5, 1.0, 2.0)]
+    verdicts = [gv_check(eps**2, 0.42, eps, c) for c in (0.1, 0.5, 1.0, 2.0)]
     assert verdicts == sorted(verdicts)  # False before True
 
 
 def test_rate_distance_point_validation():
-    with pytest.raises(ValueError):
-        RateDistancePoint(1.5, 0.5)
-    with pytest.raises(ValueError):
-        RateDistancePoint(0.5, -0.1)
+    with pytest.raises(ValueError, match="rate 1.5 outside"):
+        gv_check(1.5, 0.5, 0.1, 1.0)
+    with pytest.raises(ValueError, match="relative distance -0.1 outside"):
+        gv_check(0.5, -0.1, 0.1, 1.0)
 
 
 def test_zyablov_endpoints():

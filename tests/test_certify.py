@@ -9,6 +9,7 @@ from scipy import optimize
 
 from concatgv import certify
 from concatgv.certify import (
+    C_TILDE_DEFAULT,
     EntropyReport,
     Pmf,
     bernoulli_p,
@@ -21,12 +22,12 @@ from concatgv.certify import (
     soft_condition,
     wilson_interval,
 )
-from concatgv.codes import BinaryCode, OuterCode, weight_distribution
+from concatgv.codes import BinaryCode, OuterCode, codeword_table, weight_distribution
 from concatgv.field import FieldCtx, make_field
 from concatgv.linalg import BitMatrix, FieldMatrix, nullspace_basis, sample_binary_code, sample_field_code
 from concatgv.rng import SplitMix64, derive_seed
 
-from oracles import all_messages, bisect_min_entropy, d_pmf_oracle, inversion_draws
+from oracles import all_messages, bisect_min_entropy, d_pmf_oracle, inversion_draws, sequential_sum
 
 F4 = make_field(2)
 F8 = make_field(3)
@@ -278,6 +279,20 @@ def test_exact_soft_condition_is_bit_identical_to_codeword_loop():
             checked += 1
         no_dual += outer.k == outer.n
     assert checked > 100 and no_dual > 0
+
+
+# (k0, n, k): the sweep benchmark's certify, lowrate and moments outer shapes,
+# larger duals up to 16^4 words, and an empty dual (k = n).
+@pytest.mark.parametrize("k0, n, k", [(4, 4, 2), (3, 6, 2), (2, 4, 2), (4, 6, 2), (3, 7, 3), (3, 3, 3)])
+def test_exact_soft_prob_is_the_left_to_right_sum_over_the_dual_table(k0, n, k):
+    ctx = make_field(k0)
+    rng = SplitMix64(derive_seed(k0, 100 * n + k))
+    for seed in range(3):
+        outer = OuterCode(sample_field_code(ctx, n, k, derive_seed(rng.bits(32), seed)))
+        omega = [1 + rng.randrange(ctx.q - 1) for _ in range(2 * k0)]
+        pm = d_pmf(ctx, omega, bernoulli_p(C_TILDE_DEFAULT, k / n))
+        terms = [math.prod(pm[sym] for sym in word) for word in codeword_table(outer.dual())[1:].tolist()]
+        assert soft_condition(outer, pm, "exact").prob == sequential_sum(terms)
 
 
 # -- empirical distribution and smoothed min-entropy ---------------------------
@@ -579,3 +594,13 @@ def test_sample_pmf_many_draws_the_first_index_past_u(monkeypatch):
     monkeypatch.setattr(certify, "SplitMix64", lambda seed: SimpleNamespace(uniform=iter(us).__next__))
     pm = Pmf(F8, (0, 0.5, 0, 0.25, 0.125, 0.125, 0, 0))
     assert sample_pmf_many(pm, 0, len(us)) == [1, 3, 4, 5, 5]
+
+
+def test_sample_pmf_many_never_draws_a_trailing_zero_past_a_rounded_cdf(monkeypatch):
+    # these partial sums end just below 1, so a u above them used to fall
+    # through to the last, zero-probability, symbol
+    probs = tuple(w / 292 for w in (93, 4, 68, 29, 98, 0, 0, 0))
+    u = 0.9999999999999999
+    assert sum(probs) < 1.0 and u >= sum(probs)
+    monkeypatch.setattr(certify, "SplitMix64", lambda seed: SimpleNamespace(uniform=lambda: u))
+    assert sample_pmf_many(Pmf(F8, probs), 0, 3) == [4, 4, 4]

@@ -259,6 +259,11 @@ def test_cli_sweep_unknown_key_fails(tmp_path):
         {"toggles": {"run_nice": "no"}},
         {"equal_rate": 1},
         {"constants": {"tau": True}},
+        {"constants": {"c": float("inf")}},
+        {"constants": {"c": float("nan")}},
+        {"constants": {"c_gamma": float("nan")}, "toggles": {"run_entropy": True}},
+        {"constants": {"c_tilde": -1.0}, "toggles": {"run_soft": True}},
+        {"toggles": {"run_moments": True, "r_list": []}},
         None,  # a top-level [1]
     ],
 )
@@ -280,6 +285,22 @@ def test_cli_sweep_config_takes_an_int_for_a_float_field(tmp_path, capsys):
     cfg_path.write_text(json.dumps(cfg))
     assert main(["sweep", "--config", str(cfg_path)]) == 0
     assert json.loads(capsys.readouterr().out)["config"]["constants"]["c"] == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["entropy-check", "--outer", "o", "--c-gamma", "nan", "--c-eta", "1"],
+        ["entropy-check", "--outer", "o", "--c-gamma", "1", "--c-eta=-inf"],
+        ["soft-check", "--outer", "o", "--inner", "i", "--c-tilde", "inf"],
+        ["nice-check", "--inner", "i", "--tau", "nan"],
+    ],
+)
+def test_cli_refuses_a_non_finite_constant(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "is not a finite number" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("budget", ["0", "-3"])

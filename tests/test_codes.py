@@ -109,7 +109,7 @@ def test_message_basis_words_are_codewords_of_single_bit_messages(k0):
                         for i in range(k)
                         for j in range(k0)
                     ]
-                    assert cc.message_basis_words() == want
+                    assert cc.gen.rows == tuple(want) and cc.gen.cols == cc.N
     assert zeros_seen > 0
 
 
@@ -174,7 +174,7 @@ def test_weight_distribution_matches_gray_code_reference(n, k):
 def test_weight_distribution_of_concat_matches_gray_code_reference():
     cc = tiny_concat(4, k0=4, n0=20, n=4, k=2)  # N = 80: two limbs
     wd = weight_distribution(cc)
-    assert wd.delta == gray_weight_counts(cc.message_basis_words(), cc.N)
+    assert wd.delta == gray_weight_counts(cc.gen.rows, cc.N)
     assert min_distance(cc) == (wd.min_weight, True)
 
 
@@ -244,6 +244,17 @@ def test_montecarlo_refuses_zero_draws(budget):
     cc = tiny_concat(21, k0=2, n0=4, n=3, k=2)
     with pytest.raises(ValueError, match="at least one draw"):
         min_distance(cc, "montecarlo", budget=budget, seed=5)
+
+
+@pytest.mark.parametrize("call", [
+    lambda code: weight_distribution(code),
+    lambda code: min_distance(code, "exact"),
+    lambda code: min_distance(code, "montecarlo", budget=10),
+])
+def test_enumerators_refuse_a_code_without_a_binary_generator(call):
+    outer = OuterCode(FieldMatrix(((1, 1),), 2, F4))
+    with pytest.raises(TypeError, match="OuterCode"):
+        call(outer)
 
 
 def test_dual_membership_examples():

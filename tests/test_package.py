@@ -1,6 +1,9 @@
+import dataclasses
+import inspect
 import types
 
 import concatgv
+from concatgv import certify, codes, field, linalg, moments, sweep
 
 # The package's public surface.  Adding or removing an export is a deliberate
 # edit here; modules are filtered out, since importing a submodule such as
@@ -8,7 +11,7 @@ import concatgv
 PUBLIC = [
     "BadBoundReport", "BinaryCode", "BitMatrix", "C_DEFAULT", "C_TILDE_DEFAULT",
     "ConcatCode", "EntropyReport", "FieldCtx", "FieldMatrix", "NicenessReport",
-    "OuterCode", "Pmf", "RateDistancePoint", "SoftReport", "SplitMix64",
+    "OuterCode", "Pmf", "SoftReport", "SplitMix64",
     "SweepConfig", "SweepRow", "WCountReport", "WeightDistribution", "bad_bound",
     "bernoulli_p", "bias", "check_nice", "config_from_dict", "count_W", "d_pmf",
     "derive_seed", "empirical_dist", "entropy_hypothesis", "gv_check", "gv_rate",
@@ -26,3 +29,36 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert names == PUBLIC
+
+
+def test_names_the_benchmark_reads():
+    # bench/ is not collected with the tests.  It times sweeps, traces the
+    # calls run_trial makes through the names concatgv.sweep binds, and checks
+    # rows with an oracle of its own, so it reads all of these.
+    for owner, name in [
+        (sweep, "config_from_dict"), (sweep, "run_sweep"), (sweep, "emit_csv"),
+        (sweep, "emit_json"), (sweep, "CSV_COLUMNS"), (field, "make_field"),
+        (field.FieldCtx, "mul"), (linalg, "rank"), (certify, "smooth_min_entropy"),
+    ]:
+        assert hasattr(owner, name), name
+    assert list(inspect.signature(sweep.run_trial).parameters)[1] == "trial"
+    for module, name in [
+        (certify, "check_nice"), (certify, "soft_condition"), (certify, "entropy_hypothesis"),
+        (moments, "moment_dual"), (codes, "weight_distribution"),
+        (linalg, "sample_binary_code"), (linalg, "sample_field_code"),
+    ]:
+        assert getattr(sweep, name) is getattr(module, name), name
+
+    def params(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert params(certify.soft_condition)[0] == "outer"
+    assert params(moments.moment_dual)[:2] == ["cc", "r"]
+    assert params(codes.min_distance)[:3] == ["code", "mode", "budget"]
+    assert {"is_exact", "draws"} <= {f.name for f in dataclasses.fields(certify.SoftReport)}
+    assert "n_checked" in {f.name for f in dataclasses.fields(certify.EntropyReport)}
+    assert codes.WeightDistribution((1, 2, 1)).total == 4
+    ctx = field.make_field(3)
+    assert (ctx.k0, ctx.modulus.bit_length(), len(ctx.basis)) == (3, 4, 3)
+    assert all(type(row) is int for row in linalg.sample_binary_code(6, 3, 1).rows)
+    assert [len(row) for row in linalg.sample_field_code(ctx, 4, 2, 1).rows] == [4, 4]
