@@ -48,10 +48,11 @@ class BinaryCode:
 
     def encode(self, msg_bits: int) -> int:
         """Codeword of a k0-bit message (XOR of the selected generator rows)."""
-        cw = 0
-        for i, row in enumerate(self.gen.rows):
-            if (msg_bits >> i) & 1:
-                cw ^= row
+        cw, rows = 0, self.gen.rows
+        while msg_bits:
+            low = msg_bits & -msg_bits
+            cw ^= rows[low.bit_length() - 1]
+            msg_bits ^= low
         return cw
 
     def dual(self) -> BinaryCode:
@@ -167,14 +168,23 @@ class ConcatCode:
     def gen(self) -> BitMatrix:
         """The K x N binary generator; the concatenation is GF(2)-linear, so its
         rows span the code.  Row i * k0 + j is the codeword of nu_j in outer
-        position i: nu_j times outer generator row i, inner-encoded (K * n
-        multiplies in all)."""
-        ctx, encode, n0 = self.ctx, self.inner.encode, self.inner.n0
-        words = [
-            sum(encode(ctx.coords(ctx.mul(nu, g))) << (a * n0) for a, g in enumerate(row))
-            for row in self.outer.gen.rows
-            for nu in ctx.basis
-        ]
+        position i: outer generator row i scaled by nu_j (one log lookup for
+        nu_j), each symbol inner-encoded.  The products take at most q - 1
+        distinct nonzero values, so each is encoded once, on first use, and
+        looked up after that."""
+        ctx, n0 = self.ctx, self.inner.n0
+        coords, encode = ctx.coords, self.inner.encode
+        inner_word = {0: 0}
+        words = []
+        for row in self.outer.gen.rows:
+            for nu in ctx.basis:
+                word = 0
+                for a, sym in enumerate(ctx.scale(nu, row)):
+                    cw = inner_word.get(sym)
+                    if cw is None:
+                        cw = inner_word[sym] = encode(coords(sym))
+                    word |= cw << (a * n0)
+                words.append(word)
         return BitMatrix(words, self.N)
 
 
@@ -228,8 +238,13 @@ class WeightDistribution:
 
     @property
     def max_bias(self) -> int:
-        """max |length - 2 weight| over the nonzero messages."""
-        return max(abs(self.length - 2 * j) for j, _ in self.nonzero_messages())
+        """max |length - 2 weight| over the nonzero messages, read off the
+        lowest and highest of their weights."""
+        lo = self.min_weight
+        if lo > self.length:
+            raise ValueError("no nonzero message")
+        hi = next((j for j in range(self.length, lo, -1) if self.delta[j]), lo)
+        return max(self.length - 2 * lo, 2 * hi - self.length)
 
     def moment(self, r: int) -> Fraction:
         """Mean of (length - 2 weight)^r over the nonzero messages.  Exact."""
@@ -254,12 +269,11 @@ BLOCK_BITS = 16
 def _span_weight_counts(words: Sequence[int], length: int) -> List[int]:
     """Weight counts of all 2^len(words) XOR combinations of words."""
     limbs = -(-length // 64)
-    basis = np.array(
-        [[(w >> (64 * j)) & 0xFFFFFFFFFFFFFFFF for j in range(limbs)] for w in words],
-        dtype=np.uint64,
-    ).reshape(len(words), limbs)
+    packed = b"".join(w.to_bytes(8 * limbs, "little") for w in words)
+    basis = np.frombuffer(packed, dtype="<u8").reshape(len(words), limbs)
     low, high = basis[:BLOCK_BITS], basis[BLOCK_BITS:]
-    block = np.zeros((1 << len(low), limbs), dtype=np.uint64)
+    block = np.empty((1 << len(low), limbs), dtype=np.uint64)
+    block[0] = 0
     for i, b in enumerate(low):  # rows [2^i, 2^(i+1)) are rows [0, 2^i) plus b
         np.bitwise_xor(block[: 1 << i], b, out=block[1 << i : 2 << i])
     counts = np.zeros(length + 1, dtype=np.int64)
@@ -267,9 +281,10 @@ def _span_weight_counts(words: Sequence[int], length: int) -> List[int]:
     for t in range(1 << len(high)):
         if t:
             shift ^= high[(t & -t).bit_length() - 1]
-        weights = np.bitwise_count(block ^ shift).sum(axis=1, dtype=np.intp)
+        weights = np.bitwise_count(block ^ shift if t else block)
+        weights = weights[:, 0] if limbs == 1 else weights.sum(axis=1, dtype=np.intp)
         counts += np.bincount(weights, minlength=length + 1)
-    return [int(c) for c in counts]
+    return counts.tolist()
 
 
 def weight_distribution(
@@ -334,6 +349,6 @@ def codeword_table(outer: OuterCode) -> np.ndarray:
     dtype = np.min_scalar_type(ctx.q - 1)
     table = np.zeros((1, outer.n), dtype=dtype)
     for row in outer.gen.rows:
-        multiples = np.array([[ctx.mul(v, g) for g in row] for v in range(ctx.q)], dtype=dtype)
+        multiples = np.array([ctx.scale(v, row) for v in range(ctx.q)], dtype=dtype)
         table = (multiples[:, None, :] ^ table[None, :, :]).reshape(-1, outer.n)
     return table

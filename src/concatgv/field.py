@@ -19,7 +19,7 @@ between GF(2^k0) symbols and k0-bit vectors.
 from __future__ import annotations
 
 import functools
-from typing import List
+from typing import List, Sequence
 
 # Lexicographically smallest irreducible polynomial per degree (bitmask with
 # bit k0 set).  Hard-coded so every run and every machine builds the same
@@ -163,6 +163,13 @@ class FieldCtx:
         if a and b:
             return self._exp[self._log[a] + self._log[b]]
         return 0
+
+    def scale(self, c: int, vec: Sequence[int]) -> List[int]:
+        """[c * v for v in vec], with one log lookup for c."""
+        if not c:
+            return [0] * len(vec)
+        exp, log, lc = self._exp, self._log, self._log[c]
+        return [exp[lc + log[v]] if v else 0 for v in vec]
 
     def inv(self, a: int) -> int:
         if a == 0:

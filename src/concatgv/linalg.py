@@ -12,6 +12,7 @@ code built from it.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from typing import List, Sequence
 
@@ -29,11 +30,10 @@ class BitMatrix:
     def __post_init__(self):
         if self.cols < 0:
             raise ValueError("cols must be nonnegative")
-        mask = (1 << self.cols) - 1
-        for r in self.rows:
-            if r & ~mask:
-                raise ValueError("row has bits set beyond cols")
-        object.__setattr__(self, "rows", tuple(int(r) for r in self.rows))
+        rows = tuple(map(operator.index, self.rows))
+        if rows and (min(rows) < 0 or max(rows) >> self.cols):
+            raise ValueError("row has bits set beyond cols")
+        object.__setattr__(self, "rows", rows)
 
     @property
     def nrows(self) -> int:
@@ -62,15 +62,13 @@ class FieldMatrix:
 
     def __post_init__(self):
         q = self.ctx.q
-        norm = []
-        for r in self.rows:
-            r = tuple(int(v) for v in r)
+        rows = tuple(tuple(map(int, r)) for r in self.rows)
+        for r in rows:
             if len(r) != self.cols:
                 raise ValueError("row length does not match cols")
-            if any(not 0 <= v < q for v in r):
+            if r and (min(r) < 0 or max(r) >= q):
                 raise ValueError("entry out of field range")
-            norm.append(r)
-        object.__setattr__(self, "rows", tuple(norm))
+        object.__setattr__(self, "rows", rows)
 
     @property
     def nrows(self) -> int:
@@ -111,7 +109,7 @@ def _gf2_rref(rows: Sequence[int]):
 def _field_rref(m: FieldMatrix):
     """RREF over the field; returns (reduced nonzero rows, pivot column indices)."""
     ctx = m.ctx
-    mat = [list(r) for r in m.rows]
+    mat = list(m.rows)
     pivots: List[int] = []
     r = 0
     for c in range(m.cols):
@@ -119,12 +117,10 @@ def _field_rref(m: FieldMatrix):
         if pivot_row is None:
             continue
         mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = ctx.inv(mat[r][c])
-        mat[r] = [ctx.mul(inv, v) for v in mat[r]]
+        mat[r] = ctx.scale(ctx.inv(mat[r][c]), mat[r])
         for i in range(len(mat)):
             if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [a ^ ctx.mul(f, b) for a, b in zip(mat[i], mat[r])]
+                mat[i] = [a ^ b for a, b in zip(mat[i], ctx.scale(mat[i][c], mat[r]))]
         pivots.append(c)
         r += 1
         if r == len(mat):

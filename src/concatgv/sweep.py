@@ -139,13 +139,24 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _is_finite_number(v) -> bool:
+    """A finite float, or an int that converts to one without overflow."""
+    if _is_int(v):
+        try:
+            float(v)
+        except OverflowError:
+            return False
+        return True
+    return isinstance(v, float) and math.isfinite(v)
+
+
 # Declared field type -> (check on the JSON value, what the error asks for).
 # Values are kept as given, so an int constant hashes as before; a list of
 # ints becomes the tuple the dataclass holds.  json reads NaN and Infinity, so
-# a float must be finite (isfinite is not asked of an int: it overflows).
+# a float must be finite, and an int must fit in a float, as the trial uses it.
 _FIELD_CHECKS = {
     "int": (_is_int, "an integer"),
-    "float": (lambda v: _is_int(v) or isinstance(v, float) and math.isfinite(v), "a finite number"),
+    "float": (_is_finite_number, "a finite number"),
     "bool": (lambda v: isinstance(v, bool), "a boolean"),
     "Tuple[int, ...]": (
         lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v)),

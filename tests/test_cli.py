@@ -265,6 +265,7 @@ def test_cli_sweep_unknown_key_fails(tmp_path):
         {"constants": {"c_tilde": -1.0}, "toggles": {"run_soft": True}},
         {"toggles": {"run_moments": True, "r_list": []}},
         None,  # a top-level [1]
+        {"constants": {"c_tilde": 10**400}, "toggles": {"run_soft": True}},
     ],
 )
 def test_cli_sweep_malformed_config_fails(patch, tmp_path, capsys):

@@ -6,12 +6,13 @@ from concatgv.codes import (
     BinaryCode,
     ConcatCode,
     OuterCode,
+    WeightDistribution,
     bias,
     codeword_table,
     min_distance,
     weight_distribution,
 )
-from concatgv.field import make_field
+from concatgv.field import FieldCtx, make_field
 from concatgv.linalg import BitMatrix, FieldMatrix, sample_binary_code, sample_field_code
 from concatgv.rng import SplitMix64, derive_seed
 
@@ -90,27 +91,54 @@ def sparse_outer(ctx, n: int, k: int, seed: int) -> OuterCode:
             continue
 
 
-@pytest.mark.parametrize("k0", range(1, 6))
+def inner_with_zero_and_repeated_column(k0: int, seed: int) -> BinaryCode:
+    """A [k0 + 2, k0] code: a random [k0, k0] generator, then a zero column and
+    a copy of column 0, so that Omega holds 0 and a repeated element."""
+    rows = sample_binary_code(k0, k0, seed).rows
+    return BinaryCode(BitMatrix(tuple(r | (r & 1) << (k0 + 1) for r in rows), k0 + 2))
+
+
+@pytest.mark.parametrize("k0", [*range(1, 9), 12])
 def test_message_basis_words_are_codewords_of_single_bit_messages(k0):
     ctx = make_field(k0)
+    shapes = [(2, 1)] if k0 > 8 else [(n, k) for n in range(1, 4) for k in range(1, n + 1)]
+    inners = [BinaryCode(sample_binary_code(n0, k0, derive_seed(n0, k0))) for n0 in (k0, k0 + 2)]
+    inners.append(inner_with_zero_and_repeated_column(k0, derive_seed(3, k0)))
+    omega = ConcatCode(OuterCode(FieldMatrix(((1,),), 1, ctx)), inners[-1]).omega
+    assert omega[k0] == 0 and omega[k0 + 1] == omega[0]
     zeros_seen = 0
-    for n0 in (k0, k0 + 2):
-        inner = BinaryCode(sample_binary_code(n0, k0, derive_seed(n0, k0)))
-        for n in range(1, 4):
-            for k in range(1, n + 1):
-                for outer in (
-                    OuterCode(sample_field_code(ctx, n, k, derive_seed(10 * n + k, k0))),
-                    sparse_outer(ctx, n, k, derive_seed(10 * n + k, 100 + k0)),
-                ):
-                    zeros_seen += sum(row.count(0) for row in outer.gen.rows)
-                    cc = ConcatCode(outer, inner)
-                    want = [
-                        cc.encode(tuple(ctx.from_coords(1 << j) if t == i else 0 for t in range(k)))
-                        for i in range(k)
-                        for j in range(k0)
-                    ]
-                    assert cc.gen.rows == tuple(want) and cc.gen.cols == cc.N
+    for inner in inners:
+        for n, k in shapes:
+            for outer in (
+                OuterCode(sample_field_code(ctx, n, k, derive_seed(10 * n + k, k0))),
+                sparse_outer(ctx, n, k, derive_seed(10 * n + k, 100 + k0)),
+            ):
+                zeros_seen += sum(row.count(0) for row in outer.gen.rows)
+                cc = ConcatCode(outer, inner)
+                want = [
+                    cc.encode(tuple(ctx.from_coords(1 << j) if t == i else 0 for t in range(k)))
+                    for i in range(k)
+                    for j in range(k0)
+                ]
+                assert cc.gen.rows == tuple(want) and cc.gen.cols == cc.N
     assert zeros_seen > 0
+
+
+# (k0, n0, n, k): the ensemble shape, q - 1 < K * n, and K * n < q - 1.
+@pytest.mark.parametrize("k0, n0, n, k", [(4, 8, 6, 3), (2, 4, 4, 2), (12, 14, 2, 1)])
+def test_generator_encodes_each_distinct_symbol_once(k0, n0, n, k, monkeypatch):
+    ctx = make_field(k0)
+    inner = BinaryCode(sample_binary_code(n0, k0, derive_seed(k0, 0)))
+    outer = OuterCode(sample_field_code(ctx, n, k, derive_seed(k0, 1)))
+    symbols = {ctx.mul(nu, g) for row in outer.gen.rows for nu in ctx.basis for g in row} - {0}
+    calls = {"mul": [], "encode": []}
+    for cls, name in ((FieldCtx, "mul"), (BinaryCode, "encode")):
+        fn = getattr(cls, name)
+        monkeypatch.setattr(cls, name, lambda *a, fn=fn, log=calls[name]: log.append(a) or fn(*a))
+    cc = ConcatCode(outer, inner)
+    cc.gen
+    assert calls["mul"] == []
+    assert len(calls["encode"]) == len(symbols) <= min(ctx.q - 1, cc.K * n)
 
 
 def test_bias_of_zero_message_is_N():
@@ -168,7 +196,33 @@ def gray_weight_counts(words, length):
 def test_weight_distribution_matches_gray_code_reference(n, k):
     for seed in range(3):
         code = BinaryCode(sample_binary_code(n, k, derive_seed(1000 * n + k, seed)))
-        assert weight_distribution(code).delta == gray_weight_counts(list(code.gen.rows), n)
+        wd = weight_distribution(code)
+        delta = gray_weight_counts(list(code.gen.rows), n)
+        assert wd.delta == delta
+        assert (wd.min_weight, wd.max_bias) == scanned_min_weight_and_max_bias(delta)
+
+
+def scanned_min_weight_and_max_bias(delta):
+    """Minimum weight and max |length - 2 weight| by a scan of every weight of
+    a nonzero message."""
+    length = len(delta) - 1
+    weights = [j for j, count in enumerate(delta) if count - (j == 0)]
+    return min(weights), max(abs(length - 2 * j) for j in weights)
+
+
+def test_max_bias_from_the_top_weight():
+    # The doubled [7, 3] simplex code (every nonzero weight 8) plus a column
+    # read by message bit 0: weights 8 and 9, both above N/2 = 7.5, so the
+    # largest |N - 2 weight| is at the highest weight.
+    simplex = [sum(((c >> i) & 1) << j for j, c in enumerate(range(1, 8))) for i in range(3)]
+    rows = tuple(r | r << 7 | (i == 0) << 14 for i, r in enumerate(simplex))
+    wd = weight_distribution(BinaryCode(BitMatrix(rows, 15)))
+    assert wd.delta == gray_weight_counts(rows, 15)
+    assert [j for j, c in enumerate(wd.delta) if c][1:] == [8, 9]
+    assert (wd.min_weight, wd.max_bias) == (8, 3) == scanned_min_weight_and_max_bias(wd.delta)
+    # a nonzero message of weight 0 (delta[0] = 2) is the lowest weight
+    two_zeros = WeightDistribution((2, 0, 1, 1))
+    assert (two_zeros.min_weight, two_zeros.max_bias) == (0, 3)
 
 
 def test_weight_distribution_of_concat_matches_gray_code_reference():
@@ -182,6 +236,8 @@ def test_weight_distribution_dimension_zero():
     zero = BinaryCode(BitMatrix((), 5))
     assert weight_distribution(zero).delta == (1, 0, 0, 0, 0, 0)
     assert min_distance(zero) == (6, True)
+    with pytest.raises(ValueError, match="no nonzero message"):
+        weight_distribution(zero).max_bias
 
 
 def test_weight_distribution_repetition():

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from concatgv import linalg
@@ -41,8 +42,41 @@ def test_gf2_rref_matches_column_by_column_elimination():
 
 
 def test_bitmatrix_validates_stray_bits():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="row has bits set beyond cols"):
         BitMatrix((0b100,), 2)
+
+
+@pytest.mark.parametrize(
+    "rows, cols, message",
+    [
+        ((0b01, -1), 2, "row has bits set beyond cols"),
+        ((), -1, "cols must be nonnegative"),
+    ],
+)
+def test_bitmatrix_rejects(rows, cols, message):
+    with pytest.raises(ValueError, match=message):
+        BitMatrix(rows, cols)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (((1, 2, 3), (0, -1, 2)), "entry out of field range"),
+        (((1, 2, 3), (0, 4, 2)), "entry out of field range"),
+        (((1, 2, 3), (0, 1)), "row length does not match cols"),
+        (((1, 2, 3), (0, 1, 2, 3)), "row length does not match cols"),
+    ],
+)
+def test_fieldmatrix_rejects(rows, message):
+    with pytest.raises(ValueError, match=message):
+        FieldMatrix(rows, 3, make_field(2))
+
+
+def test_matrices_store_plain_int_rows():
+    bits = BitMatrix([np.uint64(5), True], 3)
+    assert bits.rows == (5, 1) and all(type(r) is int for r in bits.rows)
+    field = FieldMatrix([np.array([1, 2, 3], dtype=np.uint8)], 3, make_field(2))
+    assert field.rows == ((1, 2, 3),) and all(type(v) is int for v in field.rows[0])
 
 
 def test_nullspace_identity_trivial():

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -155,6 +156,16 @@ def test_entropy_smoothing_level_rejected_before_trials():
     rows, _ = run_sweep(config_from_dict({**base, "constants": {"c_eta": 1.9},
                                           "toggles": {"run_entropy": True}}))
     assert rows[0].entropy_min is not None
+
+
+def test_constant_too_large_for_a_float_rejected_before_trials():
+    base = {"k0": 2, "n0": 4, "n": 4, "k": 2, "trials": 1, "master_seed": 0,
+            "toggles": {"run_soft": True}}
+    with pytest.raises(ValueError, match="c_tilde.*finite number"):
+        config_from_dict({**base, "constants": {"c_tilde": 10**400}})
+    # an int as large as a float can hold is still a number
+    cfg = config_from_dict({**base, "constants": {"c_tilde": int(sys.float_info.max)}})
+    assert run_sweep(cfg)[0][0].soft_prob is not None
 
 
 def test_config_from_dict_roundtrip():
