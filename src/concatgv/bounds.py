@@ -6,9 +6,6 @@ Logs are base 2 and entropies are in bits throughout.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-
-import numpy as np
 
 
 def h2(x: float) -> float:
@@ -38,21 +35,30 @@ def h2_inv(y: float) -> float:
     return (lo + hi) / 2
 
 
-def gv_check(rate: float, rel_distance: float, epsilon: float, c: float) -> bool:
-    """The operational low-rate GV target: rate >= eps^2 and distance >= 1/2 - c*eps.
+def gv_check(N: int, K: int, d: int, epsilon, c) -> bool:
+    """The operational low-rate GV target for an [N, K, d] binary code:
+    rate K/N >= eps^2 and relative distance d/N >= 1/2 - c*eps.
 
-    The comparison runs in the arithmetic of the inputs.  Only Fraction
-    inputs (rate, rel_distance, epsilon and c) give an exact verdict; with
-    floats a point that sits on a bound, such as rate k0*k/(n0*n) = eps^2,
-    can fall on either side of it by one rounding.
+    epsilon and c may be ints, floats or Fractions.  Each is read as the exact
+    ratio it holds (as_integer_ratio), and both bounds are decided by integer
+    cross-multiplication, so the verdict is exact for every input type.
+
+    Whenever eps >= 1/(2c) the distance bound 1/2 - c*eps is <= 0, so a code
+    that meets the rate bound passes even at d = 0.  At the sweep default
+    c = C_DEFAULT (about 211) that covers every equal-rate shape with n <= 422:
+    there the verdict says nothing about distance.  A test pins this, so a
+    change of the default constant is a visible decision.
     """
-    if not 0 <= rate <= 1:
-        raise ValueError(f"rate {rate} outside [0, 1]")
-    if not 0 <= rel_distance <= 1:
-        raise ValueError(f"relative distance {rel_distance} outside [0, 1]")
-    if epsilon <= 0 or c <= 0:
-        raise ValueError("epsilon and c must be positive")
-    return rate >= epsilon**2 and rel_distance >= Fraction(1, 2) - c * epsilon
+    if N < 1 or not 0 <= K <= N:
+        raise ValueError(f"rate {K}/{N} outside [0, 1]")
+    if not 0 <= d <= N:
+        raise ValueError(f"relative distance {d}/{N} outside [0, 1]")
+    if not (0 < epsilon < math.inf and 0 < c < math.inf):
+        raise ValueError("epsilon and c must be positive and finite")
+    e_n, e_d = epsilon.as_integer_ratio()
+    c_n, c_d = c.as_integer_ratio()
+    rate_ok = K * e_d * e_d >= e_n * e_n * N
+    return rate_ok and 2 * d * e_d * c_d >= N * (e_d * c_d - 2 * c_n * e_n)
 
 
 def gv_rate(delta: float) -> float:
@@ -64,29 +70,26 @@ def gv_rate(delta: float) -> float:
 
 def zyablov_rate(delta: float) -> float:
     """The concatenation trade-off R(delta) = max over d0 in (delta, 1/2] of
-    (1 - h2(d0)) * (1 - delta/d0), by grid search plus local refinement."""
+    (1 - h2(d0)) * (1 - delta/d0), by golden-section search on (delta, 1/2].
+
+    The objective is 0 at both ends and unimodal between them; 60 steps
+    shrink the bracket below 1e-12, where the flat top of the objective
+    leaves an error below its own rounding (about 1e-16 absolute).
+    """
     if not 0 <= delta < 0.5:
         raise ValueError(f"delta {delta} outside [0, 1/2)")
     if delta == 0.0:
         return 1.0
 
-    d0 = np.linspace(delta, 0.5, 10_001)[1:]  # a 10^4-point grid
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ent = -d0 * np.log2(d0) - (1 - d0) * np.log2(1 - d0)
-    vals = (1.0 - ent) * (1.0 - delta / d0)
-    i = int(np.argmax(vals))
-
     def f(x: float) -> float:
         return (1.0 - h2(x)) * (1.0 - delta / x)
 
-    lo = float(d0[max(0, i - 1)])
-    hi = float(d0[min(len(d0) - 1, i + 1)])
-    for _ in range(200):  # golden-section refinement around the grid optimum
-        m1 = lo + (hi - lo) * 0.381966011250105
+    lo, hi = delta, 0.5
+    for _ in range(60):
+        m1 = lo + (hi - lo) * 0.381966011250105  # (3 - sqrt(5)) / 2
         m2 = hi - (hi - lo) * 0.381966011250105
         if f(m1) < f(m2):
             lo = m1
         else:
             hi = m2
-    best = max(f((lo + hi) / 2), float(vals[i]))
-    return best
+    return f((lo + hi) / 2)

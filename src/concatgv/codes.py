@@ -48,12 +48,7 @@ class BinaryCode:
 
     def encode(self, msg_bits: int) -> int:
         """Codeword of a k0-bit message (XOR of the selected generator rows)."""
-        cw, rows = 0, self.gen.rows
-        while msg_bits:
-            low = msg_bits & -msg_bits
-            cw ^= rows[low.bit_length() - 1]
-            msg_bits ^= low
-        return cw
+        return self.gen.combine(msg_bits)
 
     def dual(self) -> BinaryCode:
         """The dual code, read off the generator's cached echelon form."""
@@ -317,7 +312,7 @@ def min_distance(
         if budget < 1:
             raise ValueError(f"Monte Carlo distance needs at least one draw, got budget {budget}")
         rng = SplitMix64(seed)
-        words, dim = gen.rows, gen.nrows
+        dim = gen.nrows
         best = gen.cols + 1
         if dim == 0:  # no nonzero codeword to draw; the exact-mode convention
             return best, False
@@ -325,13 +320,7 @@ def min_distance(
             m = 0
             while m == 0:
                 m = rng.bits(dim)
-            cw = 0
-            for i in range(dim):
-                if (m >> i) & 1:
-                    cw ^= words[i]
-            w = cw.bit_count()
-            if w < best:
-                best = w
+            best = min(best, gen.combine(m).bit_count())
         return best, False
     raise ValueError(f"unknown mode {mode!r}")
 

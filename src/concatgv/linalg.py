@@ -44,6 +44,15 @@ class BitMatrix:
         """(reduced nonzero rows, pivot columns), computed once."""
         return _gf2_rref(self.rows)
 
+    def combine(self, bits: int) -> int:
+        """XOR of the rows whose index is a set bit of bits (a generator's codeword)."""
+        out, rows = 0, self.rows
+        while bits:
+            low = bits & -bits
+            out ^= rows[low.bit_length() - 1]
+            bits ^= low
+        return out
+
     def column(self, j: int) -> int:
         """Column j packed as an int, bit i = entry of row i."""
         out = 0

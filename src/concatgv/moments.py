@@ -130,6 +130,8 @@ def bad_bound(
     """
     if r < 0 or r % 2 != 0:
         raise ValueError(f"r must be a nonnegative even integer, got {r}")
+    if not 0 < c < math.inf:
+        raise ValueError(f"c must be positive and finite, got {c}")
     qk = cc.ctx.q**cc.outer.k
     if qk > budget:
         raise ValueError(f"message count {qk} exceeds budget {budget}")

@@ -30,7 +30,7 @@ from .certify import (
     soft_condition,
 )
 from .codes import BinaryCode, ConcatCode, OuterCode, min_distance, weight_distribution
-from .field import make_field
+from .field import MAX_DEGREE, make_field
 from .linalg import sample_binary_code, sample_field_code
 from .moments import moment_dual, walk_work
 from .rng import derive_seed
@@ -85,22 +85,25 @@ class SweepConfig:
     def validate(self) -> None:
         if not 1 <= self.k0 <= self.n0:
             raise ValueError(f"need 1 <= k0 <= n0, got k0={self.k0}, n0={self.n0}")
+        if self.k0 > MAX_DEGREE:
+            raise ValueError(f"k0={self.k0} above the largest field degree {MAX_DEGREE}")
         if not 1 <= self.k <= self.n:
             raise ValueError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
         if self.trials < 0:
             raise ValueError("trials must be nonnegative")
-        if self.equal_rate and Fraction(self.k0, self.n0) != Fraction(self.k, self.n):
+        if self.equal_rate and self.k0 * self.n != self.k * self.n0:
             raise ValueError(
                 f"equal_rate requires k0/n0 == k/n, got {self.k0}/{self.n0} != {self.k}/{self.n}"
             )
         if self.toggles.run_nice:
-            eps = Fraction(self.k0, self.n0)
-            if not 0 < self.constants.tau < eps:
-                raise ValueError(f"tau={self.constants.tau} outside (0, {float(eps)})")
+            tau = self.constants.tau  # 0 < tau < k0/n0 <= 1, compared exactly
+            num, den = tau.as_integer_ratio() if 0 < tau < 1 else (0, 1)
+            if not (num > 0 and num * self.n0 < self.k0 * den):
+                raise ValueError(f"tau={self.constants.tau} outside (0, {self.k0 / self.n0})")
             if (1 << (self.n0 - self.k0)) > self.budgets.niceness:
                 raise ValueError("niceness check over budget for this config")
-        if self.constants.c <= 0:
-            raise ValueError(f"GV constant c must be positive, got {self.constants.c}")
+        if not 0 < self.constants.c < math.inf:
+            raise ValueError(f"GV constant c must be positive and finite, got {self.constants.c}")
         if self.toggles.run_soft and self.constants.c_tilde < 0:
             raise ValueError(f"constants.c_tilde must be nonnegative, got {self.constants.c_tilde}")
         if self.toggles.run_entropy:
@@ -120,10 +123,6 @@ class SweepConfig:
         for f in dc_fields(Budgets):
             if getattr(self.budgets, f.name) <= 0:
                 raise ValueError(f"budget {f.name} must be positive")
-
-    @property
-    def eps(self) -> Fraction:
-        return Fraction(self.k, self.n)
 
     def to_dict(self) -> dict:
         # Shallow vars() copies keep field order; dataclasses.asdict deep-copies
@@ -285,15 +284,11 @@ def run_trial(config: SweepConfig, trial: int) -> SweepRow:
             for r in config.toggles.r_list
         )
 
-    # Fractions, so that rate == eps^2 is never lost to a float ulp.
-    rate = Fraction(cc.K, cc.N)
-    gv_ok = gv_check(rate, Fraction(d, cc.N), config.eps, Fraction(config.constants.c))
-
     return SweepRow(
         trial=trial,
         seed_inner=seed_inner,
         seed_outer=seed_outer,
-        rate=float(rate),
+        rate=cc.rate,
         distance=d,
         rel_distance=d / cc.N,
         distance_exact=exact,
@@ -305,7 +300,7 @@ def run_trial(config: SweepConfig, trial: int) -> SweepRow:
         entropy_ok=entropy_ok,
         entropy_min=entropy_min,
         moments_equal=moments_equal,
-        gv_ok=gv_ok,
+        gv_ok=gv_check(cc.N, cc.K, d, Fraction(config.k, config.n), config.constants.c),
         wall_time_s=time.perf_counter() - t0,
     )
 

@@ -4,6 +4,9 @@ import math
 from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
 
+import numpy as np
+
+from concatgv.bounds import h2
 from concatgv.certify import Pmf
 from concatgv.codes import ConcatCode, OuterCode
 from concatgv.rng import SplitMix64
@@ -142,3 +145,37 @@ def sequential_sum(terms: Iterable[float]) -> float:
     for term in terms:
         total += term
     return total
+
+
+def gv_check_fraction(N: int, K: int, d: int, epsilon, c) -> bool:
+    """The GV target rate >= eps^2 and distance >= 1/2 - c*eps for an [N, K, d]
+    code, in Fraction arithmetic on the exact values of epsilon and c."""
+    eps, c = Fraction(epsilon), Fraction(c)
+    return Fraction(K, N) >= eps * eps and Fraction(d, N) >= Fraction(1, 2) - c * eps
+
+
+def zyablov_rate_grid(delta: float) -> float:
+    """max over d0 in (delta, 1/2] of (1 - h2(d0)) * (1 - delta/d0), by a
+    10^4-point grid, then 200 golden-ratio steps between the grid neighbours
+    of its best point; the better of that and the grid maximum."""
+    if delta == 0.0:
+        return 1.0
+    d0 = np.linspace(delta, 0.5, 10_001)[1:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ent = -d0 * np.log2(d0) - (1 - d0) * np.log2(1 - d0)
+    vals = (1.0 - ent) * (1.0 - delta / d0)
+    i = int(np.argmax(vals))
+
+    def f(x: float) -> float:
+        return (1.0 - h2(x)) * (1.0 - delta / x)
+
+    lo = float(d0[max(0, i - 1)])
+    hi = float(d0[min(len(d0) - 1, i + 1)])
+    for _ in range(200):
+        m1 = lo + (hi - lo) * 0.381966011250105
+        m2 = hi - (hi - lo) * 0.381966011250105
+        if f(m1) < f(m2):
+            lo = m1
+        else:
+            hi = m2
+    return max(f((lo + hi) / 2), float(vals[i]))

@@ -266,6 +266,7 @@ def test_cli_sweep_unknown_key_fails(tmp_path):
         {"toggles": {"run_moments": True, "r_list": []}},
         None,  # a top-level [1]
         {"constants": {"c_tilde": 10**400}, "toggles": {"run_soft": True}},
+        {"k0": 40, "n0": 80, "n": 4, "k": 2, "trials": 0},
     ],
 )
 def test_cli_sweep_malformed_config_fails(patch, tmp_path, capsys):

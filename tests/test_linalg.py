@@ -41,6 +41,19 @@ def test_gf2_rref_matches_column_by_column_elimination():
         assert BitMatrix(tuple(rows), n).rref == gf2_rref_by_columns(rows, n)
 
 
+def test_combine_xors_the_rows_of_the_set_bits():
+    rng = SplitMix64(5)
+    for _ in range(500):
+        k, n = rng.randrange(10), 1 + rng.randrange(40)
+        gen = BitMatrix(tuple(rng.bits(n) for _ in range(k)), n)
+        bits = rng.bits(k)
+        want = 0
+        for i in range(k):
+            if (bits >> i) & 1:
+                want ^= gen.rows[i]
+        assert gen.combine(bits) == want
+
+
 def test_bitmatrix_validates_stray_bits():
     with pytest.raises(ValueError, match="row has bits set beyond cols"):
         BitMatrix((0b100,), 2)

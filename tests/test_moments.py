@@ -244,6 +244,18 @@ def test_bad_bound_rejects_odd_r():
         bad_bound(cc, 3, 1.0)
 
 
+@pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf])
+def test_bad_bound_rejects_nonpositive_c(c, monkeypatch):
+    # refused before any moment or weight enumeration starts
+    def forbidden(*a, **kw):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(moments, "moment_dual", forbidden)
+    monkeypatch.setattr(moments, "weight_distribution", forbidden)
+    with pytest.raises(ValueError, match="c must be positive"):
+        bad_bound(one_bit_instance(), 2, c)
+
+
 def test_bad_bound_large_c_no_bad_messages():
     for cc in grid_instances(2):
         rep = bad_bound(cc, 2, c=10.0 / (cc.inner.k0 / cc.inner.n0))

@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -106,8 +107,8 @@ def test_config_validation_before_trials():
     )
     with pytest.raises(ValueError, match="tau"):
         bad_tau.validate()
-    # gv_check needs c > 0: refused before any trial runs
-    for c in (0.0, -1.0):
+    # gv_check needs a positive, finite c: refused before any trial runs
+    for c in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="GV constant"):
             SweepConfig(k0=2, n0=4, n=4, k=2, trials=1, master_seed=0,
                         constants=Constants(c=c)).validate()
@@ -118,6 +119,31 @@ def test_config_validation_before_trials():
         config_from_dict({**entropy_on, "budgets": {"entropy": 8}})
     rows, _ = run_sweep(config_from_dict({**entropy_on, "budgets": {"entropy": 16}}))
     assert rows[0].entropy_min is not None
+
+
+def test_tau_compared_exactly_with_the_inner_rate():
+    def validate(k0, n0, tau):
+        SweepConfig(k0=k0, n0=n0, n=n0, k=k0, trials=1, master_seed=0,
+                    constants=Constants(tau=tau), toggles=Toggles(run_nice=True)).validate()
+
+    with pytest.raises(ValueError, match="tau"):
+        validate(2, 4, 0.5)  # tau = k0/n0 exactly
+    validate(2, 4, math.nextafter(0.5, 0))
+    validate(1, 3, 1 / 3)  # the float 1/3 lies just below 1/3
+    with pytest.raises(ValueError, match="tau"):
+        validate(1, 3, math.nextafter(1 / 3, 1))
+    for tau in (0.0, -0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tau"):
+            validate(2, 4, tau)
+
+
+def test_field_degree_above_the_largest_refused_at_load():
+    cfg = {"k0": 40, "n0": 80, "n": 4, "k": 2, "trials": 0, "master_seed": 0}
+    for trials in (0, 1):
+        with pytest.raises(ValueError, match="k0=40 above the largest field degree 16"):
+            config_from_dict({**cfg, "trials": trials})
+    # the largest degree itself is a valid config
+    config_from_dict({**cfg, "k0": 16, "n0": 32})
 
 
 def test_moment_config_rejected_before_trials():
