@@ -213,9 +213,11 @@ def cmd_moment_check(args) -> int:
 
 
 def cmd_gv_compare(args) -> int:
+    grid = args.grid
+    if grid < 1:
+        raise ValueError(f"--grid must be at least 1, got {grid}")
     outdir = _resolve_out(args.out) or Path(".")
     outdir.mkdir(parents=True, exist_ok=True)
-    grid = args.grid
     gv_lines = ["# concatgv-curve-v1 gv"]
     zy_lines = ["# concatgv-curve-v1 zyablov"]
     for i in range(grid):

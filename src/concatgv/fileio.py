@@ -6,10 +6,11 @@ One file per code:
     <row hex>
     ...
 
-Rows are written message-on-left: k generator rows of length n.  A row packs
-its n field entries little-endian, entry alpha in bits
+Rows are written message-on-left: k generator rows of length n, 1 <= k <= n.
+A row packs its n field entries little-endian, entry alpha in bits
 [alpha*k0, (alpha+1)*k0), printed as bare lowercase hex; for binary codes
-(k0 = 1) this is the plain column bitmask.  Concatenated codes are never
+(k0 = 1) this is the plain column bitmask, read as a ``BitMatrix`` row as it
+stands; only an outer code unpacks its entries.  Concatenated codes are never
 stored: they reference an outer and an inner file, and the derived omega is
 always recomputed.
 """
@@ -28,36 +29,27 @@ _HEADER_RE = re.compile(
 )
 
 
-def _pack_row(entries, k0: int) -> int:
-    out = 0
-    for alpha, v in enumerate(entries):
-        out |= v << (alpha * k0)
-    return out
-
-
-def _unpack_row(packed: int, n: int, k0: int):
-    mask = (1 << k0) - 1
-    return tuple((packed >> (alpha * k0)) & mask for alpha in range(n))
-
-
 def dumps_code(code: BinaryCode | OuterCode) -> str:
     if isinstance(code, BinaryCode):
         ctx = make_field(1)
         n, k = code.n0, code.k0
-        packed = list(code.gen.rows)
+        packed = code.gen.rows
     elif isinstance(code, OuterCode):
         ctx = code.ctx
         n, k = code.n, code.k
-        packed = [_pack_row(row, ctx.k0) for row in code.gen.rows]
+        packed = [sum(v << (a * ctx.k0) for a, v in enumerate(row)) for row in code.gen.rows]
     else:
         raise TypeError(f"cannot serialize {type(code).__name__}")
+    if not 1 <= k <= n:  # parse_code would refuse it
+        raise ValueError(f"code file needs 1 <= k <= n, got n={n} k={k}")
     lines = [f"CODE v1 field={ctx.modulus:#x}/{ctx.k0} n={n} k={k}"]
     lines.extend(f"{p:x}" for p in packed)
     return "\n".join(lines) + "\n"
 
 
 def parse_code(text: str):
-    """Parse a code file into (ctx, rows-of-entry-tuples, n, k)."""
+    """Parse a code file into (ctx, packed rows, n, k); each row is the int its
+    hex line prints, entry alpha in bits [alpha*k0, (alpha+1)*k0)."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty code file")
@@ -68,6 +60,8 @@ def parse_code(text: str):
     k0 = int(m.group(2))
     n = int(m.group(3))
     k = int(m.group(4))
+    if not 1 <= k <= n:
+        raise ValueError(f"code file needs 1 <= k <= n, got n={n} k={k}")
     ctx = make_field(k0, modulus)
     if len(lines) - 1 != k:
         raise ValueError(f"expected {k} generator rows, found {len(lines) - 1}")
@@ -76,18 +70,19 @@ def parse_code(text: str):
         packed = int(ln, 16)
         if packed < 0 or packed >> (n * k0):
             raise ValueError(f"row {ln!r} does not fit {n} entries of {k0} bits")
-        rows.append(_unpack_row(packed, n, k0))
+        rows.append(packed)
     return ctx, tuple(rows), n, k
 
 
 def load_outer_code(path) -> OuterCode:
     ctx, rows, n, _k = parse_code(Path(path).read_text(encoding="ascii"))
-    return OuterCode(FieldMatrix(rows, n, ctx))
+    mask = ctx.q - 1
+    entries = [[(row >> (a * ctx.k0)) & mask for a in range(n)] for row in rows]
+    return OuterCode(FieldMatrix(entries, n, ctx))
 
 
 def load_binary_code(path) -> BinaryCode:
     ctx, rows, n, _k = parse_code(Path(path).read_text(encoding="ascii"))
     if ctx.k0 != 1:
         raise ValueError(f"{path}: inner codes must be binary, file field degree is {ctx.k0}")
-    bit_rows = tuple(_pack_row(row, 1) for row in rows)
-    return BinaryCode(BitMatrix(bit_rows, n))
+    return BinaryCode(BitMatrix(rows, n))

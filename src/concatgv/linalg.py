@@ -169,28 +169,34 @@ def nullspace_basis(m: BitMatrix | FieldMatrix):
     return FieldMatrix(tuple(basis), m.cols, m.ctx)
 
 
+def _sample_full_rank(n: int, k: int, seed: int, draw):
+    """The samplers' rejection loop: draw(rng) from one SplitMix64(seed)
+    stream until the k x n matrix it returns has rank k."""
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    rng = SplitMix64(seed)
+    while True:
+        m = draw(rng)
+        if rank(m) == k:
+            return m
+
+
 def sample_binary_code(n: int, k: int, seed: int) -> BitMatrix:
     """Uniform k-dimensional subspace of GF(2)^n, as a full-rank k x n generator.
 
     Draws a uniform k x n matrix and redraws until it has rank k; conditioning
     a uniform matrix on full rank makes its row space uniform over subspaces.
     """
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    rng = SplitMix64(seed)
-    while True:
-        m = BitMatrix(tuple(rng.bits(n) for _ in range(k)), n)
-        if rank(m) == k:
-            return m
+    def draw(rng: SplitMix64) -> BitMatrix:
+        return BitMatrix(tuple(rng.bits(n) for _ in range(k)), n)
+
+    return _sample_full_rank(n, k, seed, draw)
 
 
 def sample_field_code(ctx: FieldCtx, n: int, k: int, seed: int) -> FieldMatrix:
     """Uniform k-dimensional subspace of ctx^n, as a full-rank k x n generator."""
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    rng = SplitMix64(seed)
-    while True:
+    def draw(rng: SplitMix64) -> FieldMatrix:
         rows = tuple(tuple(rng.randrange(ctx.q) for _ in range(n)) for _ in range(k))
-        m = FieldMatrix(rows, n, ctx)
-        if rank(m) == k:
-            return m
+        return FieldMatrix(rows, n, ctx)
+
+    return _sample_full_rank(n, k, seed, draw)

@@ -26,7 +26,7 @@ from typing import Any, Dict
 
 import numpy as np
 
-from .certify import check_nice, d_pmf
+from .certify import bernoulli_p, check_nice, d_pmf
 from .codes import ConcatCode, weight_distribution
 
 
@@ -225,8 +225,7 @@ def poisson_product_check(
             mix[state] += pois * w
 
     # Side (b): product of per-coordinate pmfs.
-    p = (1.0 - math.exp(-2.0 * lam)) / 2.0
-    pm = d_pmf(ctx, cc.omega, p)
+    pm = d_pmf(ctx, cc.omega, bernoulli_p(lam, 1.0))  # p = (1 - e^(-2 lam)) / 2
     coord = np.asarray(pm.probs)
     prod = np.ones(1)
     for _ in range(n):

@@ -46,20 +46,17 @@ class SplitMix64:
         return mix64(self._state)
 
     def bits(self, nbits: int) -> int:
-        """Next `nbits` random bits as an int (consumes the stream in 64-bit words)."""
+        """Next `nbits` random bits as an int, low bits first, from an accumulator
+        of unused bits; while it holds fewer than `nbits`, a whole ``u64()``
+        output is appended above them."""
         if nbits < 0:
             raise ValueError("nbits must be nonnegative")
-        out = 0
-        got = 0
-        while got < nbits:
-            if self._bitcount == 0:
-                self._bitbuf = self.u64()
-                self._bitcount = 64
-            take = min(self._bitcount, nbits - got)
-            out |= (self._bitbuf & ((1 << take) - 1)) << got
-            self._bitbuf >>= take
-            self._bitcount -= take
-            got += take
+        while self._bitcount < nbits:
+            self._bitbuf |= self.u64() << self._bitcount
+            self._bitcount += 64
+        out = self._bitbuf & ((1 << nbits) - 1)
+        self._bitbuf >>= nbits
+        self._bitcount -= nbits
         return out
 
     def randrange(self, n: int) -> int:

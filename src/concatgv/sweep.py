@@ -230,8 +230,6 @@ def run_trial(config: SweepConfig, trial: int) -> SweepRow:
     trial_seed = derive_seed(config.master_seed, trial)
     seed_inner = derive_seed(trial_seed, 0)
     seed_outer = derive_seed(trial_seed, 1)
-    seed_mc = derive_seed(trial_seed, 2)
-    seed_soft = derive_seed(trial_seed, 3)
     inner = BinaryCode(sample_binary_code(config.n0, config.k0, seed_inner))
     outer = OuterCode(sample_field_code(ctx, config.n, config.k, seed_outer))
     cc = ConcatCode(outer, inner)
@@ -243,7 +241,7 @@ def run_trial(config: SweepConfig, trial: int) -> SweepRow:
         wd = weight_distribution(cc, config.budgets.distance)
         d, x_max = wd.min_weight, wd.max_bias
     else:
-        d, _ = min_distance(cc, "montecarlo", config.budgets.mc_draws, seed_mc)
+        d, _ = min_distance(cc, "montecarlo", config.budgets.mc_draws, derive_seed(trial_seed, 2))
         x_max = None
 
     nice_ok = None
@@ -259,7 +257,7 @@ def run_trial(config: SweepConfig, trial: int) -> SweepRow:
         rep = soft_condition(
             outer, pmf, mode,
             config.budgets.soft if mode == "exact" else config.budgets.mc_draws,
-            seed_soft,
+            derive_seed(trial_seed, 3),
         )
         soft_prob, soft_delta, soft_exact = rep.prob, rep.delta, rep.is_exact
 

@@ -179,3 +179,23 @@ def zyablov_rate_grid(delta: float) -> float:
         else:
             hi = m2
     return max(f((lo + hi) / 2), float(vals[i]))
+
+
+def bits_by_chunks(rng: SplitMix64, nbits: int) -> int:
+    """``rng.bits(nbits)`` taken chunk by chunk: each step takes as many bits
+    as it can from the buffered word, low bits first, and a new ``u64()`` is
+    drawn only when the buffer is empty.  It keeps its buffer in ``rng``'s
+    own slots, so a generator driven by this function and ``u64`` alone
+    gives the chunk loop's stream."""
+    out = 0
+    got = 0
+    while got < nbits:
+        if rng._bitcount == 0:
+            rng._bitbuf = rng.u64()
+            rng._bitcount = 64
+        take = min(rng._bitcount, nbits - got)
+        out |= (rng._bitbuf & ((1 << take) - 1)) << got
+        rng._bitbuf >>= take
+        rng._bitcount -= take
+        got += take
+    return out

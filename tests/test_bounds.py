@@ -38,6 +38,13 @@ def test_h2_domain():
         h2_inv(1.5)
 
 
+@pytest.mark.parametrize("curve", [gv_rate, zyablov_rate])
+@pytest.mark.parametrize("delta", [-0.01, 0.5, 0.75, math.nan])
+def test_curves_reject_delta_outside_half_interval(curve, delta):
+    with pytest.raises(ValueError, match=r"outside \[0, 1/2\)"):
+        curve(delta)
+
+
 def test_h2_inv_endpoints():
     assert h2_inv(1.0) == 0.5
     assert h2_inv(0.0) == 0.0

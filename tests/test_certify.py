@@ -113,6 +113,19 @@ def test_bernoulli_p_formula_value():
     assert p == pytest.approx(0.0269712, abs=1e-7)
 
 
+@pytest.mark.parametrize(
+    "probs, message",
+    [
+        ((0.5, 0.5), "pmf needs 4 entries, got 2"),
+        ((0.5, 0.5, 0.25, -0.25), "pmf entries must be nonnegative"),
+        ((0.25, 0.25, 0.25, 0.2), "pmf sums to 0.95, not 1"),
+    ],
+)
+def test_pmf_rejects(probs, message):
+    with pytest.raises(ValueError, match=message):
+        Pmf(F4, probs)
+
+
 def test_d_pmf_validates():
     with pytest.raises(ValueError):
         d_pmf(F4, [], 0.1)
@@ -214,6 +227,8 @@ def test_wilson_interval_sane():
     assert phat == 0.0 and lo == 0.0 and 0 < hi < 0.05
     phat, lo, hi = wilson_interval(50, 100)
     assert lo < 0.5 < hi
+    with pytest.raises(ValueError, match="trials must be positive"):
+        wilson_interval(0, 0)
 
 
 def test_soft_condition_field_mismatch():
@@ -221,6 +236,12 @@ def test_soft_condition_field_mismatch():
     pm = d_pmf(F8, [1], 0.1)
     with pytest.raises(ValueError):
         soft_condition(outer, pm, "exact")
+
+
+def test_soft_condition_rejects_an_unknown_mode():
+    outer = OuterCode(sample_field_code(F4, 2, 1, 3))
+    with pytest.raises(ValueError, match="unknown mode 'exhaustive'"):
+        soft_condition(outer, d_pmf(F4, [1], 0.1), "exhaustive")
 
 
 def soft_loop_reference(outer: OuterCode, pmf: Pmf) -> float:
@@ -305,6 +326,8 @@ def test_empirical_dist_examples():
     assert all(p == 0.25 for p in pm.probs)
     pm = empirical_dist(F4, (0, 0, 1, 2))
     assert pm[0] == 0.5 and pm[1] == 0.25 and pm[2] == 0.25 and pm[3] == 0.0
+    with pytest.raises(ValueError, match="empty codeword"):
+        empirical_dist(F4, [])
 
 
 def lp_min_entropy_oracle(probs, eta: float) -> float:

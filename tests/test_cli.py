@@ -12,7 +12,7 @@ from concatgv.cli import main
 from concatgv.codes import BinaryCode, OuterCode
 from concatgv.field import make_field
 from concatgv.fileio import dumps_code, load_binary_code, load_outer_code, parse_code
-from concatgv.linalg import sample_binary_code, sample_field_code
+from concatgv.linalg import BitMatrix, FieldMatrix, sample_binary_code, sample_field_code
 from concatgv.sweep import config_from_dict
 
 
@@ -29,7 +29,7 @@ def run_cli(*argv, check=True):
         [sys.executable, "-m", "concatgv.cli", *argv],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": python_path()},
+        env={**os.environ, "PYTHONPATH": python_path(), "PYTHONWARNINGS": "error"},
     )
     if check and proc.returncode != 0:
         raise AssertionError(f"CLI failed: {proc.stderr}")
@@ -59,10 +59,60 @@ def test_code_file_roundtrip_outer(tmp_path):
 
 
 def test_code_file_bad_header():
+    for blank in ("", "\n  \n"):
+        with pytest.raises(ValueError, match="empty code file"):
+            parse_code(blank)
     with pytest.raises(ValueError):
         parse_code("NOT A CODE\n1\n")
     with pytest.raises(ValueError):
         parse_code("CODE v1 field=0x7/2 n=2 k=2\n5\n")  # row count mismatch
+
+
+# Headers outside 1 <= k <= n, the shapes the samplers draw.
+WRONG_SHAPES = [
+    "CODE v1 field=0x7/2 n=0 k=0\n",
+    "CODE v1 field=0x2/1 n=0 k=0\n",
+    "CODE v1 field=0x7/2 n=3 k=0\n",
+    "CODE v1 field=0x2/1 n=3 k=0\n",
+    "CODE v1 field=0x7/2 n=2 k=3\n1\n2\n3\n",
+    "CODE v1 field=0x2/1 n=1 k=2\n1\n1\n",
+]
+
+
+@pytest.mark.parametrize("text", WRONG_SHAPES)
+def test_code_files_of_the_wrong_shape_are_refused(text, tmp_path, capsys):
+    with pytest.raises(ValueError, match="needs 1 <= k <= n"):
+        parse_code(text)
+    bad = str(tmp_path / "bad.code")
+    Path(bad).write_text(text)
+    if "field=0x2/1" in text:  # a binary file, read as an inner code
+        outer = str(tmp_path / "outer.code")
+        Path(outer).write_text(dumps_code(OuterCode(sample_field_code(make_field(2), 3, 1, 2))))
+        pair = ["--outer", outer, "--inner", bad]
+        alone = [["distance", "--code", bad], ["nice-check", "--inner", bad, "--tau", "0.2"]]
+    else:  # a field file, read as an outer code
+        inner = str(tmp_path / "inner.code")
+        Path(inner).write_text(dumps_code(BinaryCode(sample_binary_code(4, 2, 1))))
+        pair = ["--outer", bad, "--inner", inner]
+        alone = [["entropy-check", "--outer", bad, "--c-gamma", "1", "--c-eta", "0.5"]]
+    paired = [[cmd, *pair] for cmd in ("concat", "distance", "soft-check", "moment-check")]
+    for argv in paired + alone:
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "1 <= k <= n" in captured.err, argv
+        assert captured.out == ""
+
+
+def test_dumps_code_refuses_what_it_could_not_load():
+    for code in (
+        BinaryCode(BitMatrix((), 3)),
+        BinaryCode(BitMatrix((), 0)),
+        OuterCode(FieldMatrix((), 2, make_field(2))),
+    ):
+        with pytest.raises(ValueError, match="needs 1 <= k <= n"):
+            dumps_code(code)
+    with pytest.raises(TypeError, match="cannot serialize BitMatrix"):
+        dumps_code(BitMatrix((1,), 1))
 
 
 def test_load_binary_rejects_field_files(tmp_path):
@@ -75,7 +125,6 @@ def test_load_binary_rejects_field_files(tmp_path):
 
 def test_code_file_nonstandard_modulus(tmp_path):
     from concatgv.field import FieldCtx
-    from concatgv.linalg import FieldMatrix
 
     ctx = FieldCtx(3, 0xD)  # x^3 + x^2 + 1, the other degree-3 irreducible
     code = OuterCode(FieldMatrix(((1, 5, 3),), 3, ctx))
@@ -203,6 +252,14 @@ def test_cli_gv_compare(tmp_path):
         assert 0 <= d < 0.5 and 0 <= r <= 1
 
 
+@pytest.mark.parametrize("grid", ["0", "-3"])
+def test_cli_gv_compare_refuses_an_empty_grid(grid, tmp_path, capsys):
+    out = tmp_path / "curves"
+    assert main(["gv-compare", "--grid", grid, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: --grid must be at least 1, got {grid}\n"
+    assert not out.exists()
+
+
 def test_cli_sweep_and_gv_points(tmp_path):
     cfg = {
         "k0": 2, "n0": 4, "n": 4, "k": 2, "trials": 3, "master_seed": 12,
@@ -325,6 +382,7 @@ def test_cli_outdir_env(tmp_path):
         env={
             "PATH": "/usr/bin:/bin",
             "PYTHONPATH": python_path(),
+            "PYTHONWARNINGS": "error",
             "CONCATGV_OUTDIR": str(tmp_path),
         },
     )

@@ -313,6 +313,24 @@ def test_enumerators_refuse_a_code_without_a_binary_generator(call):
         call(outer)
 
 
+def test_outer_code_rejects_vectors_of_the_wrong_length():
+    rep = OuterCode(FieldMatrix(((1, 1),), 2, F4))
+    with pytest.raises(ValueError, match="message length 2 != k=1"):
+        rep.encode((1, 1))
+    with pytest.raises(ValueError, match="vector length 3 != n=2"):
+        rep.dual_membership((0, 0, 0))
+
+
+def test_moment_rejects_a_negative_order():
+    with pytest.raises(ValueError, match="r must be nonnegative"):
+        weight_distribution(tiny_concat(5)).moment(-1)
+
+
+def test_min_distance_rejects_an_unknown_mode():
+    with pytest.raises(ValueError, match="unknown mode 'fast'"):
+        min_distance(tiny_concat(5), "fast")
+
+
 def test_dual_membership_examples():
     full = OuterCode(FieldMatrix(((1, 0), (0, 1)), 2, F4))
     assert full.dual_membership((0, 0))

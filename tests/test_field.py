@@ -59,6 +59,12 @@ def test_reducible_modulus_rejected():
         FieldCtx(2, 0b101)  # x^2 + 1 = (x+1)^2
 
 
+def test_modulus_of_the_wrong_degree_rejected():
+    with pytest.raises(ValueError, match="modulus 0x13 does not have degree 3"):
+        FieldCtx(3, 0x13)  # x^4 + x + 1 is irreducible, but of degree 4
+    assert not is_irreducible(1) and not is_irreducible(0)
+
+
 def test_f2_is_trivial():
     f = make_field(1)
     assert f.basis == [1]

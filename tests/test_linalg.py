@@ -85,6 +85,19 @@ def test_fieldmatrix_rejects(rows, message):
         FieldMatrix(rows, 3, make_field(2))
 
 
+@pytest.mark.parametrize("n, k", [(3, 0), (3, 4), (0, 0), (2, -1)])
+@pytest.mark.parametrize(
+    "sample",
+    [
+        lambda n, k: sample_binary_code(n, k, 1),
+        lambda n, k: sample_field_code(make_field(2), n, k, 1),
+    ],
+)
+def test_samplers_reject_k_outside_one_to_n(sample, n, k):
+    with pytest.raises(ValueError, match=f"need 1 <= k <= n, got k={k}, n={n}"):
+        sample(n, k)
+
+
 def test_matrices_store_plain_int_rows():
     bits = BitMatrix([np.uint64(5), True], 3)
     assert bits.rows == (5, 1) and all(type(r) is int for r in bits.rows)

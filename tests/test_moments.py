@@ -444,6 +444,27 @@ def test_poisson_mixture_matches_explicit_tuple_oracle():
     assert abs(ours - oracle_gap) <= 1e-12
 
 
+@pytest.mark.parametrize("count", [count_W, moment_dual])
+def test_zero_folds_rejects_a_negative_length(count):
+    # both pass r straight to zero_folds, which refuses it before any walk
+    with pytest.raises(ValueError, match="r must be nonnegative"):
+        count(one_bit_instance(), -1)
+
+
+@pytest.mark.parametrize(
+    "lam, tail_eps, message",
+    [
+        (-0.1, 1e-12, "lambda must be nonnegative"),
+        (0.2, 0.0, "tail_eps must be in"),
+        (0.2, 1.0, "tail_eps must be in"),
+        (0.2, -1e-12, "tail_eps must be in"),
+    ],
+)
+def test_poisson_rejects_parameters_out_of_range(lam, tail_eps, message):
+    with pytest.raises(ValueError, match=message):
+        poisson_product_check(one_bit_instance(), lam, tail_eps)
+
+
 def test_poisson_rejects_underflowing_weight():
     # exp(-800) is 0.0 in floats, so the Poisson tail would never be covered
     cc = one_bit_instance()

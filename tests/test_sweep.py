@@ -107,6 +107,20 @@ def test_config_validation_before_trials():
     )
     with pytest.raises(ValueError, match="tau"):
         bad_tau.validate()
+    # a shape no sampler can draw, a negative trial count, budgets out of range
+    base = dict(k0=2, n0=4, n=4, k=2, trials=1, master_seed=0)
+    for change, message in [
+        (dict(k0=0), "need 1 <= k0 <= n0"),
+        (dict(n=2, k=3, equal_rate=False), "need 1 <= k <= n"),
+        (dict(trials=-1), "trials must be nonnegative"),
+        # 2^(n0 - k0) = 4 dual words of the inner code: a niceness budget of 3 is refused
+        (dict(budgets=Budgets(niceness=3), toggles=Toggles(run_nice=True)),
+         "niceness check over budget"),
+        (dict(budgets=Budgets(mc_draws=0)), "budget mc_draws must be positive"),
+        (dict(budgets=Budgets(soft=-1)), "budget soft must be positive"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            SweepConfig(**{**base, **change}).validate()
     # gv_check needs a positive, finite c: refused before any trial runs
     for c in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="GV constant"):
