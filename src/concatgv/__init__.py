@@ -17,7 +17,6 @@ from .certify import (
     bernoulli_p,
     check_nice,
     d_pmf,
-    empirical_dist,
     entropy_hypothesis,
     smooth_min_entropy,
     soft_condition,

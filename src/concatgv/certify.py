@@ -15,6 +15,7 @@ not tuning, so sweeps should treat them as knobs.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -155,10 +156,11 @@ def soft_condition(
     """Pr[x ~ pmf^n lands in the nonzero dual], and delta = prob * q^k - 1.
 
     exact: sums prod(pmf[g_alpha]) over all q^(n-k) - 1 nonzero dual
-    codewords, read off the dual's codeword table.  Each product is taken
-    left to right over the coordinates and the terms are added one at a time
-    in table order, so the float result does not depend on numpy's summation
-    order.  The budget is checked on q^(n-k) before the dual is built.
+    codewords, read off the dual's codeword table one coordinate (one
+    contiguous row of the table) at a time.  Each product is taken left to
+    right over the coordinates and the terms are added one at a time in table
+    order, so the float result does not depend on numpy's summation order.
+    The budget is checked on q^(n-k) before the dual is built.
     montecarlo: draws `budget` vectors x ~ pmf^n, tests dual membership, and
     returns a Wilson 95% confidence interval flagged is_exact=False.
     """
@@ -170,14 +172,15 @@ def soft_condition(
         size = q ** (outer.n - outer.k)
         if size > budget:
             raise ValueError(f"dual size {size} exceeds budget {budget}")
-        words = codeword_table(outer.dual())[1:]  # skip the zero codeword
         probs = np.array(pmf.probs)
-        terms = np.ones(len(words))
-        for a in range(outer.n):
-            terms *= probs[words[:, a]]
-        # accumulate adds one term at a time, left to right; np.sum's pairwise
-        # order rounds differently.  The leading 0.0 keeps an empty dual at 0.
-        prob = float(np.add.accumulate(np.concatenate(([0.0], terms)))[-1])
+        terms, factor = np.ones(size), np.empty(size)
+        for coordinate in codeword_table(outer.dual()):
+            terms *= probs.take(coordinate, out=factor, mode="clip")  # symbols < q: no clipping
+        # Slot 0, the zero codeword's, becomes the leading 0.0 that keeps an
+        # empty dual at 0.  accumulate adds one term at a time, left to right;
+        # np.sum's pairwise order rounds differently.
+        terms[0] = 0.0
+        prob = float(np.add.accumulate(terms, out=terms)[-1])
         return SoftReport(prob, prob * qk - 1.0, True)
     if mode == "montecarlo":
         n = outer.n
@@ -210,17 +213,6 @@ def wilson_interval(hits: int, trials: int):
 # ---------------------------------------------------------------------------
 # Smoothed min-entropy
 # ---------------------------------------------------------------------------
-
-
-def empirical_dist(ctx: FieldCtx, codeword: Sequence[int]) -> Pmf:
-    """Empirical symbol distribution of a word over the field."""
-    n = len(codeword)
-    if n == 0:
-        raise ValueError("empty codeword")
-    counts = [0] * ctx.q
-    for sym in codeword:
-        counts[sym] += 1
-    return Pmf(ctx, tuple(c / n for c in counts))
 
 
 def smooth_min_entropy(pmf: Pmf, eta: float, halved_tv: bool = True) -> float:
@@ -271,6 +263,79 @@ class EntropyReport:
     n0_ratio: float | None = None  # n0 * eps^2 / log2(1/eps), reported not asserted
 
 
+@functools.cache
+def _merge_exchange(n: int) -> Tuple[Tuple[int, int], ...]:
+    """Batcher's merge-exchange sorting network on n wires (Knuth, TAOCP
+    5.2.2, Algorithm M), as its comparators (i, j), i < j, in order."""
+    pairs = []
+    t = (n - 1).bit_length()
+    p = 1 << t >> 1
+    while p:
+        q, r, d = 1 << t >> 1, 0, p
+        while True:
+            pairs += [(i, i + d) for i in range(n - d) if i & p == r]
+            if q == p:
+                break
+            q, r, d = q >> 1, p, q - p
+        p >>= 1
+    return tuple(pairs)
+
+
+def _sort_columns(columns: np.ndarray) -> List[np.ndarray]:
+    """Sort every column of an (n, M) array through the merge-exchange
+    network, one np.minimum and one np.maximum over whole rows per
+    comparator.  Returns the n rows of the sorted columns."""
+    rows = list(columns.copy())
+    spare = np.empty_like(rows[0])
+    for i, j in _merge_exchange(len(rows)):
+        low, high = rows[i], rows[j]
+        np.minimum(low, high, out=spare)
+        np.maximum(low, high, out=high)
+        rows[i], spare = spare, low
+    return rows
+
+
+def _boundary_codes(runs: List[np.ndarray]) -> List[int]:
+    """The distinct run-boundary codes of sorted columns, given as rows: bit j
+    of a column's code is set when its entries j and j + 1 differ.  The
+    n - 1 bits are packed into one unsigned integer per column, of the
+    smallest dtype that holds them, or into 64-bit words past 64 bits, and
+    np.unique finds the distinct codes."""
+    width, count = len(runs) - 1, len(runs[0])
+    differ = np.empty(count, bool)
+    words = []
+    for low in range(0, max(width, 1), 64):
+        high = min(low + 64, width)
+        word = np.zeros(count, np.min_scalar_type((1 << (high - low)) - 1))
+        for j in reversed(range(low, high)):  # bit j of the code is bit j - low here
+            word <<= 1
+            word |= np.not_equal(runs[j + 1], runs[j], out=differ)
+        words.append(word)
+    if len(words) > 1:
+        keys = np.unique(np.stack(words, axis=1), axis=0).tolist()
+        return [sum(word << (64 * i) for i, word in enumerate(key)) for key in keys]
+    (code,) = words
+    return np.unique(code).tolist()
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _count_multiset(code: int, n: int) -> Tuple[int, ...]:
+    """The sorted run lengths of a sorted length-n word with boundary code
+    `code`, which are its nonzero symbol counts."""
+    cuts = [j + 1 for j in range(n - 1) if code >> j & 1]
+    return tuple(sorted(b - a for a, b in zip([0] + cuts, cuts + [n])))
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _multiset_entropy(counts: Tuple[int, ...], ctx: FieldCtx, eta: float, halved_tv: bool) -> float:
+    """The smoothed min-entropy of any word over ctx whose nonzero symbol
+    counts are `counts`: its empirical distribution, up to the order of the
+    probabilities, which :func:`smooth_min_entropy` does not read."""
+    n = sum(counts)
+    probs = tuple(c / n for c in counts) + (0.0,) * (ctx.q - len(counts))
+    return smooth_min_entropy(Pmf(ctx, probs), eta, halved_tv)
+
+
 def entropy_hypothesis(
     outer: OuterCode,
     cgamma: float,
@@ -285,12 +350,19 @@ def entropy_hypothesis(
 
     The smoothed min-entropy of a codeword is a function of its empirical
     distribution's probability multiset, that is of the sorted multiset of
-    its symbol counts (see :func:`smooth_min_entropy`).  The codeword table's
-    rows are grouped by count profile: the run boundaries of the sorted row,
-    packed into uint64 words and grouped by one stable lexsort.  Each profile
-    maps to its sorted count multiset, and each multiset is evaluated once,
-    on one codeword that has it.  n_checked still counts every nonzero
-    codeword.
+    its symbol counts (see :func:`smooth_min_entropy`).  One pass over the
+    codeword table, one coordinate row at a time, finds those multisets:
+
+    1. a Batcher merge-exchange sorting network sorts every codeword (every
+       column) at once, one np.minimum/np.maximum pair over whole rows per
+       comparator;
+    2. the run boundaries of each sorted codeword are packed into one integer
+       code, and np.unique finds the distinct codes;
+    3. each code maps to its sorted count multiset, and each multiset to its
+       smoothed min-entropy, through two bounded memos shared by all calls,
+       so a multiset seen in an earlier call is not evaluated again.
+
+    n_checked still counts every nonzero codeword.
     """
     ctx = outer.ctx
     q = ctx.q
@@ -301,27 +373,12 @@ def entropy_hypothesis(
     if not 0 <= eta < 1:
         raise ValueError(f"smoothing level ceta*eps = {eta} outside [0, 1)")
     threshold = (1.0 - cgamma * eps) * math.log2(q)
-    words = codeword_table(outer)[1:]
-    # The run boundaries of a sorted codeword fix its run lengths, which are
-    # its nonzero symbol counts in increasing symbol value.  The n - 1
-    # boundary bits are packed into as many uint64 words as they need.
-    runs = np.sort(words, axis=1)
-    bits = np.packbits(runs[:, 1:] != runs[:, :-1], axis=1)
-    keys = np.zeros((len(words), bits.shape[1] // 8 + 1), np.uint64)
-    keys.view(np.uint8)[:, : bits.shape[1]] = bits
-    order = np.lexsort(keys.T)
-    ordered = keys[order]
-    starts = np.ones(len(order), bool)
-    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    multisets = {}
-    for i in order[starts].tolist():
-        word = words[i].tolist()
-        multisets.setdefault(tuple(sorted(map(word.count, set(word)))), word)
+    columns = codeword_table(outer)[:, 1:]
+    multisets = {_count_multiset(code, outer.n) for code in _boundary_codes(_sort_columns(columns))}
     min_entropy = min(
-        (smooth_min_entropy(empirical_dist(ctx, word), eta, halved_tv) for word in multisets.values()),
-        default=math.inf,
+        (_multiset_entropy(counts, ctx, eta, halved_tv) for counts in multisets), default=math.inf
     )
-    n_checked = len(words)
+    n_checked = columns.shape[1]
     ratio = None
     if n0 is not None and 0 < eps < 1:
         ratio = n0 * eps * eps / math.log2(1.0 / eps)

@@ -20,6 +20,7 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import List
 
 from .bounds import gv_rate, zyablov_rate
 from .certify import (
@@ -212,10 +213,32 @@ def cmd_moment_check(args) -> int:
     return 0
 
 
+def _read_points(path: str) -> List[str]:
+    """The measured-points lines of a sweep CSV: one "rel_distance rate" line
+    per row, each value copied as written.  The header must name both columns
+    and every row must hold a finite number in each."""
+    lines = Path(path).read_text(encoding="ascii").splitlines()
+    rows = csv.DictReader(ln for ln in lines if ln.strip() and not ln.startswith("#"))
+    if not {"rel_distance", "rate"} <= set(rows.fieldnames or ()):
+        raise ValueError(f"{path}: no rel_distance and rate columns in the header")
+    points = []
+    for i, row in enumerate(rows, 1):
+        for key in ("rel_distance", "rate"):
+            try:
+                finite = math.isfinite(float(row[key]))
+            except (TypeError, ValueError):  # a missing or non-numeric cell
+                finite = False
+            if not finite:
+                raise ValueError(f"{path}: data row {i}: {key} {row[key]!r} is not a finite number")
+        points.append(f"{row['rel_distance']} {row['rate']}")
+    return points
+
+
 def cmd_gv_compare(args) -> int:
     grid = args.grid
     if grid < 1:
         raise ValueError(f"--grid must be at least 1, got {grid}")
+    points = _read_points(args.points) if args.points else None
     outdir = _resolve_out(args.out) or Path(".")
     outdir.mkdir(parents=True, exist_ok=True)
     gv_lines = ["# concatgv-curve-v1 gv"]
@@ -226,13 +249,8 @@ def cmd_gv_compare(args) -> int:
         zy_lines.append(f"{d!r} {zyablov_rate(d)!r}")
     (outdir / "gv_curve.dat").write_text("\n".join(gv_lines) + "\n", encoding="ascii")
     (outdir / "zyablov_curve.dat").write_text("\n".join(zy_lines) + "\n", encoding="ascii")
-    if args.points:
-        lines = Path(args.points).read_text(encoding="ascii").splitlines()
-        rows = csv.DictReader(ln for ln in lines if ln.strip() and not ln.startswith("#"))
-        if not {"rel_distance", "rate"} <= set(rows.fieldnames or ()):
-            raise ValueError(f"{args.points}: no rel_distance and rate columns in the header")
-        measured = ["# concatgv-curve-v1 measured"]
-        measured += [f"{row['rel_distance']} {row['rate']}" for row in rows]
+    if points is not None:
+        measured = ["# concatgv-curve-v1 measured"] + points
         (outdir / "measured_points.dat").write_text(
             "\n".join(measured) + "\n", encoding="ascii"
         )

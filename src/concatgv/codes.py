@@ -326,18 +326,23 @@ def min_distance(
 
 
 def codeword_table(outer: OuterCode) -> np.ndarray:
-    """All q^k codewords of the outer code as a (q^k, n) array.
+    """All q^k codewords of the outer code as the columns of an (n, q^k) array.
 
-    Row i is the codeword of the message whose digit j is (i // q^j) % q,
-    so row 0 is the zero codeword and digit 0 varies fastest.  Each generator
-    row contributes a (q, n) table of its scalar multiples, k*q*n field
-    multiplies in all; the codewords are then XOR sums, one broadcast per row.
-    The dtype is the smallest unsigned type that holds q - 1.
+    The array is coordinate-major: row a holds coordinate a of every
+    codeword, contiguously, and ``.T`` is the row-per-codeword view.  Column
+    i is the codeword of the message whose digit j is (i // q^j) % q, so
+    column 0 is the zero codeword and digit 0 varies fastest.  The scalar
+    multiples of all generator rows, a (k, n, q) array, are gathered at once
+    from the field's numpy log/antilog tables, with zero symbols masked; the
+    codewords are then XOR sums, one broadcast per row.  The dtype is the smallest unsigned type that holds q - 1.
     """
-    ctx = outer.ctx
-    dtype = np.min_scalar_type(ctx.q - 1)
-    table = np.zeros((1, outer.n), dtype=dtype)
-    for row in outer.gen.rows:
-        multiples = np.array([ctx.scale(v, row) for v in range(ctx.q)], dtype=dtype)
-        table = (multiples[:, None, :] ^ table[None, :, :]).reshape(-1, outer.n)
+    exp, log = outer.ctx.log_tables()
+    n = outer.n
+    gen = np.array(outer.gen.rows, dtype=np.intp).reshape(-1, n)
+    multiples = exp[log[gen][:, :, None] + log]  # [i, a, v] = v * gen[i, a]
+    multiples[:, :, 0] = 0
+    multiples[gen == 0] = 0
+    table = np.zeros((n, 1), dtype=exp.dtype)
+    for row in multiples:
+        table = (row[:, :, None] ^ table[:, None, :]).reshape(n, -1)
     return table

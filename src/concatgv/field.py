@@ -19,7 +19,9 @@ between GF(2^k0) symbols and k0-bit vectors.
 from __future__ import annotations
 
 import functools
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
+
+import numpy as np
 
 # Lexicographically smallest irreducible polynomial per degree (bitmask with
 # bit k0 set).  Hard-coded so every run and every machine builds the same
@@ -170,6 +172,17 @@ class FieldCtx:
             return [0] * len(vec)
         exp, log, lc = self._exp, self._log, self._log[c]
         return [exp[lc + log[v]] if v else 0 for v in vec]
+
+    def log_tables(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Numpy copies of the antilog and log tables, made on first use:
+        ``exp`` in the smallest unsigned dtype that holds q - 1, so a gather
+        from it is already a symbol array, and ``log`` as intp, so two logs
+        add without overflow.  Entry 0 of ``log`` is 0; callers mask zeros."""
+        tables = self.__dict__.get("_np_tables")
+        if tables is None:
+            exp = np.array(self._exp, dtype=np.min_scalar_type(self.q - 1))
+            tables = self._np_tables = (exp, np.array(self._log, dtype=np.intp))
+        return tables
 
     def inv(self, a: int) -> int:
         if a == 0:

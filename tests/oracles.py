@@ -14,7 +14,7 @@ from concatgv.rng import SplitMix64
 
 def all_messages(outer: OuterCode) -> Iterable[Tuple[int, ...]]:
     """All q^k messages of the outer code, zero first, in odometer order
-    (digit 0 varies fastest): the row order of ``codes.codeword_table``."""
+    (digit 0 varies fastest): the column order of ``codes.codeword_table``."""
     q = outer.ctx.q
     k = outer.k
     msg = [0] * k
@@ -26,6 +26,17 @@ def all_messages(outer: OuterCode) -> Iterable[Tuple[int, ...]]:
             i += 1
         msg[i] += 1
         yield tuple(msg)
+
+
+def empirical_dist(ctx, codeword: Sequence[int]) -> Pmf:
+    """Empirical symbol distribution of a word over the field."""
+    n = len(codeword)
+    if n == 0:
+        raise ValueError("empty codeword")
+    counts = [0] * ctx.q
+    for sym in codeword:
+        counts[sym] += 1
+    return Pmf(ctx, tuple(c / n for c in counts))
 
 
 def bisect_min_entropy(pmf: Pmf, eta: float, halved_tv: bool = True) -> float:

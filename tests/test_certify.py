@@ -15,7 +15,6 @@ from concatgv.certify import (
     bernoulli_p,
     check_nice,
     d_pmf,
-    empirical_dist,
     entropy_hypothesis,
     sample_pmf_many,
     smooth_min_entropy,
@@ -27,7 +26,14 @@ from concatgv.field import FieldCtx, make_field
 from concatgv.linalg import BitMatrix, FieldMatrix, nullspace_basis, sample_binary_code, sample_field_code
 from concatgv.rng import SplitMix64, derive_seed
 
-from oracles import all_messages, bisect_min_entropy, d_pmf_oracle, inversion_draws, sequential_sum
+from oracles import (
+    all_messages,
+    bisect_min_entropy,
+    d_pmf_oracle,
+    empirical_dist,
+    inversion_draws,
+    sequential_sum,
+)
 
 F4 = make_field(2)
 F8 = make_field(3)
@@ -312,7 +318,7 @@ def test_exact_soft_prob_is_the_left_to_right_sum_over_the_dual_table(k0, n, k):
         outer = OuterCode(sample_field_code(ctx, n, k, derive_seed(rng.bits(32), seed)))
         omega = [1 + rng.randrange(ctx.q - 1) for _ in range(2 * k0)]
         pm = d_pmf(ctx, omega, bernoulli_p(C_TILDE_DEFAULT, k / n))
-        terms = [math.prod(pm[sym] for sym in word) for word in codeword_table(outer.dual())[1:].tolist()]
+        terms = [math.prod(pm[sym] for sym in word) for word in codeword_table(outer.dual()).T[1:].tolist()]
         assert soft_condition(outer, pm, "exact").prob == sequential_sum(terms)
 
 
@@ -517,15 +523,26 @@ def count_multisets(outer) -> int:
     return len(multisets)
 
 
-def wide_outer_codes():
-    """Outer codes of length 70, whose sorted-row boundary masks have 69 bits,
-    two uint64 key words.  The first is binary with codewords of weight 1, 2
-    and 3: their masks differ only in bits 66..68, so a key cut to 64 bits
-    would put them in one group."""
+def edge_outer_codes():
+    """Outer codes of length 1 and 2, of lengths 63..66 around the 64-bit
+    word that holds a boundary code's n - 1 bits, and of length 70 (two
+    words).  From n = 3 on, the first code of each length is binary with
+    codewords of weight 1, 2 and 3: their boundary codes differ only in the
+    top bits n - 2, n - 3 and n - 4, so a code cut short of them would put
+    the three in one group."""
     f2 = make_field(1)
-    yield OuterCode(FieldMatrix(((1,) + (0,) * 69, (0, 1, 1) + (0,) * 67), 70, f2))
-    for k in (1, 2):
-        yield OuterCode(sample_field_code(F4, 70, k, derive_seed(70, k)))
+    yield OuterCode(FieldMatrix(((1,),), 1, f2))
+    yield OuterCode(FieldMatrix(((1, 0), (0, 1)), 2, f2))
+    for n in (1, 2, 63, 64, 65, 66, 70):
+        if n >= 3:
+            yield OuterCode(FieldMatrix(((1,) + (0,) * (n - 1), (0, 1, 1) + (0,) * (n - 3)), n, f2))
+        for k in range(1, min(n, 2) + 1):
+            yield OuterCode(sample_field_code(F4, n, k, derive_seed(n, k)))
+
+
+def clear_entropy_memos():
+    certify._count_multiset.cache_clear()
+    certify._multiset_entropy.cache_clear()
 
 
 def test_entropy_hypothesis_is_bit_identical_to_codeword_loop(monkeypatch):
@@ -539,16 +556,52 @@ def test_entropy_hypothesis_is_bit_identical_to_codeword_loop(monkeypatch):
 
     monkeypatch.setattr(certify, "smooth_min_entropy", counted)
     fewer = 0
-    for outer in itertools.chain(small_outer_codes(256), wide_outer_codes()):
+    for outer in itertools.chain(small_outer_codes(256), edge_outer_codes()):
         for ceta in (0.0, 0.5, 0.9):
             for halved_tv in (True, False):
+                clear_entropy_memos()
                 calls = 0
                 rep = entropy_hypothesis(outer, 1.0, ceta, n0=8, halved_tv=halved_tv)
                 assert calls == count_multisets(outer)
                 fewer += calls < rep.n_checked
                 assert rep == entropy_loop_reference(outer, 1.0, ceta, 8, halved_tv)
+                calls = 0
+                assert entropy_hypothesis(outer, 1.0, ceta, n0=8, halved_tv=halved_tv) == rep
+                assert calls == 0
     assert fewer > 0
-    assert count_multisets(next(wide_outer_codes())) == 3
+    tops = [outer for outer in edge_outer_codes() if outer.ctx.q == 2 and outer.n >= 3]
+    assert [outer.n for outer in tops] == [63, 64, 65, 66, 70]
+    assert all(count_multisets(outer) == 3 for outer in tops)
+
+
+def test_one_count_multiset_gets_a_value_per_field_eta_and_convention():
+    # counts (1, 7): probabilities 7/8 and 1/8.  Each step changes one part
+    # of the memo key, and with it the value; the floor log2(q) shows the field.
+    clear_entropy_memos()
+    steps = [(F4, 0.75, True, 2.0), (F8, 0.75, True, 3.0),
+             (F8, 0.25, True, -math.log2(5 / 8)), (F8, 0.25, False, 2 - math.log2(3))]
+    word = (1,) + (2,) * 7
+    for ctx, eta, halved_tv, value in steps:
+        assert certify._multiset_entropy((1, 7), ctx, eta, halved_tv) == pytest.approx(value, abs=1e-15)
+        assert certify._multiset_entropy((1, 7), ctx, eta, halved_tv) == smooth_min_entropy(
+            empirical_dist(ctx, word), eta, halved_tv
+        )
+    assert certify._multiset_entropy.cache_info().misses == len(steps)
+
+
+def test_sorting_network_sorts_every_zero_one_column():
+    # 0-1 principle: a comparator network that sorts every 0/1 input sorts
+    # every input.  Column c holds the bits of c, so all 2^n inputs go
+    # through the network in one pass.
+    for n in range(1, 17):
+        columns = (np.arange(1 << n) >> np.arange(n)[:, None] & 1).astype(np.uint8)
+        runs = np.array(certify._sort_columns(columns))
+        assert (runs[1:] >= runs[:-1]).all()
+        assert (runs.sum(axis=0) == columns.sum(axis=0)).all()
+    rng = np.random.default_rng(70)
+    for n in range(1, 71):
+        columns = rng.integers(0, 16, size=(n, 200), dtype=np.uint8)
+        assert (np.array(certify._sort_columns(columns)) == np.sort(columns, axis=0)).all()
 
 
 def test_table_budgets_fail_before_any_multiply(monkeypatch):
@@ -556,15 +609,21 @@ def test_table_budgets_fail_before_any_multiply(monkeypatch):
     pm = d_pmf(F8, [1, 2, 4], 0.2)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("field multiply before the budget check")
+        raise AssertionError("field arithmetic before the budget check")
 
-    monkeypatch.setattr(FieldCtx, "mul", forbidden)
+    for name in ("mul", "scale", "log_tables"):
+        monkeypatch.setattr(FieldCtx, name, forbidden)
     with pytest.raises(ValueError, match="dual size 64 exceeds budget 63"):
         soft_condition(outer, pm, "exact", budget=63)
     with pytest.raises(ValueError, match="codeword count 64 exceeds budget 63"):
         entropy_hypothesis(outer, 1.0, 1.0, budget=63)
     with pytest.raises(ValueError, match="smoothing level"):
         entropy_hypothesis(outer, 1.0, 2.0)
+    # within budget, both checks reach the field's arithmetic
+    with pytest.raises(AssertionError, match="field arithmetic"):
+        soft_condition(outer, pm, "exact", budget=64)
+    with pytest.raises(AssertionError, match="field arithmetic"):
+        entropy_hypothesis(outer, 1.0, 1.0, budget=64)
 
 
 def test_sample_pmf_many_deterministic():

@@ -290,9 +290,25 @@ def test_cli_gv_points_found_by_header_name(tmp_path):
 def test_cli_gv_points_without_columns_fails(tmp_path):
     rows = tmp_path / "rows.csv"
     rows.write_text("trial,rate\n0,0.25\n")
-    proc = run_cli("gv-compare", "--grid", "2", "--points", str(rows), "--out", str(tmp_path), check=False)
+    out = tmp_path / "curves"
+    proc = run_cli("gv-compare", "--grid", "2", "--points", str(rows), "--out", str(out), check=False)
     assert proc.returncode == 1
     assert "rel_distance" in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("row, bad", [
+    ("0.125,0,inf", "rate 'inf'"), ("nan,0,0.25", "rel_distance 'nan'"),
+    ("0.125,0", "rate None"), (",0,0.25", "rel_distance ''"), ("x,0,0.25", "rel_distance 'x'"),
+])
+def test_cli_gv_points_with_a_bad_row_write_nothing(row, bad, tmp_path, capsys):
+    rows = tmp_path / "rows.csv"
+    rows.write_text(f"rel_distance,trial,rate\n0.1875,1,0.25\n{row}\n")
+    out = tmp_path / "curves"
+    out.mkdir()
+    assert main(["gv-compare", "--grid", "2", "--points", str(rows), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {rows}: data row 2: {bad} is not a finite number\n"
+    assert list(out.iterdir()) == []
 
 
 def test_cli_sweep_unknown_key_fails(tmp_path):

@@ -358,8 +358,9 @@ def test_codeword_table_matches_encode_in_message_order(k0):
         for k in range(1, n + 1):
             outer = OuterCode(sample_field_code(ctx, n, k, derive_seed(10 * n + k, k0)))
             table = codeword_table(outer)
-            assert table.shape == (ctx.q**k, n) and table.dtype == np.uint8
-            assert [tuple(row) for row in table.tolist()] == [outer.encode(m) for m in all_messages(outer)]
+            assert table.shape == (n, ctx.q**k) and table.dtype == np.uint8
+            assert table.flags.c_contiguous  # coordinate-major
+            assert [tuple(word) for word in table.T.tolist()] == [outer.encode(m) for m in all_messages(outer)]
 
 
 def test_codeword_table_dtype_holds_every_symbol():
@@ -367,4 +368,4 @@ def test_codeword_table_dtype_holds_every_symbol():
     outer = OuterCode(sample_field_code(ctx, 2, 1, 5))
     table = codeword_table(outer)
     assert table.dtype == np.uint16
-    assert [tuple(row) for row in table.tolist()] == [outer.encode(m) for m in all_messages(outer)]
+    assert [tuple(word) for word in table.T.tolist()] == [outer.encode(m) for m in all_messages(outer)]

@@ -14,7 +14,7 @@ PUBLIC = [
     "OuterCode", "Pmf", "SoftReport", "SplitMix64",
     "SweepConfig", "SweepRow", "WCountReport", "WeightDistribution", "bad_bound",
     "bernoulli_p", "bias", "check_nice", "config_from_dict", "count_W", "d_pmf",
-    "derive_seed", "empirical_dist", "entropy_hypothesis", "gv_check", "gv_rate",
+    "derive_seed", "entropy_hypothesis", "gv_check", "gv_rate",
     "h2", "h2_inv", "load_binary_code", "load_outer_code", "make_field",
     "min_distance", "moment_dual", "nullspace_basis", "poisson_product_check",
     "rank", "run_sweep", "sample_binary_code", "sample_field_code",
