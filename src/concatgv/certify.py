@@ -25,6 +25,7 @@ import numpy as np
 
 from .codes import BinaryCode, OuterCode, codeword_table, weight_distribution
 from .field import FieldCtx
+from .linalg import nullspace_basis
 from .rng import SplitMix64
 
 C_TILDE_DEFAULT = 4 * math.log(2)
@@ -109,11 +110,20 @@ class NicenessReport:
     worst_ratio: float
 
 
+def tau_in_range(tau: float, k0: int, n0: int) -> bool:
+    """0 < tau < k0/n0, decided exactly on tau's integer ratio: a float tau
+    that rounds to k0/n0 lies on the side its exact value does."""
+    if not 0 < tau < math.inf:
+        return False
+    num, den = tau.as_integer_ratio()
+    return num * n0 < k0 * den
+
+
 def check_nice(inner: BinaryCode, tau: float, budget: int = 1 << 20) -> NicenessReport:
     """Exact tau-niceness check of the inner code by enumerating its dual."""
     n0, k0 = inner.n0, inner.k0
     eps = k0 / n0
-    if not 0 < tau < eps:
+    if not tau_in_range(tau, k0, n0):
         raise ValueError(f"tau={tau} outside (0, eps={eps})")
     counts = weight_distribution(inner.dual(), budget).delta
     scale = 2.0 ** (-n0 * (eps - tau))
@@ -156,12 +166,13 @@ def soft_condition(
     """Pr[x ~ pmf^n lands in the nonzero dual], and delta = prob * q^k - 1.
 
     exact: sums prod(pmf[g_alpha]) over all q^(n-k) - 1 nonzero dual
-    codewords, read off the dual's codeword table one coordinate (one
-    contiguous row of the table) at a time.  Each product is taken left to
-    right over the coordinates and the terms are added one at a time in table
-    order, so the float result does not depend on numpy's summation order.
-    The budget is checked on q^(n-k) before the dual is built.
-    montecarlo: draws `budget` vectors x ~ pmf^n, tests dual membership, and
+    codewords, read off the codeword table of the generator's kernel basis
+    one coordinate (one contiguous row of the table) at a time.  Each product
+    is taken left to right over the coordinates and the terms are added one
+    at a time in table order, so the float result does not depend on numpy's
+    summation order.  The budget is checked on q^(n-k) before the table is built.
+    montecarlo: draws `budget` vectors x ~ pmf^n and counts the nonzero ones
+    with zero syndrome x @ gen^T, one generator row at a time over all draws;
     returns a Wilson 95% confidence interval flagged is_exact=False.
     """
     if pmf.ctx != outer.ctx:
@@ -174,7 +185,7 @@ def soft_condition(
             raise ValueError(f"dual size {size} exceeds budget {budget}")
         probs = np.array(pmf.probs)
         terms, factor = np.ones(size), np.empty(size)
-        for coordinate in codeword_table(outer.dual()):
+        for coordinate in codeword_table(nullspace_basis(outer.gen)):
             terms *= probs.take(coordinate, out=factor, mode="clip")  # symbols < q: no clipping
         # Slot 0, the zero codeword's, becomes the leading 0.0 that keeps an
         # empty dual at 0.  accumulate adds one term at a time, left to right;
@@ -184,12 +195,12 @@ def soft_condition(
         return SoftReport(prob, prob * qk - 1.0, True)
     if mode == "montecarlo":
         n = outer.n
-        samples = sample_pmf_many(pmf, seed, budget * n)
-        hits = 0
-        for t in range(budget):
-            x = samples[t * n : (t + 1) * n]
-            if any(x) and outer.dual_membership(x):
-                hits += 1
+        # symbols < q <= 2^16; the draw list is freed once it is converted
+        draws = np.array(sample_pmf_many(pmf, seed, budget * n), dtype=np.uint16).reshape(budget, n)
+        hit = draws.any(axis=1)
+        for row in np.array(outer.gen.rows, dtype=np.intp).reshape(-1, n):  # one syndrome symbol per row
+            hit &= np.bitwise_xor.reduce(outer.ctx.mul_array(row, draws), axis=1) == 0
+        hits = int(np.count_nonzero(hit))
         phat, lo, hi = wilson_interval(hits, budget)
         return SoftReport(phat, phat * qk - 1.0, False, lo, hi, budget)
     raise ValueError(f"unknown mode {mode!r}")
@@ -299,8 +310,10 @@ def _boundary_codes(runs: List[np.ndarray]) -> List[int]:
     """The distinct run-boundary codes of sorted columns, given as rows: bit j
     of a column's code is set when its entries j and j + 1 differ.  The
     n - 1 bits are packed into one unsigned integer per column, of the
-    smallest dtype that holds them, or into 64-bit words past 64 bits, and
-    np.unique finds the distinct codes."""
+    smallest dtype that holds them, or into 64-bit words past 64 bits.  The
+    codes are sorted (a stable sort of one word, np.lexsort of several), and
+    a code is kept where it differs from its predecessor; np.unique would
+    give the same set but imports numpy.ma on its first call."""
     width, count = len(runs) - 1, len(runs[0])
     differ = np.empty(count, bool)
     words = []
@@ -311,11 +324,18 @@ def _boundary_codes(runs: List[np.ndarray]) -> List[int]:
             word <<= 1
             word |= np.not_equal(runs[j + 1], runs[j], out=differ)
         words.append(word)
-    if len(words) > 1:
-        keys = np.unique(np.stack(words, axis=1), axis=0).tolist()
-        return [sum(word << (64 * i) for i, word in enumerate(key)) for key in keys]
-    (code,) = words
-    return np.unique(code).tolist()
+    first = np.zeros(count, bool)  # the first column of each run of equal codes
+    first[:1] = True
+    if len(words) == 1:
+        code = np.sort(words[0], kind="stable")
+        np.not_equal(code[1:], code[:-1], out=first[1:])
+        return code[first].tolist()
+    order = np.lexsort(words)
+    words = [word[order] for word in words]
+    for word in words:
+        first[1:] |= word[1:] != word[:-1]
+    keys = zip(*(word[first].tolist() for word in words))
+    return [sum(word << (64 * i) for i, word in enumerate(key)) for key in keys]
 
 
 @functools.lru_cache(maxsize=1 << 16)
@@ -357,7 +377,7 @@ def entropy_hypothesis(
        column) at once, one np.minimum/np.maximum pair over whole rows per
        comparator;
     2. the run boundaries of each sorted codeword are packed into one integer
-       code, and np.unique finds the distinct codes;
+       code, and a sort and one adjacent-compare pass find the distinct codes;
     3. each code maps to its sorted count multiset, and each multiset to its
        smoothed min-entropy, through two bounded memos shared by all calls,
        so a multiset seen in an earlier call is not evaluated again.
@@ -373,7 +393,7 @@ def entropy_hypothesis(
     if not 0 <= eta < 1:
         raise ValueError(f"smoothing level ceta*eps = {eta} outside [0, 1)")
     threshold = (1.0 - cgamma * eps) * math.log2(q)
-    columns = codeword_table(outer)[:, 1:]
+    columns = codeword_table(outer.gen)[:, 1:]
     multisets = {_count_multiset(code, outer.n) for code in _boundary_codes(_sort_columns(columns))}
     min_entropy = min(
         (_multiset_entropy(counts, ctx, eta, halved_tv) for counts in multisets), default=math.inf

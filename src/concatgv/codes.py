@@ -81,33 +81,10 @@ class OuterCode:
         """Codeword of a length-k message over the field."""
         if len(msg) != self.k:
             raise ValueError(f"message length {len(msg)} != k={self.k}")
-        ctx = self.ctx
         out = [0] * self.n
         for mi, row in zip(msg, self.gen.rows):
-            if mi:
-                for a in range(self.n):
-                    if row[a]:
-                        out[a] ^= ctx.mul(mi, row[a])
+            out = [o ^ p for o, p in zip(out, self.ctx.scale(mi, row))]
         return tuple(out)
-
-    def dual(self) -> OuterCode:
-        """The dual code (0-dimensional when k = n), read off the generator's
-        cached echelon form."""
-        return OuterCode(nullspace_basis(self.gen))
-
-    def dual_membership(self, x: Sequence[int]) -> bool:
-        """True iff x is orthogonal to every generator row (x in the dual code)."""
-        if len(x) != self.n:
-            raise ValueError(f"vector length {len(x)} != n={self.n}")
-        ctx = self.ctx
-        for row in self.gen.rows:
-            s = 0
-            for g, c in zip(row, x):
-                if g and c:
-                    s ^= ctx.mul(g, c)
-            if s != 0:
-                return False
-        return True
 
 
 @dataclass(frozen=True)
@@ -325,24 +302,22 @@ def min_distance(
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def codeword_table(outer: OuterCode) -> np.ndarray:
-    """All q^k codewords of the outer code as the columns of an (n, q^k) array.
+def codeword_table(gen: FieldMatrix) -> np.ndarray:
+    """All q^k codewords that the k x n field matrix `gen` generates, as the
+    columns of an (n, q^k) array.
 
     The array is coordinate-major: row a holds coordinate a of every
     codeword, contiguously, and ``.T`` is the row-per-codeword view.  Column
     i is the codeword of the message whose digit j is (i // q^j) % q, so
     column 0 is the zero codeword and digit 0 varies fastest.  The scalar
-    multiples of all generator rows, a (k, n, q) array, are gathered at once
-    from the field's numpy log/antilog tables, with zero symbols masked; the
-    codewords are then XOR sums, one broadcast per row.  The dtype is the smallest unsigned type that holds q - 1.
+    multiples of all generator rows, a (k, n, q) array, come from one
+    ``mul_array`` call; the codewords are then XOR sums, one broadcast per
+    row.  The dtype is the smallest unsigned type that holds q - 1.
     """
-    exp, log = outer.ctx.log_tables()
-    n = outer.n
-    gen = np.array(outer.gen.rows, dtype=np.intp).reshape(-1, n)
-    multiples = exp[log[gen][:, :, None] + log]  # [i, a, v] = v * gen[i, a]
-    multiples[:, :, 0] = 0
-    multiples[gen == 0] = 0
-    table = np.zeros((n, 1), dtype=exp.dtype)
+    ctx, n = gen.ctx, gen.cols
+    rows = np.array(gen.rows, dtype=np.intp).reshape(-1, n, 1)
+    multiples = ctx.mul_array(rows, np.arange(ctx.q))  # [i, a, v] = v * gen[i, a]
+    table = np.zeros((n, 1), dtype=multiples.dtype)
     for row in multiples:
         table = (row[:, :, None] ^ table[:, None, :]).reshape(n, -1)
     return table

@@ -19,7 +19,7 @@ between GF(2^k0) symbols and k0-bit vectors.
 from __future__ import annotations
 
 import functools
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -140,8 +140,10 @@ class FieldCtx:
 
         ``_exp[i]`` is g^i, stored for i < 2(q-1) so that the sum of two logs
         indexes it without a modulo; ``_log`` inverts it on the nonzero
-        elements (``_log[0]`` is never read).  A candidate g whose powers
-        return to 1 before q-1 steps is not primitive and is skipped.
+        elements.  Zero's log is 2(q-1), past which ``_exp`` holds 2(q-1) + 1
+        zeros, so ``_exp[_log[a] + _log[b]]`` is a * b for every pair, zeros
+        included.  A candidate g whose powers return to 1 before q-1 steps is
+        not primitive and is skipped.
         """
         order = self.q - 1
         for g in range(1, self.q):
@@ -151,8 +153,8 @@ class FieldCtx:
                 x = _clmul(x, g, self.modulus)
             if len(powers) == order:
                 break
-        self._exp: List[int] = powers + powers
-        self._log: List[int] = [0] * self.q
+        self._exp: List[int] = powers + powers + [0] * (2 * order + 1)
+        self._log: List[int] = [2 * order] * self.q
         for i, x in enumerate(powers):
             self._log[x] = i
 
@@ -162,27 +164,25 @@ class FieldCtx:
 
     def mul(self, a: int, b: int) -> int:
         """Field product of two elements, by adding their logs."""
-        if a and b:
-            return self._exp[self._log[a] + self._log[b]]
-        return 0
+        return self._exp[self._log[a] + self._log[b]]
 
     def scale(self, c: int, vec: Sequence[int]) -> List[int]:
         """[c * v for v in vec], with one log lookup for c."""
-        if not c:
-            return [0] * len(vec)
         exp, log, lc = self._exp, self._log, self._log[c]
-        return [exp[lc + log[v]] if v else 0 for v in vec]
+        return [exp[lc + log[v]] for v in vec]
 
-    def log_tables(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Numpy copies of the antilog and log tables, made on first use:
-        ``exp`` in the smallest unsigned dtype that holds q - 1, so a gather
-        from it is already a symbol array, and ``log`` as intp, so two logs
-        add without overflow.  Entry 0 of ``log`` is 0; callers mask zeros."""
+    def mul_array(self, a, b) -> np.ndarray:
+        """Elementwise field product of two broadcastable integer arrays,
+        gathered from numpy copies of the tables that are made on first use.
+        The product's dtype is the smallest unsigned type that holds q - 1.
+        The log copy is int32: a sum of two logs is at most 4(q - 1) < 2^31,
+        and the summed index array takes half the memory of an intp one."""
         tables = self.__dict__.get("_np_tables")
         if tables is None:
             exp = np.array(self._exp, dtype=np.min_scalar_type(self.q - 1))
-            tables = self._np_tables = (exp, np.array(self._log, dtype=np.intp))
-        return tables
+            tables = self._np_tables = (exp, np.array(self._log, dtype=np.int32))
+        exp, log = tables
+        return exp[log[a] + log[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:

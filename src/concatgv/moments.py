@@ -26,8 +26,11 @@ from typing import Any, Dict
 
 import numpy as np
 
-from .certify import bernoulli_p, check_nice, d_pmf
+from .certify import bernoulli_p, check_nice, d_pmf, tau_in_range
 from .codes import ConcatCode, weight_distribution
+
+# poisson_product_check stops adding Poisson terms once the mass left is below this.
+TAIL_EPS = 1e-12
 
 
 def _g_masks(cc: ConcatCode) -> Counter:
@@ -176,19 +179,17 @@ def count_W(cc: ConcatCode, r: int, budget: int = 1 << 27) -> WCountReport:
     eps = cc.inner.k0 / n0
     tau = 1.0 / math.sqrt(n0)
     nice: bool | None = None
-    if 0 < tau < eps:
+    if tau_in_range(tau, cc.inner.k0, n0):
         nice = check_nice(cc.inner, tau).ok
     bound = w_count_bound(cc.N, n0, eps, r)
     return WCountReport(r, n_zero, bound, tau, nice)
 
 
-def poisson_product_check(
-    cc: ConcatCode, lam: float, tail_eps: float = 1e-12
-) -> float:
+def poisson_product_check(cc: ConcatCode, lam: float) -> float:
     """Max pointwise gap between the Poissonized tuple law of g and the product law.
 
     Side (a): draw r ~ Poisson(lam * N) (truncated once the remaining tail
-    mass is below tail_eps), then a uniform length-r tuple, and fold it to
+    mass is below TAIL_EPS), then a uniform length-r tuple, and fold it to
     g; the law is computed exactly by the r-step walk on GF(q)^n with weight
     1/m per pair.  Side (b): the product over coordinates of the sparse
     combination pmf with p = (1 - e^(-2 lam)) / 2.  The gap is bounded by the
@@ -196,8 +197,6 @@ def poisson_product_check(
     """
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    if not 0 < tail_eps < 1:
-        raise ValueError("tail_eps must be in (0, 1)")
     ctx = cc.ctx
     n = cc.outer.n
     states = ctx.q**n
@@ -216,7 +215,7 @@ def poisson_product_check(
     mix[0] = pois
     covered = pois
     r = 0
-    while 1.0 - covered > tail_eps:
+    while 1.0 - covered > TAIL_EPS:
         walk = _walk_step(walk, g_masks, 1.0 / m)
         r += 1
         pois *= mean / r

@@ -28,6 +28,7 @@ from .certify import (
     d_pmf,
     entropy_hypothesis,
     soft_condition,
+    tau_in_range,
 )
 from .codes import BinaryCode, ConcatCode, OuterCode, min_distance, weight_distribution
 from .field import MAX_DEGREE, make_field
@@ -96,9 +97,7 @@ class SweepConfig:
                 f"equal_rate requires k0/n0 == k/n, got {self.k0}/{self.n0} != {self.k}/{self.n}"
             )
         if self.toggles.run_nice:
-            tau = self.constants.tau  # 0 < tau < k0/n0 <= 1, compared exactly
-            num, den = tau.as_integer_ratio() if 0 < tau < 1 else (0, 1)
-            if not (num > 0 and num * self.n0 < self.k0 * den):
+            if not tau_in_range(self.constants.tau, self.k0, self.n0):
                 raise ValueError(f"tau={self.constants.tau} outside (0, {self.k0 / self.n0})")
             if (1 << (self.n0 - self.k0)) > self.budgets.niceness:
                 raise ValueError("niceness check over budget for this config")

@@ -94,6 +94,19 @@ def clmul_mod(a: int, b: int, modulus: int, k0: int) -> int:
     return prod
 
 
+def dual_membership(outer: OuterCode, x: Sequence[int]) -> bool:
+    """True iff x is orthogonal to every generator row of outer (x is in the
+    dual code): one schoolbook syndrome symbol per row."""
+    ctx = outer.ctx
+    for row in outer.gen.rows:
+        s = 0
+        for g, c in zip(row, x, strict=True):
+            s ^= clmul_mod(g, c, ctx.modulus, ctx.k0)
+        if s:
+            return False
+    return True
+
+
 def gf2_rref_by_columns(rows: Sequence[int], cols: int):
     """Textbook Gauss-Jordan over GF(2), one column at a time from column 0:
     (reduced nonzero rows, pivot columns), as tuples."""

@@ -171,12 +171,12 @@ def test_c06_poissonization():
         OuterCode(sample_field_code(f4, 2, 1, derive_seed(MASTER_SEED, 61))),
         BinaryCode(sample_binary_code(3, 2, derive_seed(MASTER_SEED, 62))),
     )
-    gap_a = poisson_product_check(cc_a, 0.2, tail_eps=1e-12)
+    gap_a = poisson_product_check(cc_a, 0.2)
     cc_b = ConcatCode(
         OuterCode(sample_field_code(f4, 1, 1, derive_seed(MASTER_SEED, 63))),
         BinaryCode(sample_binary_code(4, 2, derive_seed(MASTER_SEED, 64))),
     )
-    gap_b = poisson_product_check(cc_b, 0.5, tail_eps=1e-12)
+    gap_b = poisson_product_check(cc_b, 0.5)
     report(
         "criterion 6: Poissonization product law, gap <= 1e-9",
         gap_a <= 1e-9 and gap_b <= 1e-9,

@@ -30,6 +30,7 @@ from oracles import (
     all_messages,
     bisect_min_entropy,
     d_pmf_oracle,
+    dual_membership,
     empirical_dist,
     inversion_draws,
     sequential_sum,
@@ -182,7 +183,7 @@ def naive_soft_oracle(outer: OuterCode, pmf: Pmf) -> float:
     """Full-space enumeration of Pr[x in dual \\ {0}]."""
     total = 0.0
     for x in itertools.product(range(outer.ctx.q), repeat=outer.n):
-        if any(x) and outer.dual_membership(x):
+        if any(x) and dual_membership(outer, x):
             term = 1.0
             for sym in x:
                 term *= pmf[sym]
@@ -226,6 +227,45 @@ def test_soft_condition_montecarlo_ci_covers():
         if mc.ci_low <= exact <= mc.ci_high:
             covered += 1
     assert covered >= 0.9 * reps
+
+
+def test_montecarlo_hits_are_the_oracle_membership_count():
+    # A hit is a nonzero draw in the dual; the schoolbook membership oracle
+    # counts them over the same inverse-CDF draws, one vector at a time.
+    rng = SplitMix64(606)
+    budget = 200
+    hits_seen = zero_draws = full_rank = 0
+    for seed, outer in enumerate(small_outer_codes(256)):
+        ctx, n = outer.ctx, outer.n
+        omega = [1 + rng.randrange(ctx.q - 1) if ctx.q > 2 else 1 for _ in range(3)]
+        for pm in (d_pmf(ctx, omega, 0.2), pmf_with_zeros(ctx)):
+            samples = inversion_draws(pm.probs, seed, budget * n)
+            draws = [samples[t * n : (t + 1) * n] for t in range(budget)]
+            hits = sum(any(x) and dual_membership(outer, x) for x in draws)
+            rep = soft_condition(outer, pm, "montecarlo", budget=budget, seed=seed)
+            assert (rep.prob, rep.draws, rep.is_exact) == (hits / budget, budget, False)
+            hits_seen += hits
+            zero_draws += sum(not any(x) for x in draws)
+        full_rank += outer.k == n
+    assert hits_seen > 0 and zero_draws > 0 and full_rank > 0
+    # every draw the zero vector: in the dual, but never a hit
+    outer = OuterCode(sample_field_code(F4, 3, 1, 5))
+    point = Pmf(F4, (1.0, 0.0, 0.0, 0.0))
+    assert soft_condition(outer, point, "montecarlo", budget=50).prob == 0.0
+    with pytest.raises(ValueError, match="trials must be positive"):
+        soft_condition(outer, point, "montecarlo", budget=0)
+
+
+def test_zero_dimensional_outer_code():
+    # no nonzero codeword, so an empty entropy table; the dual is the whole space
+    outer = OuterCode(FieldMatrix((), 3, F4))
+    rep = entropy_hypothesis(outer, 1.0, 1.0)
+    assert (rep.n_checked, rep.min_entropy, rep.ok) == (0, math.inf, True)
+    pm = d_pmf(F4, [1, 2], 0.2)
+    assert soft_condition(outer, pm, "exact").prob == soft_loop_reference(outer, pm)
+    draws = inversion_draws(pm.probs, 0, 300)
+    hits = sum(any(draws[t : t + 3]) for t in range(0, 300, 3))
+    assert soft_condition(outer, pm, "montecarlo", budget=100).prob == hits / 100
 
 
 def test_wilson_interval_sane():
@@ -318,7 +358,7 @@ def test_exact_soft_prob_is_the_left_to_right_sum_over_the_dual_table(k0, n, k):
         outer = OuterCode(sample_field_code(ctx, n, k, derive_seed(rng.bits(32), seed)))
         omega = [1 + rng.randrange(ctx.q - 1) for _ in range(2 * k0)]
         pm = d_pmf(ctx, omega, bernoulli_p(C_TILDE_DEFAULT, k / n))
-        terms = [math.prod(pm[sym] for sym in word) for word in codeword_table(outer.dual()).T[1:].tolist()]
+        terms = [math.prod(pm[sym] for sym in word) for word in codeword_table(nullspace_basis(outer.gen)).T[1:].tolist()]
         assert soft_condition(outer, pm, "exact").prob == sequential_sum(terms)
 
 
@@ -611,7 +651,7 @@ def test_table_budgets_fail_before_any_multiply(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("field arithmetic before the budget check")
 
-    for name in ("mul", "scale", "log_tables"):
+    for name in ("mul", "scale", "mul_array"):
         monkeypatch.setattr(FieldCtx, name, forbidden)
     with pytest.raises(ValueError, match="dual size 64 exceeds budget 63"):
         soft_condition(outer, pm, "exact", budget=63)

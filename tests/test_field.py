@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -202,10 +203,14 @@ def test_every_irreducible_modulus_up_to_degree_8():
 
 @pytest.mark.parametrize("k0", range(1, 9))
 def test_arithmetic_matches_schoolbook_exhaustive(k0):
+    # mul, scale and mul_array on every pair, zeros included
     f = make_field(k0)
-    for a in range(f.q):
-        for b in range(f.q):
-            assert f.mul(a, b) == clmul_mod(a, b, f.modulus, k0)
+    every = range(f.q)
+    want = [[clmul_mod(a, b, f.modulus, k0) for b in every] for a in every]
+    assert [[f.mul(a, b) for b in every] for a in every] == want
+    assert [f.scale(a, every) for a in every] == want
+    products = f.mul_array(np.arange(f.q)[:, None], np.arange(f.q))
+    assert products.dtype == np.min_scalar_type(f.q - 1) and products.tolist() == want
     for a in range(1, f.q):
         assert clmul_mod(a, f.inv(a), f.modulus, k0) == 1
 

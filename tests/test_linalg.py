@@ -241,14 +241,13 @@ def test_rref_is_computed_once_and_immutable(monkeypatch):
     assert isinstance(FieldMatrix(((1, 2, 3),), 3, ctx).rref[0][0], tuple)
 
 
-def test_outer_code_and_its_dual_take_two_field_eliminations(monkeypatch):
-    # one for the sampled generator (read again by OuterCode and the kernel),
-    # one for the dual generator's own full-rank check
+def test_outer_code_and_its_kernel_take_one_field_elimination(monkeypatch):
+    # the sampled generator's, which OuterCode and the kernel basis both read
     calls = counting(monkeypatch, "_field_rref")
     ctx = make_field(4)
-    dual = OuterCode(sample_field_code(ctx, 6, 3, 5)).dual()
-    assert len(calls) == 2
-    assert (dual.n, dual.k) == (6, 3)
+    kernel = nullspace_basis(OuterCode(sample_field_code(ctx, 6, 3, 5)).gen)
+    assert len(calls) == 1
+    assert (kernel.cols, kernel.nrows) == (6, 3)
 
 
 def test_one_gf2_elimination_per_inner_draw(monkeypatch):

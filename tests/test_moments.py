@@ -364,7 +364,7 @@ def test_poisson_product_single_bernoulli():
     # n = 1, omega = {1} over F2: both sides are Bernoulli((1 - e^(-2 lam)) / 2)
     cc = one_bit_instance()
     lam = 0.37
-    gap = poisson_product_check(cc, lam, tail_eps=1e-14)
+    gap = poisson_product_check(cc, lam)
     assert gap <= 1e-12
     # closed form for the one-coordinate marginal
     from concatgv.certify import d_pmf
@@ -379,12 +379,12 @@ def test_poisson_product_acceptance_instances():
         OuterCode(sample_field_code(F4, 2, 1, 11)),
         BinaryCode(sample_binary_code(3, 2, 12)),
     )
-    assert poisson_product_check(cc_a, 0.2, 1e-12) <= 1e-9
+    assert poisson_product_check(cc_a, 0.2) <= 1e-9
     cc_b = ConcatCode(
         OuterCode(sample_field_code(F4, 1, 1, 13)),
         BinaryCode(sample_binary_code(4, 2, 14)),
     )
-    assert poisson_product_check(cc_b, 0.5, 1e-12) <= 1e-9
+    assert poisson_product_check(cc_b, 0.5) <= 1e-9
 
 
 def test_zero_omega_entry_is_consistent_everywhere():
@@ -397,13 +397,15 @@ def test_zero_omega_entry_is_consistent_everywhere():
         assert weight_distribution(cc).moment(r) == moment_dual(cc, r)
     # each coordinate paired once with the zero entry folds to 0
     assert count_W(cc, 1).count == cc.outer.n
-    assert poisson_product_check(cc, 0.3, 1e-12) <= 1e-9
+    assert poisson_product_check(cc, 0.3) <= 1e-9
 
 
-def test_poisson_mixture_matches_explicit_tuple_oracle():
+def test_poisson_mixture_matches_explicit_tuple_oracle(monkeypatch):
     # oracle: mixture over r of the exhaustive uniform-tuple law of the fold,
-    # truncated where the Poisson tail drops below tail_eps
+    # truncated where the Poisson tail drops below tail_eps; the check under
+    # test truncates there too, since the oracle's 4^r tuples rule out 1e-12
     tail_eps = 1e-9
+    monkeypatch.setattr(moments, "TAIL_EPS", tail_eps)
     inner = BinaryCode(sample_binary_code(2, 1, 3))
     outer = OuterCode(sample_field_code(F2, 2, 1, 4))
     cc = ConcatCode(outer, inner)
@@ -440,7 +442,7 @@ def test_poisson_mixture_matches_explicit_tuple_oracle():
         oracle_gap = max(oracle_gap, abs(mix[packed] - prod))
     assert oracle_gap <= tail_eps + 1e-12
 
-    ours = poisson_product_check(cc, lam, tail_eps=tail_eps)
+    ours = poisson_product_check(cc, lam)
     assert abs(ours - oracle_gap) <= 1e-12
 
 
@@ -451,18 +453,9 @@ def test_zero_folds_rejects_a_negative_length(count):
         count(one_bit_instance(), -1)
 
 
-@pytest.mark.parametrize(
-    "lam, tail_eps, message",
-    [
-        (-0.1, 1e-12, "lambda must be nonnegative"),
-        (0.2, 0.0, "tail_eps must be in"),
-        (0.2, 1.0, "tail_eps must be in"),
-        (0.2, -1e-12, "tail_eps must be in"),
-    ],
-)
-def test_poisson_rejects_parameters_out_of_range(lam, tail_eps, message):
-    with pytest.raises(ValueError, match=message):
-        poisson_product_check(one_bit_instance(), lam, tail_eps)
+def test_poisson_rejects_a_negative_lambda():
+    with pytest.raises(ValueError, match="lambda must be nonnegative"):
+        poisson_product_check(one_bit_instance(), -0.1)
 
 
 def test_poisson_rejects_underflowing_weight():

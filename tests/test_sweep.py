@@ -1,10 +1,13 @@
 import json
 import math
+import os
+import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
+import concatgv
 from concatgv.codes import BinaryCode, ConcatCode, OuterCode, weight_distribution
 from concatgv.field import make_field
 from concatgv.linalg import sample_binary_code, sample_field_code
@@ -151,6 +154,47 @@ def test_tau_compared_exactly_with_the_inner_rate():
             validate(2, 4, tau)
 
 
+@pytest.mark.parametrize("k0, n0", [(1, 3), (2, 6), (2, 3), (3, 7), (2, 4), (1, 1)])
+def test_every_tau_that_validation_accepts_runs_the_sweep(k0, n0):
+    # validate and check_nice decide 0 < tau < k0/n0 by one exact rule, so a
+    # tau at or next to the float k0/n0 is either refused at load or checked
+    # in every trial
+    rate = k0 / n0
+    for tau in (math.nextafter(rate, 0), rate, math.nextafter(rate, math.inf)):
+        doc = {"k0": k0, "n0": n0, "n": n0, "k": k0, "trials": 2, "master_seed": 0,
+               "constants": {"tau": tau}, "toggles": {"run_nice": True}}
+        if Fraction(tau) < Fraction(k0, n0):
+            rows, _ = run_sweep(config_from_dict(doc))
+            assert [row.nice_ok is not None for row in rows] == [True, True]
+        else:
+            with pytest.raises(ValueError, match="tau"):
+                config_from_dict(doc)
+
+
+def test_an_all_toggles_trial_does_not_import_numpy_ma():
+    # numpy.ma costs about 10 ms and 1 MB to import; np.unique imports it on
+    # its first call.  Run in a fresh interpreter, where numpy alone has not.
+    script = """if True:
+        import sys
+        import numpy
+        if "numpy.ma" in sys.modules:
+            sys.exit("numpy.ma loaded by import numpy")
+        from concatgv.sweep import config_from_dict, run_sweep
+        toggles = dict.fromkeys(["run_nice", "run_soft", "run_entropy", "run_moments"], True)
+        run_sweep(config_from_dict({"k0": 2, "n0": 4, "n": 4, "k": 2, "trials": 1,
+                                    "master_seed": 0, "toggles": toggles}))
+        print("numpy.ma" in sys.modules)
+    """
+    src = os.path.dirname(os.path.dirname(concatgv.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    if proc.stderr.strip() == "numpy.ma loaded by import numpy":
+        pytest.skip(proc.stderr.strip())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_field_degree_above_the_largest_refused_at_load():
     cfg = {"k0": 40, "n0": 80, "n": 4, "k": 2, "trials": 0, "master_seed": 0}
     for trials in (0, 1):
@@ -286,8 +330,9 @@ def test_emitted_eps_equals_both_rates_under_equal_rate():
 @pytest.mark.parametrize("all_on", [False, True])
 def test_eliminations_per_trial(all_on, monkeypatch):
     # Each sampler draw is reduced once, and the codes built from the accepted
-    # draws reuse that echelon form; only the niceness and soft checks reduce
-    # a further matrix each, the dual generator they build.
+    # draws reuse that echelon form; only the niceness check reduces a further
+    # matrix, the inner dual's generator.  The soft check reads the outer
+    # generator's kernel off its echelon form.
     from concatgv import linalg
 
     counts = {}
@@ -301,5 +346,5 @@ def test_eliminations_per_trial(all_on, monkeypatch):
     draws = [m for (m,) in counts["rank"]]
     binary = sum(isinstance(m, linalg.BitMatrix) for m in draws)
     assert len(counts["_gf2_rref"]) == binary + all_on * cfg.trials
-    assert len(counts["_field_rref"]) == len(draws) - binary + all_on * cfg.trials
+    assert len(counts["_field_rref"]) == len(draws) - binary
     assert len(draws) >= 2 * cfg.trials
