@@ -14,9 +14,7 @@ not tuning, so sweeps should treat them as knobs.
 
 from __future__ import annotations
 
-import bisect
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
@@ -86,15 +84,24 @@ def bernoulli_p(c_tilde: float, eps: float) -> float:
     return (1.0 - math.exp(-2.0 * c_tilde * eps * eps)) / 2.0
 
 
-def sample_pmf_many(pmf: Pmf, seed: int, count: int) -> List[int]:
+# sample_pmf_many draws this many uniforms per array, bounding its temporaries
+SAMPLE_BLOCK = 1 << 16
+
+
+def sample_pmf_many(pmf: Pmf, seed: int, count: int) -> np.ndarray:
     """Draws from an arbitrary pmf by CDF inversion (used by Monte Carlo modes):
-    each draw is the first index whose cumulative probability exceeds u.  The
-    CDF is 1 from the last nonzero entry on, so no u reaches a trailing zero."""
-    cdf = list(itertools.accumulate(pmf.probs))
-    last = max(i for i, p in enumerate(pmf.probs) if p)
-    cdf[last:] = [1.0] * (len(cdf) - last)
+    draw i is the first index whose cumulative probability exceeds the i-th
+    ``uniform()`` of SplitMix64(seed).  The CDF is 1 from the last nonzero
+    entry on, so no u reaches a trailing zero.  The draws come as an array of
+    the smallest unsigned type that holds q - 1, filled a block at a time."""
+    cdf = np.add.accumulate(pmf.probs)  # left to right, one term at a time
+    cdf[max(i for i, p in enumerate(pmf.probs) if p) :] = 1.0
     rng = SplitMix64(seed)
-    return [bisect.bisect_right(cdf, rng.uniform()) for _ in range(count)]
+    out = np.empty(count, dtype=np.min_scalar_type(pmf.ctx.q - 1))
+    for start in range(0, count, SAMPLE_BLOCK):
+        block = out[start : start + SAMPLE_BLOCK]
+        block[:] = np.searchsorted(cdf, rng.uniforms(len(block)), side="right")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +202,7 @@ def soft_condition(
         return SoftReport(prob, prob * qk - 1.0, True)
     if mode == "montecarlo":
         n = outer.n
-        # symbols < q <= 2^16; the draw list is freed once it is converted
-        draws = np.array(sample_pmf_many(pmf, seed, budget * n), dtype=np.uint16).reshape(budget, n)
+        draws = sample_pmf_many(pmf, seed, budget * n).reshape(budget, n)
         hit = draws.any(axis=1)
         for row in np.array(outer.gen.rows, dtype=np.intp).reshape(-1, n):  # one syndrome symbol per row
             hit &= np.bitwise_xor.reduce(outer.ctx.mul_array(row, draws), axis=1) == 0

@@ -9,16 +9,23 @@ moment of the bias over random nonzero messages:
 
 Both sides are exact rationals (fractions.Fraction) and must agree exactly;
 floats appear only in reports.  Each pair XORs one mask into g (packed in
-n * k0 bits) or into its outer syndrome (k * k0 bits), so an r-step walk on a
-sparse state -> count dict counts the m^r tuples (m = n * n0) per endpoint in
-work bounded by ``walk_work``.  The Poissonization check runs the same walk
-with float weights.  A Walsh-Hadamard shortcut would turn the dual side into
-MacWilliams over the messages, so the identity would check nothing; none is used.
+n * k0 bits) or into its outer syndrome (k * k0 bits); the code builds both
+mask sets once (``ConcatCode.g_masks``, ``ConcatCode.syndrome_masks``).  A
+mask is its own XOR inverse, so an r-tuple folds to 0 iff its first r // 2
+masks and its last r - r // 2 fold to the same state: the count meets in the
+middle, walking only ceil(r/2) - 1 steps of a state -> count map from the
+masks, in work bounded by ``walk_work`` rather than the m^r tuples
+(m = n * n0).  The map is a sparse dict until the live states fill enough of
+the table, then an int64 array stepped by one gather per mask.  The
+Poissonization check runs the sparse walk with float weights.  A
+Walsh-Hadamard shortcut would turn the dual side into MacWilliams over the
+messages, so the identity would check nothing; none is used.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,41 +40,47 @@ from .codes import ConcatCode, weight_distribution
 TAIL_EPS = 1e-12
 
 
-def _g_masks(cc: ConcatCode) -> Counter:
-    """XOR masks of the (alpha, beta) pairs on the packed g, which holds
-    coordinate alpha in bits [alpha*k0, (alpha+1)*k0).  Omega may repeat
-    entries or contain 0, so each mask maps to its multiplicity."""
-    k0 = cc.ctx.k0
-    return Counter(b << (alpha * k0) for alpha in range(cc.outer.n) for b in cc.omega)
-
-
-def _syndrome_masks(cc: ConcatCode) -> Counter:
-    """The same pairs' masks on the outer syndrome gen @ g, row i packed in
-    bits [i*k0, (i+1)*k0): pair (alpha, b) adds b * gen[i][alpha] to row i."""
-    ctx = cc.ctx
-    gen = cc.outer.gen.rows
-    return Counter(
-        sum(ctx.mul(row[alpha], b) << (i * ctx.k0) for i, row in enumerate(gen))
-        for alpha in range(cc.outer.n)
-        for b in cc.omega
-    )
+# The walk switches from a sparse dict to an int64 count array over all
+# 2^bits states once the dense step is the cheaper one.  On a 2-CPU Xeon
+# (Python 3.11, numpy 2.4) one sparse update cost as much as 16-40 dense
+# entries, and each mask's gather a fixed 1-1.5 us, about 512 entries; so the
+# dense step is taken once the live states times DENSE_ENTRIES_PER_UPDATE
+# reach 2^bits + DENSE_CALL_ENTRIES, and on at most DENSE_MAX_STATES states
+# (8 MB per array, the Poissonization check's tabulation cap).
+DENSE_ENTRIES_PER_UPDATE = 16
+DENSE_CALL_ENTRIES = 512
+DENSE_MAX_STATES = 1 << 20
 
 
 def walk_work(m: int, bits: int, r: int) -> int:
-    """Bound on the state-mask updates of ``zero_folds`` for m pairs on 2^bits states.
+    """Bound on the work of ``zero_folds`` for m pairs on 2^bits states.
 
-    Step t (t = 0..r-2) leaves at most min(2^bits, m^t) states, each moved by
-    m masks; the final read looks up m masks.  For m >= 2 this is <= m^r.
+    The count meets in the middle, a = r // 2 and b = r - a: from the masks,
+    b - 1 walk steps reach the b-tuple counts, and step t (t = 1..b-1) leaves
+    at most min(2^bits, m^t) states, each moved by m masks; the final product
+    reads at most min(2^bits, m^a) states.  This is at most the (r-1)-step
+    walk's bound, and for m >= 2 at most m^r.  A dense step visits all 2^bits
+    states per distinct mask, but is taken only where it is measured to be
+    faster than the sparse step it replaces.
     """
     if r == 0:
         return 1
+    a, b = r // 2, r - r // 2
+    if m < 2:  # min(2^bits, m^t) is m for every t >= 1
+        return (b - 1) * m * m + (m if a else 1)
     cap = 1 << bits
-    work, states, steps = m, 1, r - 1
-    while steps and states < cap:  # r comes from configs: never build m^t for large t
-        work += states * m
-        states *= m
-        steps -= 1
-    return work + steps * cap * m
+    steps, states, half, t = 0, 1, 1, 0  # states = min(cap, m^t), half = min(cap, m^a)
+    while t < b and states < cap:  # m >= 2 fills the table within bits + 1 steps
+        t += 1
+        states = states * m if states * m < cap else cap
+        if t < b:
+            steps += states
+        if t == a:
+            half = states
+    steps += max(0, b - 1 - t) * cap  # every later step sees a full table
+    if a > t:
+        half = cap
+    return steps * m + half
 
 
 def _walk_step(dist: Dict[int, Any], masks: Counter, scale: Any = 1) -> Dict[int, Any]:
@@ -82,22 +95,68 @@ def _walk_step(dist: Dict[int, Any], masks: Counter, scale: Any = 1) -> Dict[int
     return out
 
 
+def _dense_step(dist: np.ndarray, masks: Counter) -> np.ndarray:
+    """``_walk_step`` on a count array over all states: one gather per mask."""
+    index = np.arange(len(dist))
+    out = np.zeros_like(dist)
+    for mask, mult in masks.items():
+        moved = dist[index ^ mask]
+        if mult != 1:
+            moved *= mult
+        out += moved
+    return out
+
+
+def _pair_sum(low: Dict[int, int] | np.ndarray, high: Dict[int, int] | np.ndarray) -> int:
+    """sum over states x of low[x] * high[x], in Python ints.  low is the
+    earlier walk state, so it is dense only if high is."""
+    if isinstance(high, np.ndarray):
+        high = high.tolist()
+        if isinstance(low, np.ndarray):
+            return sum(map(operator.mul, low.tolist(), high))
+        return sum(w * high[x] for x, w in low.items())
+    get = high.get
+    return sum(w * get(x, 0) for x, w in low.items())
+
+
 def zero_folds(masks: Counter, bits: int, r: int, budget: int) -> int:
     """Exact number of r-tuples of masks (with multiplicity) whose XOR is 0.
 
-    After r - 1 steps from 0, the last mask closes a tuple iff it equals the state.
+    Each mask is its own XOR inverse, so a tuple folds to 0 iff its first
+    a = r // 2 masks fold to the same state as its last b = r - a; the count
+    is sum_x N_a(x) N_b(x), where N_t(x) counts the t-tuples folding to x.
+    N_0 is {0: 1} and N_1 the masks themselves, so only b - 1 steps are
+    walked.  Counts stay in a sparse dict of Python ints until the live
+    states fill enough of a table of at most DENSE_MAX_STATES entries; from
+    there the walk steps an int64 array, which holds every count as long as
+    m^b < 2^63.
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
-    work = walk_work(sum(masks.values()), bits, r)
+    m = sum(masks.values())
+    work = walk_work(m, bits, r)
     if work > budget:
         raise ValueError(f"walk work {work} exceeds budget {budget}")
     if r == 0:
         return 1
-    dist: Dict[int, int] = {0: 1}
-    for _ in range(r - 1):
-        dist = _walk_step(dist, masks)
-    return sum(mult * dist.get(mask, 0) for mask, mult in masks.items())
+    a, b = r // 2, r - r // 2
+    cap = 1 << bits
+    low: Dict[int, int] | np.ndarray = {0: 1}
+    high: Dict[int, int] | np.ndarray = masks
+    for _ in range(b - 1):
+        if (
+            isinstance(high, dict)
+            and len(high) * DENSE_ENTRIES_PER_UPDATE >= cap + DENSE_CALL_ENTRIES
+            and cap <= DENSE_MAX_STATES
+            and b < 63
+            and m**b < 1 << 63  # every count of the walk fits an int64
+        ):
+            table = np.zeros(cap, dtype=np.int64)
+            table[list(high)] = list(high.values())
+            high = table
+        step = _dense_step if isinstance(high, np.ndarray) else _walk_step
+        low, high = high, step(high, masks)
+    return _pair_sum(high if a == b else low, high)
 
 
 def moment_dual(cc: ConcatCode, r: int, budget: int = 1 << 27) -> Fraction:
@@ -109,7 +168,7 @@ def moment_dual(cc: ConcatCode, r: int, budget: int = 1 << 27) -> Fraction:
     """
     qk = cc.ctx.q**cc.outer.k
     m = cc.outer.n * cc.inner.n0
-    n_dual = zero_folds(_syndrome_masks(cc), cc.outer.k * cc.ctx.k0, r, budget)
+    n_dual = zero_folds(cc.syndrome_masks, cc.outer.k * cc.ctx.k0, r, budget)
     return Fraction(qk * n_dual - m**r, qk - 1)
 
 
@@ -174,7 +233,7 @@ def count_W(cc: ConcatCode, r: int, budget: int = 1 << 27) -> WCountReport:
     check; when that tau is not below the inner rate the check is undefined
     at this instance size and ``nice`` is None.
     """
-    n_zero = zero_folds(_g_masks(cc), cc.outer.n * cc.ctx.k0, r, budget)
+    n_zero = zero_folds(cc.g_masks, cc.outer.n * cc.ctx.k0, r, budget)
     n0 = cc.inner.n0
     eps = cc.inner.k0 / n0
     tau = 1.0 / math.sqrt(n0)
@@ -195,8 +254,8 @@ def poisson_product_check(cc: ConcatCode, lam: float) -> float:
     combination pmf with p = (1 - e^(-2 lam)) / 2.  The gap is bounded by the
     truncated tail plus rounding.
     """
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
+    if not 0 <= lam < math.inf:
+        raise ValueError(f"lambda must be nonnegative and finite, got {lam}")
     ctx = cc.ctx
     n = cc.outer.n
     states = ctx.q**n
@@ -207,7 +266,7 @@ def poisson_product_check(cc: ConcatCode, lam: float) -> float:
     pois = math.exp(-mean)
     if pois == 0.0:
         raise ValueError(f"Poisson weight exp(-lam * m) underflows to 0 at lam * m = {mean}")
-    g_masks = _g_masks(cc)
+    g_masks = cc.g_masks
 
     # Side (a): mixture over r of the r-step walk.
     walk: Dict[int, float] = {0: 1.0}

@@ -8,13 +8,16 @@ thread scheduling.  Parallel trials derive per-trial seeds with
 
 from __future__ import annotations
 
+import numpy as np
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
-def mix64(z: int) -> int:
-    """SplitMix64 finalizer: a 64-bit bijective hash."""
-    z &= _MASK64
+def mix64(z):
+    """SplitMix64 finalizer: a 64-bit bijective hash of an int or, elementwise,
+    of a uint64 array, whose products wrap mod 2^64 as the masks do."""
+    z = z & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
@@ -75,3 +78,13 @@ class SplitMix64:
     def uniform(self) -> float:
         """Uniform float in [0, 1) with 53 random bits."""
         return (self.u64() >> 11) * 2.0**-53
+
+    def uniforms(self, count: int) -> np.ndarray:
+        """The next `count` ``uniform()`` outputs, as a float64 array: output i
+        is mix64(state + (i + 1) * gamma), taken over a uint64 array."""
+        if count < 0:
+            raise ValueError("count must be nonnegative")
+        steps = np.arange(1, count + 1, dtype=np.uint64)
+        z = mix64(steps * _GOLDEN + self._state)
+        self._state = (self._state + count * _GOLDEN) & _MASK64
+        return (z >> 11) * 2.0**-53

@@ -1,6 +1,7 @@
 """Reference enumerations that the tests check the package's fast paths against."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
 
@@ -143,6 +144,49 @@ def g_of_tuple(cc: ConcatCode, pairs: Sequence[Tuple[int, int]]) -> Tuple[int, .
             raise IndexError(f"omega index {beta} out of range [0, {len(omega)})")
         g[alpha] ^= omega[beta]
     return tuple(g)
+
+
+def g_masks_by_pairs(cc: ConcatCode) -> Counter:
+    """One g mask per (coordinate alpha, Omega entry b) pair, in pair order:
+    b in bits [alpha*k0, (alpha+1)*k0)."""
+    k0 = cc.ctx.k0
+    return Counter(b << (alpha * k0) for alpha in range(cc.outer.n) for b in cc.omega)
+
+
+def syndrome_masks_by_pairs(cc: ConcatCode) -> Counter:
+    """One syndrome mask per (alpha, b) pair: row i of the outer generator
+    adds ``ctx.mul(gen[i][alpha], b)`` in bits [i*k0, (i+1)*k0)."""
+    ctx = cc.ctx
+    return Counter(
+        sum(ctx.mul(row[alpha], b) << (i * ctx.k0) for i, row in enumerate(cc.outer.gen.rows))
+        for alpha in range(cc.outer.n)
+        for b in cc.omega
+    )
+
+
+def zero_folds_walk(masks: Counter, r: int) -> int:
+    """Number of r-tuples of masks (with multiplicity) whose XOR is 0: r - 1
+    sparse steps from {0: 1}, each moving every state by every mask, after
+    which the last mask closes a tuple iff it equals the state."""
+    if r == 0:
+        return 1
+    dist = {0: 1}
+    for _ in range(r - 1):
+        out: Dict[int, int] = {}
+        for state, w in dist.items():
+            for mask, mult in masks.items():
+                out[state ^ mask] = out.get(state ^ mask, 0) + w * mult
+        dist = out
+    return sum(mult * dist.get(mask, 0) for mask, mult in masks.items())
+
+
+def walk_work_full(m: int, bits: int, r: int) -> int:
+    """The work bound of ``zero_folds_walk`` for m pairs on 2^bits states:
+    step t (t = 0..r-2) leaves at most min(2^bits, m^t) states, each moved
+    by m masks, and the final read looks up m masks."""
+    if r == 0:
+        return 1
+    return sum(min(1 << bits, m**t) * m for t in range(r - 1)) + m
 
 
 def inversion_draws(probs: Sequence[float], seed: int, count: int) -> List[int]:

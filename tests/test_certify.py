@@ -670,7 +670,7 @@ def test_sample_pmf_many_deterministic():
     pm = d_pmf(F4, [2, 3], 0.2)
     a = sample_pmf_many(pm, 5, 100)
     b = sample_pmf_many(pm, 5, 100)
-    assert a == b
+    assert a.tolist() == b.tolist()
 
 
 def pmfs_with_zeros(ctx, count, seed):
@@ -689,7 +689,7 @@ def test_sample_pmf_many_matches_linear_scan_inversion():
     trailing = 0
     for i, pm in enumerate(pmfs_with_zeros(F8, 300, 17)):
         trailing += pm.probs[-1] == 0
-        assert sample_pmf_many(pm, i, 200) == inversion_draws(pm.probs, i, 200)
+        assert sample_pmf_many(pm, i, 200).tolist() == inversion_draws(pm.probs, i, 200)
     assert trailing > 100
 
 
@@ -705,7 +705,7 @@ def test_sample_pmf_many_matches_linear_scan_inversion():
 def test_sample_pmf_many_never_draws_a_zero_probability_symbol(probs):
     # dyadic probabilities add exactly, so the CDF is flat across every zero
     pm = Pmf(F8, probs)
-    draws = sample_pmf_many(pm, 3, 4000)
+    draws = sample_pmf_many(pm, 3, 4000).tolist()
     assert draws == inversion_draws(probs, 3, 4000)
     assert set(draws) == {s for s, p in enumerate(probs) if p}
 
@@ -713,9 +713,9 @@ def test_sample_pmf_many_never_draws_a_zero_probability_symbol(probs):
 def test_sample_pmf_many_draws_the_first_index_past_u(monkeypatch):
     # a u on a CDF step goes to the next symbol with mass, past the flat zeros
     us = [0.0, 0.5, 0.75, 0.875, 1 - 2**-53]
-    monkeypatch.setattr(certify, "SplitMix64", lambda seed: SimpleNamespace(uniform=iter(us).__next__))
+    monkeypatch.setattr(certify, "SplitMix64", lambda seed: SimpleNamespace(uniforms=lambda count: np.array(us)))
     pm = Pmf(F8, (0, 0.5, 0, 0.25, 0.125, 0.125, 0, 0))
-    assert sample_pmf_many(pm, 0, len(us)) == [1, 3, 4, 5, 5]
+    assert sample_pmf_many(pm, 0, len(us)).tolist() == [1, 3, 4, 5, 5]
 
 
 def test_sample_pmf_many_never_draws_a_trailing_zero_past_a_rounded_cdf(monkeypatch):
@@ -724,5 +724,13 @@ def test_sample_pmf_many_never_draws_a_trailing_zero_past_a_rounded_cdf(monkeypa
     probs = tuple(w / 292 for w in (93, 4, 68, 29, 98, 0, 0, 0))
     u = 0.9999999999999999
     assert sum(probs) < 1.0 and u >= sum(probs)
-    monkeypatch.setattr(certify, "SplitMix64", lambda seed: SimpleNamespace(uniform=lambda: u))
-    assert sample_pmf_many(Pmf(F8, probs), 0, 3) == [4, 4, 4]
+    monkeypatch.setattr(certify, "SplitMix64", lambda seed: SimpleNamespace(uniforms=lambda count: np.full(count, u)))
+    assert sample_pmf_many(Pmf(F8, probs), 0, 3).tolist() == [4, 4, 4]
+
+
+def test_sample_pmf_many_matches_the_oracle_across_blocks():
+    pm = next(pmfs_with_zeros(F8, 1, 23))
+    count = 2 * certify.SAMPLE_BLOCK + 3
+    draws = sample_pmf_many(pm, 8, count)
+    assert draws.dtype == np.uint8 and len(draws) == count
+    assert draws.tolist() == inversion_draws(pm.probs, 8, count)

@@ -2,6 +2,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from concatgv import codes, moments
@@ -18,7 +19,14 @@ from concatgv.moments import (
 )
 from concatgv.rng import derive_seed
 
-from oracles import all_messages, g_of_tuple
+from oracles import (
+    all_messages,
+    g_masks_by_pairs,
+    g_of_tuple,
+    syndrome_masks_by_pairs,
+    walk_work_full,
+    zero_folds_walk,
+)
 
 F2 = make_field(1)
 F4 = make_field(2)
@@ -80,6 +88,12 @@ def repeated_omega_instance() -> ConcatCode:
     inner = BinaryCode(BitMatrix((0b0011, 0b1100), 4))
     outer = OuterCode(FieldMatrix(((1, 3), (0, 1)), 2, F4))
     return ConcatCode(outer, inner)
+
+
+def acceptance_instance() -> ConcatCode:
+    # k0 = 4, n0 = 8, n = 6, k = 3: 48 pairs on 2^12 syndrome states
+    ctx = make_field(4)
+    return ConcatCode(OuterCode(sample_field_code(ctx, 6, 3, 2)), BinaryCode(sample_binary_code(8, 4, 1)))
 
 
 def one_bit_instance() -> ConcatCode:
@@ -158,10 +172,7 @@ def test_walk_counts_match_odometer_reference():
 
 def test_walk_reaches_r8_beyond_tuple_enumeration():
     # 48^8 tuples is far over the default budget; the walk visits <= 2^12 states per step
-    ctx = make_field(4)
-    inner = BinaryCode(sample_binary_code(8, 4, 1))
-    outer = OuterCode(sample_field_code(ctx, 6, 3, 2))
-    cc = ConcatCode(outer, inner)
+    cc = acceptance_instance()
     assert (cc.outer.n * cc.inner.n0) ** 8 > 1 << 27
     assert weight_distribution(cc).moment(8) == moment_dual(cc, 8)
     rep = bad_bound(cc, 8, 1.0)
@@ -169,17 +180,77 @@ def test_walk_reaches_r8_beyond_tuple_enumeration():
 
 
 def test_walk_work_bound():
-    # every call the tuple count m^r admitted is still admitted when m >= 2
-    for m in (2, 3, 9, 48):
+    # the half walk admits every call the (r-1)-step walk admitted and, for
+    # m >= 2, every call the m^r tuple count admitted
+    for m in (1, 2, 3, 9, 48):
         for bits in (0, 1, 4, 12):
-            for r in range(9):
-                assert moments.walk_work(m, bits, r) <= m**r
-    assert moments.walk_work(48, 12, 8) == (1 + 48 + 48**2 + 4 * 4096) * 48 + 48
-    for m, bits in ((1, 3), (2, 0), (5, 7)):
-        for r in range(1, 12):
-            assert moments.walk_work(m, bits, r) == sum(min(2**bits, m**t) * m for t in range(r - 1)) + m
-    # saturates after two steps, so a huge r costs no big powers
-    assert moments.walk_work(16, 4, 10**9) == 16 + 16 + (10**9 - 2) * 16 * 16
+            for r in range(13):
+                work = moments.walk_work(m, bits, r)
+                assert work <= walk_work_full(m, bits, r)
+                assert m < 2 or work <= m**r
+    # b - 1 = 3 steps over 48, 48^2 and 2^12 states, then 2^12 product terms
+    assert moments.walk_work(48, 12, 8) == (48 + 48**2 + 4096) * 48 + 4096
+    for m, bits in ((1, 3), (2, 0), (5, 7), (48, 12)):
+        for r in range(12):
+            a, b = r // 2, r - r // 2
+            steps = sum(min(2**bits, m**t) * m for t in range(1, b))
+            assert moments.walk_work(m, bits, r) == steps + min(2**bits, m**a)
+    # saturates after one step, so a huge r costs no big powers
+    assert moments.walk_work(16, 4, 10**9) == (10**9 // 2 - 1) * 16 * 16 + 16
+    # one pair never fills the table: closed form, not a loop of r / 2 steps
+    assert moments.walk_work(1, 3, 10**9) == 10**9 // 2
+
+
+def test_half_walk_matches_the_full_walk_oracle():
+    instances = [*grid_instances(3), zero_omega_instance(), repeated_omega_instance()]
+    for cc in instances:
+        syn_bits, g_bits = cc.outer.k * cc.ctx.k0, cc.outer.n * cc.ctx.k0
+        for r in range(13):
+            for masks, bits in ((cc.syndrome_masks, syn_bits), (cc.g_masks, g_bits)):
+                assert moments.zero_folds(masks, bits, r, 1 << 40) == zero_folds_walk(masks, r)
+
+
+def test_cached_masks_match_the_per_pair_construction():
+    instances = [*grid_instances(3), zero_omega_instance(), repeated_omega_instance(),
+                 acceptance_instance(), one_bit_instance()]
+    for cc in instances:
+        assert cc.syndrome_masks == syndrome_masks_by_pairs(cc)
+        assert cc.g_masks == g_masks_by_pairs(cc)
+        assert cc.syndrome_masks is cc.syndrome_masks  # built once per code
+
+
+def test_dense_step_is_taken_once_states_fill_and_agrees_with_the_sparse_step(monkeypatch):
+    cc = acceptance_instance()
+    masks, bits = cc.syndrome_masks, cc.outer.k * cc.ctx.k0
+    calls = []
+
+    def spy(dist, masks):
+        calls.append(len(dist))
+        return dense_step(dist, masks)
+
+    dense_step = moments._dense_step
+    monkeypatch.setattr(moments, "_dense_step", spy)
+    wd = weight_distribution(cc)
+    for r in (6, 7, 8):
+        calls.clear()
+        assert moments.zero_folds(masks, bits, r, 1 << 27) == zero_folds_walk(masks, r)
+        assert moment_dual(cc, r) == wd.moment(r)
+        assert calls and set(calls) == {1 << bits}
+    # one step from the 2-tuple counts, in both forms
+    pairs = moments._walk_step(masks, masks)
+    table = np.zeros(1 << bits, dtype=np.int64)
+    table[list(pairs)] = list(pairs.values())
+    sparse = moments._walk_step(pairs, masks)
+    assert dense_step(table, masks).tolist() == [sparse.get(x, 0) for x in range(1 << bits)]
+
+
+def test_small_tables_stay_sparse(monkeypatch):
+    # the benchmark's moments shape: 16 syndrome states, too few to pay for a gather
+    monkeypatch.setattr(moments, "_dense_step", forbidden)
+    ctx = make_field(2)
+    cc = ConcatCode(OuterCode(sample_field_code(ctx, 4, 2, 3)), BinaryCode(sample_binary_code(4, 2, 4)))
+    for r in (2, 4, 6):
+        assert moment_dual(cc, r) == weight_distribution(cc).moment(r)
 
 
 def test_moment_budgets():
@@ -208,6 +279,7 @@ def test_budgets_fail_before_enumerating(monkeypatch):
 
 def test_walk_budget_fails_before_walking(monkeypatch):
     monkeypatch.setattr(moments, "_walk_step", forbidden)
+    monkeypatch.setattr(moments, "_dense_step", forbidden)
     cc = next(grid_instances(1, master=9))
     m = cc.outer.n * cc.inner.n0
     syn_bits = cc.outer.k * cc.ctx.k0
@@ -230,6 +302,7 @@ def test_direct_and_dual_sides_stay_independent(monkeypatch):
         with monkeypatch.context() as mp:
             mp.setattr(moments, "zero_folds", forbidden)
             mp.setattr(moments, "_walk_step", forbidden)
+            mp.setattr(moments, "_dense_step", forbidden)
             direct = weight_distribution(cc).moment(r)
         with monkeypatch.context() as mp:
             mp.setattr(moments, "weight_distribution", forbidden)
@@ -458,6 +531,15 @@ def test_poisson_rejects_a_negative_lambda():
         poisson_product_check(one_bit_instance(), -0.1)
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf])
+def test_poisson_rejects_a_nan_or_infinite_lambda(lam, monkeypatch):
+    # refused by name before any walk or pmf; NaN used to reach d_pmf as p=nan
+    monkeypatch.setattr(moments, "_walk_step", forbidden)
+    monkeypatch.setattr(moments, "d_pmf", forbidden)
+    with pytest.raises(ValueError, match=f"lambda must be nonnegative and finite, got {lam}"):
+        poisson_product_check(one_bit_instance(), lam)
+
+
 def test_poisson_rejects_underflowing_weight():
     # exp(-800) is 0.0 in floats, so the Poisson tail would never be covered
     cc = one_bit_instance()
@@ -472,3 +554,10 @@ def test_poisson_budget():
     outer = OuterCode(sample_field_code(ctx, 3, 1, 6))
     with pytest.raises(ValueError):
         poisson_product_check(ConcatCode(outer, inner), 0.1)  # 256^3 > 2^20
+
+
+def test_cached_masks_keep_the_pair_order():
+    # the Poissonization walk adds float weights in mask order
+    for cc in [*grid_instances(2), zero_omega_instance(), repeated_omega_instance()]:
+        assert list(cc.g_masks.items()) == list(g_masks_by_pairs(cc).items())
+        assert list(cc.syndrome_masks.items()) == list(syndrome_masks_by_pairs(cc).items())

@@ -33,3 +33,13 @@ def test_randrange_of_one_draws_nothing():
     rng = SplitMix64(9)
     assert [rng.randrange(1) for _ in range(3)] == [0, 0, 0]
     assert rng.u64() == SplitMix64(9).u64()
+
+
+def test_uniforms_continue_the_uniform_stream():
+    for seed in (0, 5, -1, (1 << 64) - 1):
+        ours, ref = SplitMix64(seed), SplitMix64(seed)
+        for count in (0, 1, 7, 300):
+            assert ours.uniforms(count).tolist() == [ref.uniform() for _ in range(count)]
+        assert ours.u64() == ref.u64()
+    with pytest.raises(ValueError, match="count must be nonnegative"):
+        SplitMix64(1).uniforms(-1)

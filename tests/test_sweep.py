@@ -210,15 +210,19 @@ def test_moment_config_rejected_before_trials():
         config_from_dict({**base, "toggles": {"run_moments": True, "r_list": [-1]}})
     with pytest.raises(ValueError, match="moment check"):
         config_from_dict({**base, "toggles": {"run_moments": True, "r_list": [10**9]}})
-    # q^k = 16 messages fit; the r = 4 walk over 16 pairs on 4 syndrome bits does not
+    # q^k = 16 messages fit; the r = 4 count over 16 pairs on 4 syndrome bits,
+    # one step of 16 * 16 updates and 16 product terms, does not
     with pytest.raises(ValueError, match="moment check"):
-        config_from_dict({**base, "budgets": {"moments": 100},
+        config_from_dict({**base, "budgets": {"moments": 271},
                           "toggles": {"run_moments": True, "r_list": [2, 4]}})
+    config_from_dict({**base, "budgets": {"moments": 272},
+                      "toggles": {"run_moments": True, "r_list": [2, 4]}})
     with pytest.raises(ValueError, match="moment check"):
         config_from_dict({**base, "budgets": {"moments": 15},
                           "toggles": {"run_moments": True, "r_list": [0]}})
-    # the r = 2 walk needs 16 + 16 updates: admitted, and the trial then runs within budget
-    tight = config_from_dict({**base, "budgets": {"moments": 32},
+    # the r = 2 count takes no step, only 16 product terms: admitted at the
+    # 16 messages' budget, and the trial then runs within it
+    tight = config_from_dict({**base, "budgets": {"moments": 16},
                               "toggles": {"run_moments": True, "r_list": [2]}})
     rows, _ = run_sweep(tight)
     assert rows[0].moments_equal is True
