@@ -178,9 +178,10 @@ def soft_condition(
     is taken left to right over the coordinates and the terms are added one
     at a time in table order, so the float result does not depend on numpy's
     summation order.  The budget is checked on q^(n-k) before the table is built.
-    montecarlo: draws `budget` vectors x ~ pmf^n and counts the nonzero ones
-    with zero syndrome x @ gen^T, one generator row at a time over all draws;
-    returns a Wilson 95% confidence interval flagged is_exact=False.
+    montecarlo: draws `budget` (at least one) vectors x ~ pmf^n and counts the
+    nonzero ones with zero syndrome x @ gen^T, one generator row at a time
+    over all draws; returns a Wilson 95% confidence interval flagged
+    is_exact=False.
     """
     if pmf.ctx != outer.ctx:
         raise ValueError("pmf field does not match outer code field")
@@ -201,6 +202,8 @@ def soft_condition(
         prob = float(np.add.accumulate(terms, out=terms)[-1])
         return SoftReport(prob, prob * qk - 1.0, True)
     if mode == "montecarlo":
+        if budget < 1:
+            raise ValueError(f"Monte Carlo soft condition needs at least one draw, got budget {budget}")
         n = outer.n
         draws = sample_pmf_many(pmf, seed, budget * n).reshape(budget, n)
         hit = draws.any(axis=1)

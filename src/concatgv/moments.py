@@ -17,9 +17,9 @@ middle, walking only ceil(r/2) - 1 steps of a state -> count map from the
 masks, in work bounded by ``walk_work`` rather than the m^r tuples
 (m = n * n0).  The map is a sparse dict until the live states fill enough of
 the table, then an int64 array stepped by one gather per mask.  The
-Poissonization check runs the sparse walk with float weights.  A
-Walsh-Hadamard shortcut would turn the dual side into MacWilliams over the
-messages, so the identity would check nothing; none is used.
+Poissonization check takes that dense step on a float table over all of
+GF(q)^n.  A Walsh-Hadamard shortcut would turn the dual side into MacWilliams
+over the messages, so the identity would check nothing; none is used.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Dict
+from typing import Dict
 
 import numpy as np
 
@@ -58,45 +58,35 @@ def walk_work(m: int, bits: int, r: int) -> int:
     The count meets in the middle, a = r // 2 and b = r - a: from the masks,
     b - 1 walk steps reach the b-tuple counts, and step t (t = 1..b-1) leaves
     at most min(2^bits, m^t) states, each moved by m masks; the final product
-    reads at most min(2^bits, m^a) states.  This is at most the (r-1)-step
-    walk's bound, and for m >= 2 at most m^r.  A dense step visits all 2^bits
-    states per distinct mask, but is taken only where it is measured to be
-    faster than the sparse step it replaces.
+    reads at most min(2^bits, m^a) states.  In closed form: from t = bits + 1
+    on, m^t >= 2^bits when m >= 2 and m^t = m when m < 2, so every later step
+    costs what step bits + 1 does.  This is at most the (r-1)-step walk's
+    bound, and for m >= 2 at most m^r.  A dense step visits all 2^bits states
+    per distinct mask, but is taken only where it is measured to be faster
+    than the sparse step it replaces.
     """
     if r == 0:
         return 1
     a, b = r // 2, r - r // 2
-    if m < 2:  # min(2^bits, m^t) is m for every t >= 1
-        return (b - 1) * m * m + (m if a else 1)
-    cap = 1 << bits
-    steps, states, half, t = 0, 1, 1, 0  # states = min(cap, m^t), half = min(cap, m^a)
-    while t < b and states < cap:  # m >= 2 fills the table within bits + 1 steps
-        t += 1
-        states = states * m if states * m < cap else cap
-        if t < b:
-            steps += states
-        if t == a:
-            half = states
-    steps += max(0, b - 1 - t) * cap  # every later step sees a full table
-    if a > t:
-        half = cap
-    return steps * m + half
+    cap, last = 1 << bits, min(b - 1, bits + 1)
+    steps = sum(min(cap, m**t) for t in range(1, last + 1)) + (b - 1 - last) * min(cap, m**last)
+    return steps * m + min(cap, m ** min(a, bits + 1))
 
 
-def _walk_step(dist: Dict[int, Any], masks: Counter, scale: Any = 1) -> Dict[int, Any]:
-    """One walk step: every state moves by every mask, weighted by multiplicity * scale."""
-    out: Dict[int, Any] = {}
+def _walk_step(dist: Dict[int, int], masks: Counter) -> Dict[int, int]:
+    """One walk step: every state moves by every mask, weighted by its multiplicity."""
+    out: Dict[int, int] = {}
     get = out.get
-    moves = [(mask, mult * scale) for mask, mult in masks.items()]
+    moves = list(masks.items())
     for state, w in dist.items():
-        for mask, mw in moves:
+        for mask, mult in moves:
             t = state ^ mask
-            out[t] = get(t, 0) + w * mw
+            out[t] = get(t, 0) + w * mult
     return out
 
 
 def _dense_step(dist: np.ndarray, masks: Counter) -> np.ndarray:
-    """``_walk_step`` on a count array over all states: one gather per mask."""
+    """``_walk_step`` on an int or float array over all states: one gather per mask."""
     index = np.arange(len(dist))
     out = np.zeros_like(dist)
     for mask, mult in masks.items():
@@ -141,15 +131,15 @@ def zero_folds(masks: Counter, bits: int, r: int, budget: int) -> int:
         return 1
     a, b = r // 2, r - r // 2
     cap = 1 << bits
+    # every count of the walk fits an int64 table of at most DENSE_MAX_STATES
+    dense_ok = cap <= DENSE_MAX_STATES and b < 63 and m**b < 1 << 63
     low: Dict[int, int] | np.ndarray = {0: 1}
     high: Dict[int, int] | np.ndarray = masks
     for _ in range(b - 1):
         if (
-            isinstance(high, dict)
+            dense_ok
+            and isinstance(high, dict)
             and len(high) * DENSE_ENTRIES_PER_UPDATE >= cap + DENSE_CALL_ENTRIES
-            and cap <= DENSE_MAX_STATES
-            and b < 63
-            and m**b < 1 << 63  # every count of the walk fits an int64
         ):
             table = np.zeros(cap, dtype=np.int64)
             table[list(high)] = list(high.values())
@@ -244,49 +234,47 @@ def count_W(cc: ConcatCode, r: int, budget: int = 1 << 27) -> WCountReport:
     return WCountReport(r, n_zero, bound, tau, nice)
 
 
-def poisson_product_check(cc: ConcatCode, lam: float) -> float:
-    """Max pointwise gap between the Poissonized tuple law of g and the product law.
-
-    Side (a): draw r ~ Poisson(lam * N) (truncated once the remaining tail
-    mass is below TAIL_EPS), then a uniform length-r tuple, and fold it to
-    g; the law is computed exactly by the r-step walk on GF(q)^n with weight
-    1/m per pair.  Side (b): the product over coordinates of the sparse
-    combination pmf with p = (1 - e^(-2 lam)) / 2.  The gap is bounded by the
-    truncated tail plus rounding.
-    """
+def _poisson_mixture(cc: ConcatCode, lam: float) -> np.ndarray:
+    """Side (a) of ``poisson_product_check``, the Poissonized tuple law of g as
+    a table over GF(q)^n: draw r ~ Poisson(lam * N) (truncated once the
+    remaining tail mass is below TAIL_EPS), then a uniform length-r tuple, and
+    fold it to g.  Each r adds the r-step dense walk on all q^n states (at
+    most DENSE_MAX_STATES) with weight 1/m per pair."""
     if not 0 <= lam < math.inf:
         raise ValueError(f"lambda must be nonnegative and finite, got {lam}")
-    ctx = cc.ctx
-    n = cc.outer.n
-    states = ctx.q**n
-    if states > 1 << 20:
+    states = cc.ctx.q**cc.outer.n
+    if states > DENSE_MAX_STATES:  # 2^20
         raise ValueError(f"state space {states} exceeds tabulation budget 2^20")
-    m = n * cc.inner.n0
+    m = cc.outer.n * cc.inner.n0
     mean = lam * m
     pois = math.exp(-mean)
     if pois == 0.0:
         raise ValueError(f"Poisson weight exp(-lam * m) underflows to 0 at lam * m = {mean}")
-    g_masks = cc.g_masks
-
-    # Side (a): mixture over r of the r-step walk.
-    walk: Dict[int, float] = {0: 1.0}
-    mix = np.zeros(states)
-    mix[0] = pois
+    walk = np.zeros(states)
+    walk[0] = 1.0
+    mix = pois * walk
     covered = pois
     r = 0
     while 1.0 - covered > TAIL_EPS:
-        walk = _walk_step(walk, g_masks, 1.0 / m)
+        walk = _dense_step(walk, cc.g_masks) / m
         r += 1
         pois *= mean / r
         covered += pois
-        for state, w in walk.items():
-            mix[state] += pois * w
+        mix += pois * walk
+    return mix
 
-    # Side (b): product of per-coordinate pmfs.
-    pm = d_pmf(ctx, cc.omega, bernoulli_p(lam, 1.0))  # p = (1 - e^(-2 lam)) / 2
+
+def poisson_product_check(cc: ConcatCode, lam: float) -> float:
+    """Max pointwise gap between the Poissonized tuple law of g and the product law.
+
+    Side (a) is ``_poisson_mixture``.  Side (b): the product over coordinates
+    of the sparse combination pmf with p = (1 - e^(-2 lam)) / 2.  The gap is
+    bounded by the truncated tail plus rounding.
+    """
+    mix = _poisson_mixture(cc, lam)
+    pm = d_pmf(cc.ctx, cc.omega, bernoulli_p(lam, 1.0))  # p = (1 - e^(-2 lam)) / 2
     coord = np.asarray(pm.probs)
     prod = np.ones(1)
-    for _ in range(n):
+    for _ in range(cc.outer.n):
         prod = np.kron(prod, coord)  # same pmf per coordinate, digit order moot
-
     return float(np.max(np.abs(mix - prod)))

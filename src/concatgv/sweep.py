@@ -16,6 +16,7 @@ import math
 import statistics
 import time
 from dataclasses import dataclass, field as dc_field, fields as dc_fields
+from functools import cached_property
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
@@ -83,7 +84,7 @@ class SweepConfig:
     toggles: Toggles = dc_field(default_factory=Toggles)
     equal_rate: bool = True
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 1 <= self.k0 <= self.n0:
             raise ValueError(f"need 1 <= k0 <= n0, got k0={self.k0}, n0={self.n0}")
         if self.k0 > MAX_DEGREE:
@@ -124,13 +125,19 @@ class SweepConfig:
                 raise ValueError(f"budget {f.name} must be positive")
 
     def to_dict(self) -> dict:
-        # Shallow vars() copies keep field order; dataclasses.asdict deep-copies
-        # and costs several times more on every config_hash and emit_json.
-        doc = dict(vars(self))
+        # Shallow copies in field order; dataclasses.asdict deep-copies and costs
+        # several times more.  Fields, not vars(), so the cached digest stays out.
+        doc = {f.name: getattr(self, f.name) for f in dc_fields(self)}
         for part in ("budgets", "constants", "toggles"):
             doc[part] = dict(vars(doc[part]))
         doc["toggles"]["r_list"] = list(self.toggles.r_list)
         return doc
+
+    @cached_property
+    def digest(self) -> str:
+        """The config_hash of the emitted files: sha256 of the canonical JSON, 16 hex digits."""
+        canon = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(canon.encode("ascii")).hexdigest()[:16]
 
 
 def _is_int(v) -> bool:
@@ -189,14 +196,7 @@ def config_from_dict(data: dict) -> SweepConfig:
     for part, cls in (("budgets", Budgets), ("constants", Constants), ("toggles", Toggles)):
         if part in top:
             top[part] = cls(**_from_dict(cls, top[part], part))
-    cfg = SweepConfig(**top)
-    cfg.validate()
-    return cfg
-
-
-def config_hash(config: SweepConfig) -> str:
-    canon = json.dumps(config.to_dict(), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode("ascii")).hexdigest()[:16]
+    return SweepConfig(**top)
 
 
 @dataclass(frozen=True)
@@ -264,11 +264,7 @@ def run_trial(config: SweepConfig, trial: int) -> SweepRow:
     entropy_min = None
     if config.toggles.run_entropy:
         rep = entropy_hypothesis(
-            outer,
-            config.constants.c_gamma,
-            config.constants.c_eta,
-            config.budgets.entropy,
-            n0=config.n0,
+            outer, config.constants.c_gamma, config.constants.c_eta, config.budgets.entropy
         )
         entropy_ok, entropy_min = rep.ok, rep.min_entropy
 
@@ -304,7 +300,6 @@ def run_trial(config: SweepConfig, trial: int) -> SweepRow:
 
 def run_sweep(config: SweepConfig) -> Tuple[List[SweepRow], dict]:
     """All trials in index order, plus the aggregate summary."""
-    config.validate()
     rows = [run_trial(config, t) for t in range(config.trials)]
     return rows, aggregate(rows, config)
 
@@ -342,7 +337,7 @@ def _cell(value) -> str:
 
 
 def emit_csv(rows: List[SweepRow], config: SweepConfig) -> str:
-    lines = [f"# {SCHEMA} config_hash={config_hash(config)} master_seed={config.master_seed}"]
+    lines = [f"# {SCHEMA} config_hash={config.digest} master_seed={config.master_seed}"]
     lines.append(",".join(CSV_COLUMNS))
     for r in rows:
         lines.append(",".join(_cell(getattr(r, col)) for col in CSV_COLUMNS))
@@ -352,7 +347,7 @@ def emit_csv(rows: List[SweepRow], config: SweepConfig) -> str:
 def emit_json(rows: List[SweepRow], agg: dict, config: SweepConfig) -> str:
     doc = {
         "schema": SCHEMA,
-        "config_hash": config_hash(config),
+        "config_hash": config.digest,
         "master_seed": config.master_seed,
         "config": config.to_dict(),
         "rows": [{col: getattr(r, col) for col in CSV_COLUMNS} for r in rows],

@@ -189,6 +189,58 @@ def walk_work_full(m: int, bits: int, r: int) -> int:
     return sum(min(1 << bits, m**t) * m for t in range(r - 1)) + m
 
 
+def walk_work_loop(m: int, bits: int, r: int) -> int:
+    """``moments.walk_work`` step by step: a = r // 2, b = r - a, and step t
+    (t = 1..b-1) leaves min(2^bits, m^t) states, each moved by m masks; the
+    final product reads min(2^bits, m^a) states.  The loop stops once the
+    table is full, and every later step then sees all 2^bits states."""
+    if r == 0:
+        return 1
+    a, b = r // 2, r - r // 2
+    if m < 2:  # min(2^bits, m^t) is m for every t >= 1
+        return (b - 1) * m * m + (m if a else 1)
+    cap = 1 << bits
+    steps, states, half, t = 0, 1, 1, 0  # states = min(cap, m^t), half = min(cap, m^a)
+    while t < b and states < cap:  # m >= 2 fills the table within bits + 1 steps
+        t += 1
+        states = states * m if states * m < cap else cap
+        if t < b:
+            steps += states
+        if t == a:
+            half = states
+    steps += max(0, b - 1 - t) * cap
+    if a > t:
+        half = cap
+    return steps * m + half
+
+
+def poisson_mixture_sparse(cc: ConcatCode, lam: float, tail_eps: float) -> np.ndarray:
+    """The Poissonized tuple law of g by a sparse float walk: a dict of the
+    states the r-step walk reaches, each pair weighted 1/m, poured into a
+    table over GF(q)^n one state at a time, for r up to where the Poisson
+    tail mass drops below tail_eps."""
+    m = cc.outer.n * cc.inner.n0
+    mean = lam * m
+    pois = math.exp(-mean)
+    moves = [(mask, mult * (1.0 / m)) for mask, mult in cc.g_masks.items()]
+    walk = {0: 1.0}
+    mix = np.zeros(cc.ctx.q**cc.outer.n)
+    mix[0] = pois
+    covered, r = pois, 0
+    while 1.0 - covered > tail_eps:
+        out: Dict[int, float] = {}
+        for state, w in walk.items():
+            for mask, mw in moves:
+                out[state ^ mask] = out.get(state ^ mask, 0.0) + w * mw
+        walk = out
+        r += 1
+        pois *= mean / r
+        covered += pois
+        for state, w in walk.items():
+            mix[state] += pois * w
+    return mix
+
+
 def inversion_draws(probs: Sequence[float], seed: int, count: int) -> List[int]:
     """CDF inversion by linear scan: for each u of SplitMix64(seed), the first
     i whose left-to-right partial sum of probs exceeds u, the partial sums

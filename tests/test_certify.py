@@ -252,7 +252,7 @@ def test_montecarlo_hits_are_the_oracle_membership_count():
     outer = OuterCode(sample_field_code(F4, 3, 1, 5))
     point = Pmf(F4, (1.0, 0.0, 0.0, 0.0))
     assert soft_condition(outer, point, "montecarlo", budget=50).prob == 0.0
-    with pytest.raises(ValueError, match="trials must be positive"):
+    with pytest.raises(ValueError, match="needs at least one draw, got budget 0"):
         soft_condition(outer, point, "montecarlo", budget=0)
 
 

@@ -390,6 +390,21 @@ def test_cli_montecarlo_distance_refuses_zero_draws(budget, tmp_path, capsys):
     assert captured.err.startswith("error:") and captured.out == ""
 
 
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_cli_montecarlo_soft_check_names_the_budget(budget, tmp_path, capsys):
+    outer, inner = tmp_path / "outer.code", tmp_path / "inner.code"
+    inner.write_text(dumps_code(BinaryCode(sample_binary_code(8, 4, 5))))
+    outer.write_text(dumps_code(OuterCode(sample_field_code(make_field(4), 6, 3, 6))))
+    argv = ["soft-check", "--outer", str(outer), "--inner", str(inner),
+            "--mode", "montecarlo", "--budget", budget]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: Monte Carlo soft condition needs at least one draw, got budget {budget}\n"
+    )
+    assert captured.out == ""
+
+
 def test_cli_outdir_env(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "concatgv.cli", "sample-code", "--n", "4", "--k", "2",

@@ -23,8 +23,10 @@ from oracles import (
     all_messages,
     g_masks_by_pairs,
     g_of_tuple,
+    poisson_mixture_sparse,
     syndrome_masks_by_pairs,
     walk_work_full,
+    walk_work_loop,
     zero_folds_walk,
 )
 
@@ -199,6 +201,16 @@ def test_walk_work_bound():
     assert moments.walk_work(16, 4, 10**9) == (10**9 // 2 - 1) * 16 * 16 + 16
     # one pair never fills the table: closed form, not a loop of r / 2 steps
     assert moments.walk_work(1, 3, 10**9) == 10**9 // 2
+
+
+def test_walk_work_closed_form_matches_the_loop_oracle():
+    for m in range(12):
+        for bits in range(14):
+            for r in [*range(40), 10**6, 10**9 + 1]:
+                assert moments.walk_work(m, bits, r) == walk_work_loop(m, bits, r), (m, bits, r)
+    for m, bits in ((16, 4), (48, 12), (64, 16), (80, 20)):
+        for r in range(30):
+            assert moments.walk_work(m, bits, r) == walk_work_loop(m, bits, r), (m, bits, r)
 
 
 def test_half_walk_matches_the_full_walk_oracle():
@@ -519,6 +531,14 @@ def test_poisson_mixture_matches_explicit_tuple_oracle(monkeypatch):
     assert abs(ours - oracle_gap) <= 1e-12
 
 
+@pytest.mark.parametrize("lam", [0.05, 0.3, 1.0])
+def test_dense_poisson_mixture_matches_the_sparse_oracle(lam):
+    for cc in [*grid_instances(3), zero_omega_instance(), repeated_omega_instance()]:
+        dense = moments._poisson_mixture(cc, lam)
+        sparse = poisson_mixture_sparse(cc, lam, moments.TAIL_EPS)
+        assert np.max(np.abs(dense - sparse)) <= 1e-15
+
+
 @pytest.mark.parametrize("count", [count_W, moment_dual])
 def test_zero_folds_rejects_a_negative_length(count):
     # both pass r straight to zero_folds, which refuses it before any walk
@@ -535,6 +555,7 @@ def test_poisson_rejects_a_negative_lambda():
 def test_poisson_rejects_a_nan_or_infinite_lambda(lam, monkeypatch):
     # refused by name before any walk or pmf; NaN used to reach d_pmf as p=nan
     monkeypatch.setattr(moments, "_walk_step", forbidden)
+    monkeypatch.setattr(moments, "_dense_step", forbidden)
     monkeypatch.setattr(moments, "d_pmf", forbidden)
     with pytest.raises(ValueError, match=f"lambda must be nonnegative and finite, got {lam}"):
         poisson_product_check(one_bit_instance(), lam)

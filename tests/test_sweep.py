@@ -99,17 +99,14 @@ def test_unknown_config_keys_rejected():
 
 
 def test_config_validation_before_trials():
-    cfg = SweepConfig(k0=2, n0=4, n=5, k=2, trials=1, master_seed=0)
     with pytest.raises(ValueError, match="equal_rate"):
-        cfg.validate()
-    ok = SweepConfig(k0=2, n0=4, n=5, k=2, trials=1, master_seed=0, equal_rate=False)
-    ok.validate()
-    bad_tau = SweepConfig(
-        k0=2, n0=4, n=4, k=2, trials=1, master_seed=0,
-        constants=Constants(tau=0.9), toggles=Toggles(run_nice=True),
-    )
+        SweepConfig(k0=2, n0=4, n=5, k=2, trials=1, master_seed=0)
+    SweepConfig(k0=2, n0=4, n=5, k=2, trials=1, master_seed=0, equal_rate=False)
     with pytest.raises(ValueError, match="tau"):
-        bad_tau.validate()
+        SweepConfig(
+            k0=2, n0=4, n=4, k=2, trials=1, master_seed=0,
+            constants=Constants(tau=0.9), toggles=Toggles(run_nice=True),
+        )
     # a shape no sampler can draw, a negative trial count, budgets out of range
     base = dict(k0=2, n0=4, n=4, k=2, trials=1, master_seed=0)
     for change, message in [
@@ -123,12 +120,12 @@ def test_config_validation_before_trials():
         (dict(budgets=Budgets(soft=-1)), "budget soft must be positive"),
     ]:
         with pytest.raises(ValueError, match=message):
-            SweepConfig(**{**base, **change}).validate()
+            SweepConfig(**{**base, **change})
     # gv_check needs a positive, finite c: refused before any trial runs
     for c in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="GV constant"):
             SweepConfig(k0=2, n0=4, n=4, k=2, trials=1, master_seed=0,
-                        constants=Constants(c=c)).validate()
+                        constants=Constants(c=c))
     # q^k = 16 codewords: an entropy budget of 8 is refused, 16 runs the check
     entropy_on = {"k0": 2, "n0": 4, "n": 4, "k": 2, "trials": 1, "master_seed": 0,
                   "toggles": {"run_entropy": True}}
@@ -141,7 +138,7 @@ def test_config_validation_before_trials():
 def test_tau_compared_exactly_with_the_inner_rate():
     def validate(k0, n0, tau):
         SweepConfig(k0=k0, n0=n0, n=n0, k=k0, trials=1, master_seed=0,
-                    constants=Constants(tau=tau), toggles=Toggles(run_nice=True)).validate()
+                    constants=Constants(tau=tau), toggles=Toggles(run_nice=True))
 
     with pytest.raises(ValueError, match="tau"):
         validate(2, 4, 0.5)  # tau = k0/n0 exactly
