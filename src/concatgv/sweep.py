@@ -15,9 +15,11 @@ import json
 import math
 import statistics
 import time
-from dataclasses import dataclass, field as dc_field, fields as dc_fields
-from functools import cached_property
+from dataclasses import dataclass, fields as dc_fields
+from functools import cache, cached_property
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from typing import List, Optional, Tuple
 
 from .bounds import gv_check
@@ -79,9 +81,10 @@ class SweepConfig:
     k: int
     trials: int
     master_seed: int
-    budgets: Budgets = dc_field(default_factory=Budgets)
-    constants: Constants = dc_field(default_factory=Constants)
-    toggles: Toggles = dc_field(default_factory=Toggles)
+    # frozen, so one default instance serves every config
+    budgets: Budgets = Budgets()
+    constants: Constants = Constants()
+    toggles: Toggles = Toggles()
     equal_rate: bool = True
 
     def __post_init__(self) -> None:
@@ -120,14 +123,14 @@ class SweepConfig:
             walks = [walk_work(self.n * self.n0, self.k * self.k0, r) for r in self.toggles.r_list]
             if max([(1 << self.k0) ** self.k, *walks]) > self.budgets.moments:
                 raise ValueError("moment check over budget for this config")
-        for f in dc_fields(Budgets):
-            if getattr(self.budgets, f.name) <= 0:
-                raise ValueError(f"budget {f.name} must be positive")
+        for name in _SCHEMA[Budgets]:
+            if getattr(self.budgets, name) <= 0:
+                raise ValueError(f"budget {name} must be positive")
 
     def to_dict(self) -> dict:
         # Shallow copies in field order; dataclasses.asdict deep-copies and costs
         # several times more.  Fields, not vars(), so the cached digest stays out.
-        doc = {f.name: getattr(self, f.name) for f in dc_fields(self)}
+        doc = {name: getattr(self, name) for name in _SCHEMA[SweepConfig]}
         for part in ("budgets", "constants", "toggles"):
             doc[part] = dict(vars(doc[part]))
         doc["toggles"]["r_list"] = list(self.toggles.r_list)
@@ -136,7 +139,7 @@ class SweepConfig:
     @cached_property
     def digest(self) -> str:
         """The config_hash of the emitted files: sha256 of the canonical JSON, 16 hex digits."""
-        canon = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        canon = _CANONICAL.encode(self.to_dict())
         return hashlib.sha256(canon.encode("ascii")).hexdigest()[:16]
 
 
@@ -169,20 +172,31 @@ _FIELD_CHECKS = {
     ),
 }
 
+# Each config dataclass's fields in order, read once: name -> (check, what)
+# for a field of a checked type, None for a section.
+_SCHEMA = {
+    cls: {f.name: _FIELD_CHECKS.get(f.type) for f in dc_fields(cls)}
+    for cls in (SweepConfig, Budgets, Constants, Toggles)
+}
+
+# The config_hash's canonical form: sorted keys, no whitespace.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 
 def _from_dict(cls, data, where: str) -> dict:
     """data as a dict of cls's fields: it must be an object with known keys,
     and every scalar or tuple field must hold a value of its declared type."""
     if not isinstance(data, dict):
         raise ValueError(f"{where} must be a JSON object, got {data!r}")
-    types = {f.name: f.type for f in dc_fields(cls)}
-    unknown = set(data) - set(types)
+    fields = _SCHEMA[cls]
+    unknown = data.keys() - fields.keys()
     if unknown:
         raise ValueError(f"unknown config key(s) in {where}: {sorted(unknown)}")
     out = dict(data)
     for key, value in data.items():
-        if types[key] in _FIELD_CHECKS:
-            check, what = _FIELD_CHECKS[types[key]]
+        rule = fields[key]
+        if rule is not None:
+            check, what = rule
             if not check(value):
                 raise ValueError(f"{where} key {key!r} must be {what}, got {value!r}")
             if isinstance(value, list):
@@ -221,6 +235,7 @@ class SweepRow:
 
 
 CSV_COLUMNS = [f.name for f in dc_fields(SweepRow) if f.name != "wall_time_s"]
+_columns_of = attrgetter(*CSV_COLUMNS)
 
 
 def run_trial(config: SweepConfig, trial: int) -> SweepRow:
@@ -340,22 +355,109 @@ def emit_csv(rows: List[SweepRow], config: SweepConfig) -> str:
     lines = [f"# {SCHEMA} config_hash={config.digest} master_seed={config.master_seed}"]
     lines.append(",".join(CSV_COLUMNS))
     for r in rows:
-        lines.append(",".join(_cell(getattr(r, col)) for col in CSV_COLUMNS))
+        lines.append(",".join(map(_cell, _columns_of(r))))
     return "\n".join(lines) + "\n"
 
 
 def emit_json(rows: List[SweepRow], agg: dict, config: SweepConfig) -> str:
+    """The sweep's JSON report, rendered by reemit_json: byte-identical to
+    json.dumps(doc, indent=2, ensure_ascii=True) + "\n"."""
     doc = {
         "schema": SCHEMA,
         "config_hash": config.digest,
         "master_seed": config.master_seed,
         "config": config.to_dict(),
-        "rows": [{col: getattr(r, col) for col in CSV_COLUMNS} for r in rows],
+        "rows": [dict(zip(CSV_COLUMNS, _columns_of(r))) for r in rows],
         "aggregate": agg,
     }
     return reemit_json(doc)
 
 
-def reemit_json(doc: dict) -> str:
-    """Canonical JSON rendering; parse -> reemit is byte-identical."""
-    return json.dumps(doc, indent=2, ensure_ascii=True) + "\n"
+def reemit_json(doc) -> str:
+    """Canonical JSON rendering; parse -> reemit is byte-identical.
+
+    The text is exactly json.dumps(doc, indent=2, ensure_ascii=True) + "\n",
+    which tests/oracles.reemit_json_stdlib keeps as the reference, and it
+    raises where that does.  json renders an indented document with its
+    pure-Python encoder; here each flat container (one whose values are all
+    scalars: a sweep row, a config section, the aggregate) is one call of
+    json's C encoder, with the item separator of its depth, and Python walks
+    only the levels that hold containers.
+    """
+    return _render(doc, 0, set()) + "\n"
+
+
+def _floatstr(v: float) -> str:
+    if v != v:
+        return "NaN"
+    if v in (math.inf, -math.inf):
+        return "Infinity" if v > 0 else "-Infinity"
+    return float.__repr__(v)
+
+
+# JSON scalar type -> its text, as json writes it
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _floatstr,
+    bool: lambda v: "true" if v else "false",
+    type(None): lambda v: "null",
+}
+_SCALAR_TYPES = frozenset(_SCALARS)
+
+
+@cache
+def _level(depth: int):
+    """For a container at this depth: its item separator, the breaks before
+    its first item and before its closing bracket, and the encoder of a
+    flat container there."""
+    first = "\n" + "  " * (depth + 1)
+    sep = "," + first
+    flat = json.JSONEncoder(check_circular=False, separators=(sep, ": "))
+    return sep, first, "\n" + "  " * depth, flat
+
+
+def _render(o, depth: int, markers: set) -> str:
+    """o rendered as json.dumps(indent=2) renders it at this depth."""
+    render = _SCALARS.get(type(o))
+    if render is not None:
+        return render(o)
+    is_dict = isinstance(o, dict)
+    if not (is_dict or isinstance(o, (list, tuple))):
+        return _scalar_subclass(o)
+    brackets = "{}" if is_dict else "[]"
+    if not o:
+        return brackets
+    sep, first, last, flat = _level(depth)
+    if _SCALAR_TYPES.issuperset(map(type, o.values() if is_dict else o)):
+        text = flat.encode(o)
+        return text[0] + first + text[1:-1] + last + text[-1]
+    if id(o) in markers:
+        raise ValueError("Circular reference detected")
+    markers.add(id(o))
+    if is_dict:
+        items = [_key(k) + ": " + _render(v, depth + 1, markers) for k, v in o.items()]
+    else:
+        items = [_render(v, depth + 1, markers) for v in o]
+    markers.remove(id(o))
+    return brackets[0] + first + sep.join(items) + last + brackets[1]
+
+
+def _scalar_subclass(v) -> str:
+    # a subclass of a JSON scalar type renders as its base; anything else is refused
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    if isinstance(v, int):
+        return int.__repr__(v)
+    if isinstance(v, float):
+        return _floatstr(v)
+    raise TypeError(f"Object of type {v.__class__.__name__} is not JSON serializable")
+
+
+def _key(k) -> str:
+    # json writes a scalar key as the string of its scalar text
+    if isinstance(k, str):
+        return encode_basestring_ascii(k)
+    if k is None or isinstance(k, (int, float)):
+        return '"' + _render(k, 0, None) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")

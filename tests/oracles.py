@@ -1,5 +1,6 @@
 """Reference enumerations that the tests check the package's fast paths against."""
 
+import json
 import math
 from collections import Counter
 from fractions import Fraction
@@ -319,3 +320,9 @@ def bits_by_chunks(rng: SplitMix64, nbits: int) -> int:
         rng._bitcount -= take
         got += take
     return out
+
+
+def reemit_json_stdlib(doc) -> str:
+    """The sweep's JSON rendering as the standard library spells it; with an
+    indent, json runs its pure-Python encoder."""
+    return json.dumps(doc, indent=2, ensure_ascii=True) + "\n"

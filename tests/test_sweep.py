@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -6,8 +7,10 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import concatgv
+from concatgv.certify import check_nice
 from concatgv.codes import BinaryCode, ConcatCode, OuterCode, weight_distribution
 from concatgv.field import make_field
 from concatgv.linalg import sample_binary_code, sample_field_code
@@ -24,6 +27,8 @@ from concatgv.sweep import (
     run_sweep,
     run_trial,
 )
+from oracles import reemit_json_stdlib
+from test_golden import CONFIGS as GOLDEN_CONFIGS
 
 SMALL = SweepConfig(k0=2, n0=4, n=4, k=2, trials=6, master_seed=99)
 
@@ -69,6 +74,109 @@ def test_json_roundtrip_byte_identical():
     rows, agg = run_sweep(SMALL)
     text = emit_json(rows, agg, SMALL)
     assert reemit_json(json.loads(text)) == text
+
+
+# Strings that json escapes: quotes, backslashes, control and non-ASCII
+# characters, and one outside the BMP, which becomes a surrogate pair.
+ESCAPED = st.sampled_from(['"', "\\", "\n\t\r\b\f", "\x00\x1f\x7f", "é", "\u2028", "\U0001f600", "日本"])
+TEXT = st.one_of(st.text(max_size=6), ESCAPED)
+INTS = st.one_of(st.integers(), st.integers(-(2**200), 2**200), st.sampled_from([2**64, -(2**64) - 1]))
+FLOATS = st.one_of(st.floats(), st.sampled_from([-0.0, math.nan, math.inf, -math.inf]))
+SCALARS = st.one_of(st.none(), st.booleans(), INTS, FLOATS, TEXT)
+KEYS = st.one_of(TEXT, INTS, FLOATS, st.booleans(), st.none())
+UNSERIALIZABLE = st.sampled_from([{1, 2}, b"x", Fraction(1, 3)])
+
+
+def documents(leaves, keys=KEYS):
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=4),
+            st.lists(inner, max_size=4).map(tuple),
+            st.dictionaries(keys, inner, max_size=4),
+        ),
+        max_leaves=40,
+    )
+
+
+def nested(depth):
+    """Empty dicts and lists, a tuple, escaped keys and non-str keys at every
+    depth down to `depth`."""
+    if depth == 0:
+        return [1.5, -0.0, "é", 2**70]
+    inner = nested(depth - 1)
+    return {"": {}, "é\n": [], 1: (), 2.5: inner, True: [inner, [], {}, ()], None: (None, math.nan)}
+
+
+def rendering(render, doc):
+    """The text render gives doc, or the type and message of what it raised."""
+    try:
+        return render(doc)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400)
+@given(documents(SCALARS))
+@example(nested(5))
+@example([[], {}, (), [[]], {"a": {}}, ([], {})])
+@example({"x": -0.0, "y": math.nan, "z": -math.inf, "w": math.inf, "big": -(2**100)})
+@example({False: 0, None: 1, 2**65: 2, -0.0: 3, math.inf: 4, "\x00": "\udbff"})
+@example("top-level string")
+def test_reemit_json_is_the_stdlib_rendering(doc):
+    assert reemit_json(doc) == reemit_json_stdlib(doc)
+
+
+@settings(max_examples=400)
+@given(documents(st.one_of(SCALARS, UNSERIALIZABLE), st.one_of(KEYS, st.just((1,)), st.just(b"k"))))
+@example({1, 2})
+@example({"flat": {"a": 1, "b": {3}}})
+@example([1, 2.5, b"bytes"])
+@example({"deep": [{"x": [Fraction(1, 2)]}]})
+@example({"a": 1, (2,): 3})
+@example({"a": [1], Fraction(1, 2): 3})
+def test_reemit_json_raises_where_the_stdlib_does(doc):
+    assert rendering(reemit_json, doc) == rendering(reemit_json_stdlib, doc)
+
+
+def test_reemit_json_without_the_c_encoder(monkeypatch):
+    # without json's C accelerator the flat containers take json's own
+    # fallback, and the text stays the same
+    rows, agg = run_sweep(SMALL)
+    docs = [json.loads(emit_json(rows, agg, SMALL)), nested(4)]
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    for doc in docs:
+        assert reemit_json(doc) == reemit_json_stdlib(doc)
+
+
+def test_reemit_json_refuses_a_circular_document():
+    doc = {"rows": [1, 2]}
+    doc["rows"].append(doc)
+    for render in (reemit_json, reemit_json_stdlib):
+        with pytest.raises(ValueError, match="Circular reference detected"):
+            render(doc)
+
+
+@pytest.mark.skipif(json.encoder.c_make_encoder is None, reason="json has no C encoder here")
+def test_reports_never_reach_the_pure_python_encoder(monkeypatch):
+    # json.dumps(indent=...) renders through json.encoder._make_iterencode, the
+    # pure-Python generator encoder; every report must avoid it
+    rep = check_nice(BinaryCode(sample_binary_code(6, 2, 5)), 0.2, 4096)
+    report = {"inner": "inner.code", "budget": 4096, **dataclasses.asdict(rep)}  # as nice-check emits it
+    assert isinstance(report["per_weight"], tuple)
+    expected = reemit_json_stdlib(report)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("json's pure-Python encoder was reached")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", forbidden)
+    with pytest.raises(AssertionError, match="pure-Python"):
+        json.dumps({"a": [1]}, indent=2)  # the patch is seen
+    assert reemit_json(report) == expected
+    for doc in GOLDEN_CONFIGS.values():
+        cfg = config_from_dict({**doc, "master_seed": 1})
+        rows, agg = run_sweep(cfg)
+        assert emit_json(rows, agg, cfg).startswith("{\n")
 
 
 def test_csv_schema_and_column_count():
@@ -251,6 +359,53 @@ def test_constant_too_large_for_a_float_rejected_before_trials():
     # an int as large as a float can hold is still a number
     cfg = config_from_dict({**base, "constants": {"c_tilde": int(sys.float_info.max)}})
     assert run_sweep(cfg)[0][0].soft_prob is not None
+
+
+BASE = {"k0": 2, "n0": 4, "n": 4, "k": 2, "trials": 1, "master_seed": 0}
+
+
+def _refusal(name, doc, message):
+    return pytest.param(doc, message, id=name)
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        # an integer: a bool, a float or a numeric string is not one
+        _refusal("k0-bool", {**BASE, "k0": True}, "config key 'k0' must be an integer, got True"),
+        _refusal("k0-float", {**BASE, "k0": 1.5}, "config key 'k0' must be an integer, got 1.5"),
+        _refusal("trials-str", {**BASE, "trials": "4"},
+                 "config key 'trials' must be an integer, got '4'"),
+        _refusal("budgets.soft-float", {**BASE, "budgets": {"soft": 1.0}},
+                 "budgets key 'soft' must be an integer, got 1.0"),
+        # a boolean: 1 is not one
+        _refusal("equal_rate-int", {**BASE, "equal_rate": 1},
+                 "config key 'equal_rate' must be a boolean, got 1"),
+        _refusal("toggles.run_soft-int", {**BASE, "toggles": {"run_soft": 1}},
+                 "toggles key 'run_soft' must be a boolean, got 1"),
+        # a finite number: NaN, a string, an int past the float range
+        _refusal("constants.c-nan", {**BASE, "constants": {"c": math.nan}},
+                 "constants key 'c' must be a finite number, got nan"),
+        _refusal("constants.c-str", {**BASE, "constants": {"c": "x"}},
+                 "constants key 'c' must be a finite number, got 'x'"),
+        _refusal("constants.tau-huge", {**BASE, "constants": {"tau": 10**400}},
+                 f"constants key 'tau' must be a finite number, got {10**400!r}"),
+        # a list of integers
+        _refusal("r_list-float", {**BASE, "toggles": {"r_list": [1.5]}},
+                 "toggles key 'r_list' must be a list of integers, got [1.5]"),
+        _refusal("r_list-str", {**BASE, "toggles": {"r_list": "2"}},
+                 "toggles key 'r_list' must be a list of integers, got '2'"),
+        _refusal("r_list-bool", {**BASE, "toggles": {"r_list": [True]}},
+                 "toggles key 'r_list' must be a list of integers, got [True]"),
+        # a JSON object, for a section and for the whole config
+        _refusal("budgets-list", {**BASE, "budgets": [1]}, "budgets must be a JSON object, got [1]"),
+        _refusal("config-list", [BASE], f"config must be a JSON object, got {[BASE]!r}"),
+    ],
+)
+def test_config_field_of_the_wrong_type_refused_with_its_message(doc, message):
+    with pytest.raises(ValueError) as exc:
+        config_from_dict(doc)
+    assert str(exc.value) == message
 
 
 def test_config_from_dict_roundtrip():
