@@ -81,6 +81,8 @@ def d_pmf(ctx: FieldCtx, omega: Sequence[int], p: float) -> Pmf:
 
 def bernoulli_p(c_tilde: float, eps: float) -> float:
     """The Bernoulli parameter (1 - e^(-2 c~ eps^2)) / 2 of the distribution D."""
+    if not 0 <= c_tilde < math.inf:
+        raise ValueError(f"c_tilde must be nonnegative and finite, got {c_tilde}")
     return (1.0 - math.exp(-2.0 * c_tilde * eps * eps)) / 2.0
 
 

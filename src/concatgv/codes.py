@@ -17,6 +17,7 @@ Conventions fixed here and used everywhere else:
 from __future__ import annotations
 
 import functools
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -160,42 +161,35 @@ class ConcatCode:
                 words.append(word)
         return BitMatrix(words, self.N)
 
+    def _pair_masks(self, columns: Iterable[Sequence[int]]) -> Counter:
+        """The (alpha, b) pairs, alpha an outer coordinate and b an Omega
+        entry, as XOR masks on a vector that holds symbol i in bits
+        [i*k0, (i+1)*k0): pair (alpha, b) adds b * columns[alpha][i] to
+        symbol i.  Omega may repeat entries or contain 0, so each mask maps to
+        its multiplicity, in order of first pair (alpha-major)."""
+        entries = Counter(self.omega)
+        words = self.ctx.packed_products(columns, list(entries))
+        masks: Dict[int, int] = {}
+        get = masks.get
+        for mask, mult in zip(words, itertools.cycle(entries.values())):
+            masks[mask] = get(mask, 0) + mult
+        return Counter(masks)
+
     @functools.cached_property
     def g_masks(self) -> Counter:
-        """The (alpha, b) pairs, alpha an outer coordinate and b an Omega
-        entry, as XOR masks on the packed vector g that holds coordinate alpha
-        in bits [alpha*k0, (alpha+1)*k0).  Omega may repeat entries or contain
-        0, so each mask maps to its multiplicity, in order of first pair
-        (alpha-major).  Both mask counters are cached on the code and shared
-        by its callers, which only read them."""
-        k0 = self.ctx.k0
-        entries = Counter(self.omega).items()
-        masks: Counter = Counter()
-        for alpha in range(self.outer.n):
-            for b, mult in entries:
-                masks[b << (alpha * k0)] += mult
-        return masks
+        """The pair masks on the packed vector g, which holds coordinate alpha
+        in bits [alpha*k0, (alpha+1)*k0): those of the n x n identity, so
+        pair (alpha, b) puts b at alpha.  Both mask counters are cached on the
+        code and shared by its callers, which only read them."""
+        n = self.outer.n
+        return self._pair_masks([[int(i == alpha) for i in range(n)] for alpha in range(n)])
 
     @functools.cached_property
     def syndrome_masks(self) -> Counter:
-        """The same pairs' masks on the outer syndrome gen @ g, which holds row
-        i in bits [i*k0, (i+1)*k0): pair (alpha, b) adds b * gen[i][alpha] to
-        row i.  Built from the logs of each generator column and of each
-        distinct Omega entry, so every product is one antilog lookup."""
-        ctx, k0 = self.ctx, self.ctx.k0
-        exp, log = ctx._exp, ctx._log
-        entries = [(log[b], mult) for b, mult in Counter(self.omega).items()]
-        shifts = [i * k0 for i in range(self.outer.k)]
-        masks: Dict[int, int] = {}
-        get = masks.get
-        for column in zip(*self.outer.gen.rows):
-            column_logs = [(log[g], s) for g, s in zip(column, shifts)]
-            for lb, mult in entries:
-                mask = 0
-                for lg, s in column_logs:
-                    mask |= exp[lg + lb] << s
-                masks[mask] = get(mask, 0) + mult
-        return Counter(masks)
+        """The pair masks on the outer syndrome gen @ g, which holds row i in
+        bits [i*k0, (i+1)*k0): those of the outer generator's columns, so
+        pair (alpha, b) adds b * gen[i][alpha] to row i."""
+        return self._pair_masks(zip(*self.outer.gen.rows))
 
 
 def bias(cc: ConcatCode, msg: Sequence[int]) -> int:

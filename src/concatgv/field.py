@@ -3,47 +3,29 @@
 Field elements are plain ints: the bits of the value are the coefficients of
 the polynomial representation (bit i = coefficient of x^i).  Addition is XOR;
 multiplication is carry-less multiplication reduced modulo a fixed irreducible
-polynomial.  That definition is evaluated only while a :class:`FieldCtx` is
-built: it generates the powers of the smallest primitive element into
-log/antilog tables, and every multiply and inverse afterwards is a table
-lookup.  Each :class:`FieldCtx` also carries a basis nu_1..nu_k0 that is
-*self-dual* for the trace form, i.e. Tr(nu_i * nu_j) = 1 iff i == j.  Writing
-elements in that basis makes the trace form the plain GF(2) dot product:
+polynomial, by default the smallest one of degree k0, found by search.  That
+definition is evaluated only while a :class:`FieldCtx` is built: it generates
+the powers of the smallest primitive element into log/antilog tables, and
+every multiply and inverse afterwards is a table lookup.  Each
+:class:`FieldCtx` also carries a basis nu_1..nu_k0 that is *self-dual* for the
+trace form, i.e. Tr(nu_i * nu_j) = 1 iff i == j.  Writing elements in that
+basis makes the trace form the plain GF(2) dot product:
 
     Tr(a * b) == parity(coords(a) & coords(b))
 
 which is the identification this whole package relies on when it moves
-between GF(2^k0) symbols and k0-bit vectors.
+between GF(2^k0) symbols and k0-bit vectors.  The coordinate tables are read
+off the basis: the element with coordinates x is the XOR of the nu_(i+1) over
+the set bits i of x.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import List, Sequence
+import itertools
+from typing import Iterable, List, Sequence
 
 import numpy as np
-
-# Lexicographically smallest irreducible polynomial per degree (bitmask with
-# bit k0 set).  Hard-coded so every run and every machine builds the same
-# field; tests regenerate the table from scratch and compare.
-SMALLEST_IRREDUCIBLE = {
-    1: 0x2,
-    2: 0x7,
-    3: 0xB,
-    4: 0x13,
-    5: 0x25,
-    6: 0x43,
-    7: 0x83,
-    8: 0x11B,
-    9: 0x203,
-    10: 0x409,
-    11: 0x805,
-    12: 0x1009,
-    13: 0x201B,
-    14: 0x4021,
-    15: 0x8003,
-    16: 0x1002B,
-}
 
 MAX_DEGREE = 16
 
@@ -76,12 +58,18 @@ def is_irreducible(poly: int) -> bool:
     deg = poly.bit_length() - 1
     if deg <= 0:
         return False
-    if deg == 1:
-        return True
     for d in range(2, 1 << (deg // 2 + 1)):
         if _poly_rem(poly, d) == 0:
             return False
     return True
+
+
+@functools.cache
+def smallest_irreducible(k0: int) -> int:
+    """The lexicographically smallest irreducible polynomial of degree k0 (a
+    bitmask with bit k0 set): the default modulus, so every run and every
+    machine builds the same field."""
+    return next(p for p in range(1 << k0, 2 << k0) if is_irreducible(p))
 
 
 class FieldCtx:
@@ -95,7 +83,7 @@ class FieldCtx:
         if not 1 <= k0 <= MAX_DEGREE:
             raise ValueError(f"extension degree k0={k0} out of range [1, {MAX_DEGREE}]")
         if modulus is None:
-            modulus = SMALLEST_IRREDUCIBLE[k0]
+            modulus = smallest_irreducible(k0)
         if modulus.bit_length() - 1 != k0:
             raise ValueError(f"modulus {modulus:#x} does not have degree {k0}")
         if not is_irreducible(modulus):
@@ -114,24 +102,16 @@ class FieldCtx:
                 self._trace_mask |= 1 << j
         self.basis = self._build_self_dual_basis()
         self._verify_basis()
-        # coords(x) for all q elements; x -> coords(x) is GF(2)-linear, so the
-        # table is filled from the k0 single-bit images in O(q).
-        bit_coords = []
-        for j in range(k0):
-            bits = 0
-            for i, nu in enumerate(self.basis):
-                if self.trace(self.mul(1 << j, nu)):
-                    bits |= 1 << i
-            bit_coords.append(bits)
-        self._coords_table: List[int] = [0] * self.q
+        # The element with coordinates x is the XOR of nu_(i+1) over the set
+        # bits i of x, so each entry is an earlier one plus one basis vector.
         self._element_table: List[int] = [0] * self.q
+        self._coords_table: List[int] = [0] * self.q
         for x in range(1, self.q):
             lsb = x & -x
-            self._coords_table[x] = (
-                self._coords_table[x ^ lsb] ^ bit_coords[lsb.bit_length() - 1]
+            self._element_table[x] = (
+                self._element_table[x ^ lsb] ^ self.basis[lsb.bit_length() - 1]
             )
-        for x in range(self.q):
-            self._element_table[self._coords_table[x]] = x
+            self._coords_table[self._element_table[x]] = x
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -183,6 +163,24 @@ class FieldCtx:
             tables = self._np_tables = (exp, np.array(self._log, dtype=np.int32))
         exp, log = tables
         return exp[log[a] + log[b]]
+
+    def packed_products(
+        self, columns: Iterable[Sequence[int]], elements: Sequence[int]
+    ) -> List[int]:
+        """For each column c, then each element b: the products b * c[i] as
+        one word, entry i in bits [i*k0, (i+1)*k0).  Each element and each
+        column entry is logged once, so every product is one antilog lookup."""
+        exp, log, k0 = self._exp, self._log, self.k0
+        element_logs = [log[b] for b in elements]
+        words = []
+        for column in columns:
+            column_logs = [(log[g], i * k0) for i, g in enumerate(column)]
+            for lb in element_logs:
+                word = 0
+                for lg, s in column_logs:
+                    word |= exp[lg + lb] << s
+                words.append(word)
+        return words
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -251,15 +249,8 @@ class FieldCtx:
                 remaining = [w ^ (pivot if self._b(w, pivot) else 0) for w in remaining]
                 chosen.append(pivot)
                 continue
-            # Alternating complement: find a hyperbolic pair.
-            pair = None
-            for i in range(len(remaining)):
-                for j in range(i + 1, len(remaining)):
-                    if self._b(remaining[i], remaining[j]) == 1:
-                        pair = (remaining[i], remaining[j])
-                        break
-                if pair:
-                    break
+            # Alternating complement: the first hyperbolic pair, in list order.
+            pair = next((p for p in itertools.combinations(remaining, 2) if self._b(*p)), None)
             if pair is None or not chosen:
                 raise AssertionError("trace form degenerated; modulus not irreducible?")
             u, w = pair
@@ -308,13 +299,13 @@ class FieldCtx:
 
 @functools.cache
 def make_field(k0: int, modulus: int | None = None) -> FieldCtx:
-    """GF(2^k0) modulo ``modulus`` (default: the table modulus), with a
-    verified self-dual basis.
+    """GF(2^k0) modulo ``modulus`` (default: ``smallest_irreducible(k0)``),
+    with a verified self-dual basis.
 
     Built once per (k0, modulus) and shared: a FieldCtx is immutable and its
-    operations are pure.  Naming the table modulus returns the default
+    operations are pure.  Naming the default modulus returns the default
     field's object.  An invalid degree or modulus raises on every call.
     """
-    if modulus is not None and modulus == SMALLEST_IRREDUCIBLE.get(k0):
+    if modulus is not None and 1 <= k0 <= MAX_DEGREE and modulus == smallest_irreducible(k0):
         return make_field(k0)
     return FieldCtx(k0, modulus)

@@ -98,13 +98,11 @@ def _dense_step(dist: np.ndarray, masks: Counter) -> np.ndarray:
 
 
 def _pair_sum(low: Dict[int, int] | np.ndarray, high: Dict[int, int] | np.ndarray) -> int:
-    """sum over states x of low[x] * high[x], in Python ints.  low is the
-    earlier walk state, so it is dense only if high is."""
+    """sum over states x of low[x] * high[x], in Python ints.  The walk
+    densifies at the top of a step, whose input becomes low and output high,
+    so the two are both dicts or both arrays."""
     if isinstance(high, np.ndarray):
-        high = high.tolist()
-        if isinstance(low, np.ndarray):
-            return sum(map(operator.mul, low.tolist(), high))
-        return sum(w * high[x] for x, w in low.items())
+        return sum(map(operator.mul, low.tolist(), high.tolist()))
     get = high.get
     return sum(w * get(x, 0) for x, w in low.items())
 
@@ -206,12 +204,8 @@ class WCountReport:
 
 def w_count_bound(N: int, n0: int, eps: float, r: int) -> float:
     """The counting bound (8N)^r (r/N)^(r/2) 2^(2N/sqrt(n0) + log2 N) max(1, re/(eps^2 N))^(r/2)."""
-    if r == 0:
-        ratio_pow = 1.0
-        core = 1.0
-    else:
-        core = (8.0 * N) ** r * (r / N) ** (r / 2)
-        ratio_pow = max(1.0, r * math.e / (eps * eps * N)) ** (r / 2)
+    core = (8.0 * N) ** r * (r / N) ** (r / 2)
+    ratio_pow = max(1.0, r * math.e / (eps * eps * N)) ** (r / 2)
     return core * 2.0 ** (2.0 * N / math.sqrt(n0) + math.log2(N)) * ratio_pow
 
 

@@ -41,14 +41,11 @@ from .rng import derive_seed
 
 SCHEMA = "concatgv-sweep-v1"
 
-EXACT_DISTANCE_LIMIT = 1 << 20  # exact when q^k <= this, else Monte Carlo
-EXACT_NICENESS_LIMIT = 1 << 20  # niceness runs only when 2^(n0-k0) <= this
-
 
 @dataclass(frozen=True)
 class Budgets:
-    distance: int = EXACT_DISTANCE_LIMIT
-    niceness: int = EXACT_NICENESS_LIMIT
+    distance: int = 1 << 20  # exact when q^k <= this, else Monte Carlo
+    niceness: int = 1 << 20  # niceness runs only when 2^(n0-k0) <= this
     soft: int = 1 << 20
     entropy: int = 1 << 20
     moments: int = 1 << 27
@@ -445,12 +442,9 @@ def _render(o, depth: int, markers: set) -> str:
 
 def _scalar_subclass(v) -> str:
     # a subclass of a JSON scalar type renders as its base; anything else is refused
-    if isinstance(v, str):
-        return encode_basestring_ascii(v)
-    if isinstance(v, int):
-        return int.__repr__(v)
-    if isinstance(v, float):
-        return _floatstr(v)
+    for base in (str, int, float):
+        if isinstance(v, base):
+            return _SCALARS[base](v)
     raise TypeError(f"Object of type {v.__class__.__name__} is not JSON serializable")
 
 

@@ -96,6 +96,25 @@ def clmul_mod(a: int, b: int, modulus: int, k0: int) -> int:
     return prod
 
 
+def coords_table_by_trace(ctx) -> List[int]:
+    """coords(x) for every element x, through the trace: bit i of coords(x)
+    is Tr(x * nu_(i+1)), which the self-dual basis makes the coefficient of
+    nu_(i+1).  The map is GF(2)-linear, so it is read off the k0 single-bit
+    elements and filled in by one lowest-set-bit recurrence."""
+    bit_coords = []
+    for j in range(ctx.k0):
+        bits = 0
+        for i, nu in enumerate(ctx.basis):
+            if ctx.trace(ctx.mul(1 << j, nu)):
+                bits |= 1 << i
+        bit_coords.append(bits)
+    table = [0] * ctx.q
+    for x in range(1, ctx.q):
+        lsb = x & -x
+        table[x] = table[x ^ lsb] ^ bit_coords[lsb.bit_length() - 1]
+    return table
+
+
 def dual_membership(outer: OuterCode, x: Sequence[int]) -> bool:
     """True iff x is orthogonal to every generator row of outer (x is in the
     dual code): one schoolbook syndrome symbol per row."""

@@ -120,6 +120,13 @@ def test_bernoulli_p_formula_value():
     assert p == pytest.approx(0.0269712, abs=1e-7)
 
 
+@pytest.mark.parametrize("c_tilde", [-1.0, -1e-300, math.inf, math.nan])
+def test_bernoulli_p_refuses_a_negative_or_non_finite_c_tilde(c_tilde):
+    with pytest.raises(ValueError, match="c_tilde must be nonnegative and finite"):
+        bernoulli_p(c_tilde, 0.5)
+    assert bernoulli_p(0.0, 0.5) == 0.0
+
+
 @pytest.mark.parametrize(
     "probs, message",
     [

@@ -405,6 +405,17 @@ def test_cli_montecarlo_soft_check_names_the_budget(budget, tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_cli_soft_check_names_a_negative_c_tilde(tmp_path, capsys):
+    outer, inner = tmp_path / "outer.code", tmp_path / "inner.code"
+    inner.write_text(dumps_code(BinaryCode(sample_binary_code(8, 4, 5))))
+    outer.write_text(dumps_code(OuterCode(sample_field_code(make_field(4), 6, 3, 6))))
+    argv = ["soft-check", "--outer", str(outer), "--inner", str(inner), "--c-tilde", "-1"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: c_tilde must be nonnegative and finite, got -1.0\n"
+    assert captured.out == ""
+
+
 def test_cli_outdir_env(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "concatgv.cli", "sample-code", "--n", "4", "--k", "2",

@@ -2,15 +2,32 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from concatgv.field import (
-    SMALLEST_IRREDUCIBLE,
-    FieldCtx,
-    is_irreducible,
-    make_field,
-)
+from concatgv.field import FieldCtx, is_irreducible, make_field
 from concatgv.rng import SplitMix64
 
-from oracles import clmul_mod
+from oracles import clmul_mod, coords_table_by_trace
+
+# The lexicographically smallest irreducible polynomial per degree (a bitmask
+# with bit k0 set): the default moduli, pinned so that no run or machine
+# builds a different field.
+SMALLEST_IRREDUCIBLE = {
+    1: 0x2,
+    2: 0x7,
+    3: 0xB,
+    4: 0x13,
+    5: 0x25,
+    6: 0x43,
+    7: 0x83,
+    8: 0x11B,
+    9: 0x203,
+    10: 0x409,
+    11: 0x805,
+    12: 0x1009,
+    13: 0x201B,
+    14: 0x4021,
+    15: 0x8003,
+    16: 0x1002B,
+}
 
 
 def poly_divides(d: int, f: int) -> bool:
@@ -30,11 +47,12 @@ def brute_force_irreducible(poly: int) -> bool:
 
 
 def test_modulus_table_is_smallest_irreducible():
+    assert sorted(SMALLEST_IRREDUCIBLE) == list(range(1, 17))
     for k0, expected in SMALLEST_IRREDUCIBLE.items():
         smallest = next(
             c for c in range(1 << k0, 1 << (k0 + 1)) if brute_force_irreducible(c)
         )
-        assert expected == smallest
+        assert make_field(k0).modulus == expected == smallest
         assert is_irreducible(expected)
 
 
@@ -43,11 +61,18 @@ def test_make_field_degree_bounds():
         make_field(0)
     with pytest.raises(ValueError):
         make_field(17)
+    # a degree out of range is refused by the field, not by the default lookup
+    with pytest.raises(ValueError, match="out of range"):
+        make_field(0, 0x2)
+    with pytest.raises(ValueError, match="out of range"):
+        make_field(17, 0x20009)
 
 
 def test_make_field_is_built_once_per_degree():
     assert make_field(4) is make_field(4)
     assert make_field(3) is not make_field(4)
+    # naming the default modulus gives the default field's object
+    assert make_field(4, 0x13) is make_field(4) is not make_field(4, 0x19)
     for _ in range(2):  # a refused degree is refused again, not cached
         with pytest.raises(ValueError):
             make_field(0)
@@ -201,9 +226,28 @@ def test_every_irreducible_modulus_up_to_degree_8():
     assert built == 69
 
 
+def test_coordinate_tables_match_the_trace_construction():
+    # every default field, then every irreducible modulus of degree <= 8
+    fields = [make_field(k0) for k0 in range(1, 17)]
+    fields += [
+        FieldCtx(k0, cand)
+        for k0 in range(2, 9)
+        for cand in range(1 << k0, 1 << (k0 + 1))
+        if brute_force_irreducible(cand)
+    ]
+    for ctx in fields:
+        want = coords_table_by_trace(ctx)
+        assert [ctx.coords(x) for x in range(ctx.q)] == want
+        inverse = [0] * ctx.q
+        for x, c in enumerate(want):
+            inverse[c] = x
+        assert [ctx.from_coords(c) for c in range(ctx.q)] == inverse
+    assert len(fields) == 16 + 69
+
+
 @pytest.mark.parametrize("k0", range(1, 9))
 def test_arithmetic_matches_schoolbook_exhaustive(k0):
-    # mul, scale and mul_array on every pair, zeros included
+    # mul, scale, mul_array and packed_products on every pair, zeros included
     f = make_field(k0)
     every = range(f.q)
     want = [[clmul_mod(a, b, f.modulus, k0) for b in every] for a in every]
@@ -211,6 +255,11 @@ def test_arithmetic_matches_schoolbook_exhaustive(k0):
     assert [f.scale(a, every) for a in every] == want
     products = f.mul_array(np.arange(f.q)[:, None], np.arange(f.q))
     assert products.dtype == np.min_scalar_type(f.q - 1) and products.tolist() == want
+    # packed_products runs column-major, then by element; entry i is in bits [i*k0, (i+1)*k0)
+    assert f.packed_products([[a] for a in every], every) == [p for row in want for p in row]
+    columns = list(zip(every, reversed(every)))
+    packed = [want[a][b] | want[c][b] << k0 for a, c in columns for b in every]
+    assert f.packed_products(iter(columns), every) == packed
     for a in range(1, f.q):
         assert clmul_mod(a, f.inv(a), f.modulus, k0) == 1
 

@@ -1,4 +1,5 @@
 import dataclasses
+import enum
 import json
 import math
 import os
@@ -108,6 +109,24 @@ def nested(depth):
     return {"": {}, "é\n": [], 1: (), 2.5: inner, True: [inner, [], {}, ()], None: (None, math.nan)}
 
 
+class Text(str):
+    pass
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class Real(float):
+    pass
+
+
+# subclasses of the JSON scalar types, which json renders as their bases
+ESCAPED = Text('tab\t "quote" \\ \x00 é \udbff')
+REALS = [Real(math.nan), Real(math.inf), Real(-math.inf), Real(-0.0)]
+
+
 def rendering(render, doc):
     """The text render gives doc, or the type and message of what it raised."""
     try:
@@ -123,6 +142,10 @@ def rendering(render, doc):
 @example({"x": -0.0, "y": math.nan, "z": -math.inf, "w": math.inf, "big": -(2**100)})
 @example({False: 0, None: 1, 2**65: 2, -0.0: 3, math.inf: 4, "\x00": "\udbff"})
 @example("top-level string")
+@example([ESCAPED, Level.HIGH, *REALS])
+@example({"flat": {"s": ESCAPED, "e": Level.LOW, "f": REALS[3]},
+          "mixed": [REALS, [Level.HIGH, {}], ESCAPED]})
+@example({ESCAPED: REALS[0], Level.HIGH: [ESCAPED], **{r: Level.LOW for r in REALS}})
 def test_reemit_json_is_the_stdlib_rendering(doc):
     assert reemit_json(doc) == reemit_json_stdlib(doc)
 
