@@ -399,6 +399,8 @@ def entropy_hypothesis(
     q = ctx.q
     if q**outer.k > budget:
         raise ValueError(f"codeword count {q**outer.k} exceeds budget {budget}")
+    if not -math.inf < cgamma < math.inf:
+        raise ValueError(f"cgamma must be finite, got {cgamma}")
     eps = outer.k / outer.n
     eta = ceta * eps
     if not 0 <= eta < 1:

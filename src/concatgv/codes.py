@@ -145,7 +145,7 @@ class ConcatCode:
         position i: outer generator row i scaled by nu_j (one log lookup for
         nu_j), each symbol inner-encoded.  The products take at most q - 1
         distinct nonzero values, so each is encoded once, on first use, and
-        looked up after that."""
+        looked up after that.  The exact weight enumerator does not read it."""
         ctx, n0 = self.ctx, self.inner.n0
         coords, encode = ctx.coords, self.inner.encode
         inner_word = {0: 0}
@@ -254,8 +254,11 @@ class WeightDistribution:
         """Mean of (length - 2 weight)^r over the nonzero messages.  Exact."""
         if r < 0:
             raise ValueError("r must be nonnegative")
+        messages = self.total - 1
+        if messages < 1:
+            raise ValueError("no nonzero message")
         total = sum(count * (self.length - 2 * j) ** r for j, count in self.nonzero_messages())
-        return Fraction(total, self.total - 1)
+        return Fraction(total, messages)
 
 
 def _binary_gen(code: BinaryCode | ConcatCode) -> BitMatrix:
@@ -264,29 +267,59 @@ def _binary_gen(code: BinaryCode | ConcatCode) -> BitMatrix:
     return code.gen
 
 
-# The first BLOCK_BITS basis words are expanded into all their 2^BLOCK_BITS
-# sums at once (about 0.5 MB per 64-bit limb); the remaining words shift
-# that block, one Gray-code step at a time, so memory stays bounded.
+def _subset_sums(rows: Sequence[int], limbs: int) -> np.ndarray:
+    """Every subset XOR of rows as a (limbs, 2^len(rows)) array; column bit i selects row i."""
+    sums = [0]
+    for row in rows:
+        sums += [s ^ row for s in sums]
+    packed = b"".join([s.to_bytes(8 * limbs, "little") for s in sums])
+    return np.frombuffer(packed, dtype="<u8").reshape(len(sums), limbs).T
+
+
+def _symbol_tables(code: BinaryCode | ConcatCode) -> List[np.ndarray]:
+    """The span as limb-major (limbs, size) tables whose XORs, one entry per table, are
+    the codewords: binary rows give the subset sums of 4 rows at a time, and outer row i
+    gives the encoding of v * (row i) for each v in GF(q), gathered at exp[log g + log v].
+    Weights ignore bit positions: a limb packs 64 // n0 inner words, or a word takes
+    ceil(n0 / 64) limbs, and zero columns pad n."""
+    if not isinstance(code, ConcatCode):
+        rows, limbs = code.gen.rows, max(1, -(-code.gen.cols // 64))
+        return [_subset_sums(rows[i : i + 4], limbs) for i in range(0, len(rows) or 1, 4)]
+    n0, (exp, log, coords) = code.inner.n0, code.ctx.arrays()
+    by_log = _subset_sums(code.inner.gen.rows, -(-n0 // 64))[:, coords[exp]]
+    per = max(1, 64 // n0)
+    gen = np.array([row + (0,) * (-len(row) % per) for row in code.outer.gen.rows], dtype=np.intp)
+    symbols = by_log.take(log[gen][:, :, None] + log, axis=1)  # [limb, i, a, v]
+    place = np.left_shift(1, np.arange(0, per * n0, n0, dtype=np.uint64))  # disjoint: sum is OR
+    return list(place @ symbols.transpose(1, 2, 0, 3).reshape(len(gen), -1, per, len(log)))
+
+
+# The low block folds tables while it holds at most 2^BLOCK_BITS entries (0.5 MB
+# per limb); the other tables' XORs meet it in chunks that size, bounding memory.
 BLOCK_BITS = 16
 
 
-def _span_weight_counts(words: Sequence[int], length: int) -> List[int]:
-    """Weight counts of all 2^len(words) XOR combinations of words."""
-    limbs = -(-length // 64)
-    packed = b"".join(w.to_bytes(8 * limbs, "little") for w in words)
-    basis = np.frombuffer(packed, dtype="<u8").reshape(len(words), limbs)
-    low, high = basis[:BLOCK_BITS], basis[BLOCK_BITS:]
-    block = np.empty((1 << len(low), limbs), dtype=np.uint64)
-    block[0] = 0
-    for i, b in enumerate(low):  # rows [2^i, 2^(i+1)) are rows [0, 2^i) plus b
-        np.bitwise_xor(block[: 1 << i], b, out=block[1 << i : 2 << i])
+def _fold(tables: Sequence[np.ndarray]) -> np.ndarray:
+    """Every XOR taking one entry per (words, size) table, as (words, entries), table 0 fastest."""
+    block = tables[0] if len(tables) else np.zeros((tables.shape[1], 1), dtype=tables.dtype)
+    for table in tables[1:]:
+        block = (table[:, :, None] ^ block[:, None]).reshape(len(block), -1)
+    return block
+
+
+def _span_weight_counts(tables: Sequence[np.ndarray], length: int) -> List[int]:
+    """Weight counts of the span of a nonempty list of tables, by meeting in the
+    middle: a low block of the first tables (not the last) against the XORs of the rest."""
+    low, size = 1, tables[0].shape[1]
+    while low < len(tables) - 1 and size * tables[low].shape[1] <= 1 << BLOCK_BITS:
+        low, size = low + 1, size * tables[low].shape[1]
+    block, high = _fold(tables[:low]), _fold(tables[low:] or [np.zeros((1, 1), np.uint64)])
+    step = max(1, (1 << BLOCK_BITS) // block.shape[1])
     counts = np.zeros(length + 1, dtype=np.int64)
-    shift = np.zeros(limbs, dtype=np.uint64)
-    for t in range(1 << len(high)):
-        if t:
-            shift ^= high[(t & -t).bit_length() - 1]
-        weights = np.bitwise_count(block ^ shift if t else block)
-        weights = weights[:, 0] if limbs == 1 else weights.sum(axis=1, dtype=np.intp)
+    for start in range(0, high.shape[1], step):
+        # each chunk is freed before bincount allocates, so it reuses the memory
+        weights = np.bitwise_count(_fold([block, high[:, start : start + step]]))
+        weights = weights[0] if len(weights) == 1 else weights.sum(axis=0, dtype=np.intp)
         counts += np.bincount(weights, minlength=length + 1)
     return counts.tolist()
 
@@ -294,12 +327,12 @@ def _span_weight_counts(words: Sequence[int], length: int) -> List[int]:
 def weight_distribution(
     code: BinaryCode | ConcatCode, budget: int = 1 << 24
 ) -> WeightDistribution:
-    """Exact weight enumerator by enumerating every message's codeword."""
-    gen = _binary_gen(code)
-    size = 1 << gen.nrows
-    if size > budget:
-        raise ValueError(f"code size {size} exceeds budget {budget}")
-    return WeightDistribution(tuple(_span_weight_counts(gen.rows, gen.cols)))
+    """Exact weight enumerator: every codeword is formed and popcounted, once the budget holds."""
+    gen = None if isinstance(code, ConcatCode) else _binary_gen(code)
+    dim, length = (code.K, code.N) if gen is None else (gen.nrows, gen.cols)
+    if 1 << dim > budget:
+        raise ValueError(f"code size {1 << dim} exceeds budget {budget}")
+    return WeightDistribution(tuple(_span_weight_counts(_symbol_tables(code), length)))
 
 
 def min_distance(
@@ -346,10 +379,5 @@ def codeword_table(gen: FieldMatrix) -> np.ndarray:
     ``mul_array`` call; the codewords are then XOR sums, one broadcast per
     row.  The dtype is the smallest unsigned type that holds q - 1.
     """
-    ctx, n = gen.ctx, gen.cols
-    rows = np.array(gen.rows, dtype=np.intp).reshape(-1, n, 1)
-    multiples = ctx.mul_array(rows, np.arange(ctx.q))  # [i, a, v] = v * gen[i, a]
-    table = np.zeros((n, 1), dtype=multiples.dtype)
-    for row in multiples:
-        table = (row[:, :, None] ^ table[:, None, :]).reshape(n, -1)
-    return table
+    rows = np.array(gen.rows, dtype=np.intp).reshape(-1, gen.cols, 1)
+    return _fold(gen.ctx.mul_array(rows, np.arange(gen.ctx.q)))  # [i, a, v] = v * gen[i, a]

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Iterable, List, Sequence
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -151,17 +151,21 @@ class FieldCtx:
         exp, log, lc = self._exp, self._log, self._log[c]
         return [exp[lc + log[v]] for v in vec]
 
+    def arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """numpy copies (exp, log, coords) of the tables, made on first use: exp
+        in the smallest unsigned type, log int32 (log sums are < 2^31), coords intp."""
+        if "_arrays" not in self.__dict__:
+            self._arrays = (
+                np.array(self._exp, dtype=np.min_scalar_type(self.q - 1)),
+                np.array(self._log, dtype=np.int32),
+                np.array(self._coords_table, dtype=np.intp),
+            )
+        return self._arrays
+
     def mul_array(self, a, b) -> np.ndarray:
         """Elementwise field product of two broadcastable integer arrays,
-        gathered from numpy copies of the tables that are made on first use.
-        The product's dtype is the smallest unsigned type that holds q - 1.
-        The log copy is int32: a sum of two logs is at most 4(q - 1) < 2^31,
-        and the summed index array takes half the memory of an intp one."""
-        tables = self.__dict__.get("_np_tables")
-        if tables is None:
-            exp = np.array(self._exp, dtype=np.min_scalar_type(self.q - 1))
-            tables = self._np_tables = (exp, np.array(self._log, dtype=np.int32))
-        exp, log = tables
+        gathered from the tables of :meth:`arrays`, in exp's dtype."""
+        exp, log, _ = self.arrays()
         return exp[log[a] + log[b]]
 
     def packed_products(

@@ -116,8 +116,9 @@ def _gf2_rref(rows: Sequence[int]):
 
 
 def _field_rref(m: FieldMatrix):
-    """RREF over the field; returns (reduced nonzero rows, pivot column indices)."""
-    ctx = m.ctx
+    """RREF over the field; returns (reduced nonzero rows, pivot column indices).
+    Row operations add logs: li = q - 1 - log(pivot) is the log of 1 / pivot."""
+    exp, log, order = m.ctx._exp, m.ctx._log, m.ctx.q - 1
     mat = list(m.rows)
     pivots: List[int] = []
     r = 0
@@ -126,10 +127,12 @@ def _field_rref(m: FieldMatrix):
         if pivot_row is None:
             continue
         mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        mat[r] = ctx.scale(ctx.inv(mat[r][c]), mat[r])
+        li = order - log[mat[r][c]]
+        mat[r] = pivot = [exp[li + log[v]] for v in mat[r]]
         for i in range(len(mat)):
             if i != r and mat[i][c]:
-                mat[i] = [a ^ b for a, b in zip(mat[i], ctx.scale(mat[i][c], mat[r]))]
+                lf = log[mat[i][c]]
+                mat[i] = [a ^ exp[lf + log[b]] for a, b in zip(mat[i], pivot)]
         pivots.append(c)
         r += 1
         if r == len(mat):

@@ -104,6 +104,9 @@ class SweepConfig:
                 raise ValueError("niceness check over budget for this config")
         if not 0 < self.constants.c < math.inf:
             raise ValueError(f"GV constant c must be positive and finite, got {self.constants.c}")
+        for name, value in vars(self.constants).items():
+            if not -math.inf < value < math.inf:
+                raise ValueError(f"constants.{name} must be finite, got {value}")
         if self.toggles.run_soft and self.constants.c_tilde < 0:
             raise ValueError(f"constants.c_tilde must be nonnegative, got {self.constants.c_tilde}")
         if self.toggles.run_entropy:

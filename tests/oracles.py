@@ -148,6 +148,54 @@ def gf2_rref_by_columns(rows: Sequence[int], cols: int):
     return tuple(mat[:r]), tuple(pivots)
 
 
+def field_rref_by_scale(m):
+    """Gauss-Jordan over the field, one row operation per ``ctx.scale`` call:
+    (reduced nonzero rows, pivot columns), as tuples.  Pivots are searched
+    from the current row down, and elimination stops once every row has a
+    pivot."""
+    ctx = m.ctx
+    mat = list(m.rows)
+    pivots: List[int] = []
+    r = 0
+    for c in range(m.cols):
+        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        mat[r] = ctx.scale(ctx.inv(mat[r][c]), mat[r])
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                mat[i] = [a ^ b for a, b in zip(mat[i], ctx.scale(mat[i][c], mat[r]))]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return tuple(tuple(row) for row in mat[:r]), tuple(pivots)
+
+
+def gray_block_weight_counts(words: Sequence[int], length: int, block_bits: int = 16) -> List[int]:
+    """Weight counts of all 2^len(words) XOR combinations of words: the
+    first block_bits words expanded into all their sums by doubling, then
+    that block shifted by the other words, one Gray-code step at a time."""
+    limbs = -(-length // 64)
+    packed = b"".join(w.to_bytes(8 * limbs, "little") for w in words)
+    basis = np.frombuffer(packed, dtype="<u8").reshape(len(words), limbs)
+    low, high = basis[:block_bits], basis[block_bits:]
+    block = np.empty((1 << len(low), limbs), dtype=np.uint64)
+    block[0] = 0
+    for i, b in enumerate(low):  # rows [2^i, 2^(i+1)) are rows [0, 2^i) plus b
+        np.bitwise_xor(block[: 1 << i], b, out=block[1 << i : 2 << i])
+    counts = np.zeros(length + 1, dtype=np.int64)
+    shift = np.zeros(limbs, dtype=np.uint64)
+    for t in range(1 << len(high)):
+        if t:
+            shift ^= high[(t & -t).bit_length() - 1]
+        weights = np.bitwise_count(block ^ shift if t else block)
+        weights = weights[:, 0] if limbs == 1 else weights.sum(axis=1, dtype=np.intp)
+        counts += np.bincount(weights, minlength=length + 1)
+    return counts.tolist()
+
+
 def g_of_tuple(cc: ConcatCode, pairs: Sequence[Tuple[int, int]]) -> Tuple[int, ...]:
     """Fold a tuple of (coordinate, omega-index) pairs into a vector over GF(q).
 

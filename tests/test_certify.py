@@ -520,6 +520,14 @@ def test_entropy_hypothesis_constant_codeword_fails():
     assert rep.min_entropy == pytest.approx(-math.log2(0.75), abs=1e-9)
 
 
+@pytest.mark.parametrize("cgamma", [math.nan, math.inf, -math.inf])
+def test_entropy_hypothesis_refuses_a_non_finite_cgamma(cgamma):
+    # a NaN threshold would fail every codeword without an error
+    outer = OuterCode(FieldMatrix(((1, 1),), 2, F4))
+    with pytest.raises(ValueError, match="cgamma must be finite"):
+        entropy_hypothesis(outer, cgamma=cgamma, ceta=0.5)
+
+
 def test_entropy_hypothesis_permutation_codewords_pass():
     perm_outer = OuterCode(FieldMatrix(((0, 1, 2, 3),), 4, F4))
     rep = entropy_hypothesis(perm_outer, cgamma=1.0, ceta=1.0, n0=8)

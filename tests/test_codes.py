@@ -16,7 +16,7 @@ from concatgv.field import FieldCtx, make_field
 from concatgv.linalg import BitMatrix, FieldMatrix, sample_binary_code, sample_field_code
 from concatgv.rng import SplitMix64, derive_seed
 
-from oracles import all_messages, dual_membership
+from oracles import all_messages, dual_membership, gray_block_weight_counts
 
 F2 = make_field(1)
 F4 = make_field(2)
@@ -232,12 +232,51 @@ def test_weight_distribution_of_concat_matches_gray_code_reference():
     assert min_distance(cc) == (wd.min_weight, True)
 
 
+# (k0, n0, n, k).  N in {63, 64, 65, 80, 128}; n0 in {3, 33, 64, 65, 70}, so
+# one limb holds several inner words, one, or a word spans two limbs; n is
+# not always a multiple of the words per limb floor(64 / n0); K > 16 takes
+# the chunked path, and at k0 = 6 each chunk holds several high entries.
+@pytest.mark.parametrize(
+    "k0, n0, n, k",
+    [
+        (3, 3, 21, 2), (1, 3, 21, 12), (8, 64, 1, 1), (4, 8, 8, 3), (3, 13, 5, 3),
+        (8, 65, 1, 1), (4, 20, 4, 2), (4, 16, 8, 2), (2, 32, 4, 2), (3, 33, 3, 2),
+        (4, 70, 3, 2), (12, 14, 2, 1), (2, 5, 13, 9), (4, 8, 6, 5), (1, 3, 20, 17),
+        (6, 9, 7, 3),
+    ],
+)
+def test_concat_weight_distribution_matches_the_generator_enumerations(k0, n0, n, k):
+    ctx = make_field(k0)
+    inner = BinaryCode(sample_binary_code(n0, k0, derive_seed(n0, k0)))
+    for outer in (
+        OuterCode(sample_field_code(ctx, n, k, derive_seed(n, k))),
+        sparse_outer(ctx, n, k, derive_seed(k, n)),
+    ):
+        cc = ConcatCode(outer, inner)
+        wd = weight_distribution(cc)
+        assert "gen" not in vars(cc)  # the exact path builds no binary generator
+        assert wd.delta == gray_weight_counts(cc.gen.rows, cc.N)
+        assert list(wd.delta) == gray_block_weight_counts(cc.gen.rows, cc.N)
+
+
+@pytest.mark.parametrize("k0", [1, 2, 3, 4, 8, 12])
+def test_concat_weight_distribution_with_zero_and_repeated_omega_entries(k0):
+    ctx = make_field(k0)
+    inner = inner_with_zero_and_repeated_column(k0, derive_seed(5, k0))
+    for n, k in [(3, 1)] if k0 > 4 else [(3, 1), (4, 2), (7, 3)]:
+        cc = ConcatCode(OuterCode(sample_field_code(ctx, n, k, derive_seed(n, k0))), inner)
+        assert weight_distribution(cc).delta == gray_weight_counts(cc.gen.rows, cc.N)
+
+
 def test_weight_distribution_dimension_zero():
     zero = BinaryCode(BitMatrix((), 5))
     assert weight_distribution(zero).delta == (1, 0, 0, 0, 0, 0)
     assert min_distance(zero) == (6, True)
     with pytest.raises(ValueError, match="no nonzero message"):
         weight_distribution(zero).max_bias
+    with pytest.raises(ValueError, match="no nonzero message"):
+        weight_distribution(zero).moment(2)
+    assert weight_distribution(BinaryCode(BitMatrix((), 0))).delta == (1,)
 
 
 def test_weight_distribution_repetition():

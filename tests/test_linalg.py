@@ -16,7 +16,7 @@ from concatgv.linalg import (
 )
 from concatgv.rng import SplitMix64, derive_seed
 
-from oracles import gf2_rref_by_columns
+from oracles import field_rref_by_scale, gf2_rref_by_columns
 
 
 def test_rank_examples():
@@ -39,6 +39,35 @@ def test_gf2_rref_matches_column_by_column_elimination():
         if k > 1 and rng.randrange(3) == 0:  # force a dependent row
             rows.append(rows[0] ^ rows[-1])
         assert BitMatrix(tuple(rows), n).rref == gf2_rref_by_columns(rows, n)
+
+
+@pytest.mark.parametrize("k0", range(1, 9))
+def test_field_rref_matches_elimination_by_scale(k0):
+    ctx = make_field(k0)
+    rng = SplitMix64(derive_seed(23, k0))
+    seen = set()
+    for _ in range(400):
+        n, k = rng.randrange(8), 1 + rng.randrange(7)
+        rows = [[rng.randrange(ctx.q) for _ in range(n)] for _ in range(k)]
+        kind = rng.randrange(4)
+        if kind == 1 and k > 1:  # a combination of two rows
+            a, b = 1 + rng.randrange(ctx.q - 1), rng.randrange(ctx.q)
+            rows.append([ctx.mul(a, x) ^ ctx.mul(b, y) for x, y in zip(rows[0], rows[-1])])
+            seen.add("combination")
+        elif kind == 2 and n:
+            zero = rng.randrange(n)
+            for row in rows:
+                row[zero] = 0
+            seen.add("zero column")
+        elif kind == 3:
+            rows.append(list(rows[rng.randrange(k)]))
+            seen.add("repeated row")
+        m = FieldMatrix(rows, n, ctx)
+        rref = linalg._field_rref(m)
+        assert rref == field_rref_by_scale(m)
+        seen.add("k > n" if m.nrows > n else "k <= n")
+        seen.add("full rank" if len(rref[0]) == m.nrows else "rank deficient")
+    assert len(seen) == 7
 
 
 def test_combine_xors_the_rows_of_the_set_bits():

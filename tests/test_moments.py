@@ -278,6 +278,7 @@ def forbidden(*args, **kwargs):
 
 
 def test_budgets_fail_before_enumerating(monkeypatch):
+    monkeypatch.setattr(codes, "_symbol_tables", forbidden)
     monkeypatch.setattr(codes, "_span_weight_counts", forbidden)
     cc = next(grid_instances(1, master=9))
     small = cc.ctx.q**cc.outer.k - 1
@@ -318,6 +319,7 @@ def test_direct_and_dual_sides_stay_independent(monkeypatch):
             direct = weight_distribution(cc).moment(r)
         with monkeypatch.context() as mp:
             mp.setattr(moments, "weight_distribution", forbidden)
+            mp.setattr(codes, "_symbol_tables", forbidden)
             mp.setattr(codes, "_span_weight_counts", forbidden)
             dual = moment_dual(cc, r)
         assert direct == dual == by_bias

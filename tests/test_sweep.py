@@ -266,6 +266,20 @@ def test_config_validation_before_trials():
     assert rows[0].entropy_min is not None
 
 
+@pytest.mark.parametrize("name", ["c_tilde", "c_gamma", "c_eta", "tau"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_constants_refused_by_name_whatever_the_toggles(name, value):
+    # the Python API refuses what JSON configs and the CLI refuse; with every
+    # check on, tau=nan is refused by the tau range check, which names it too
+    base = dict(k0=2, n0=4, n=4, k=2, trials=1, master_seed=0)
+    constants = Constants(**{name: value})
+    with pytest.raises(ValueError, match=f"constants.{name} must be finite"):
+        SweepConfig(**base, constants=constants)
+    all_on = Toggles(run_nice=True, run_soft=True, run_entropy=True, run_moments=True)
+    with pytest.raises(ValueError, match=name):
+        SweepConfig(**base, constants=constants, toggles=all_on)
+
+
 def test_tau_compared_exactly_with_the_inner_rate():
     def validate(k0, n0, tau):
         SweepConfig(k0=k0, n0=n0, n=n0, k=k0, trials=1, master_seed=0,
