@@ -11,6 +11,7 @@ from .certify import (
     C_DEFAULT,
     C_TILDE_DEFAULT,
     EntropyReport,
+    ExactSoft,
     NicenessReport,
     Pmf,
     SoftReport,
@@ -20,6 +21,7 @@ from .certify import (
     entropy_hypothesis,
     smooth_min_entropy,
     soft_condition,
+    soft_enumerator,
 )
 from .codes import (
     BinaryCode,

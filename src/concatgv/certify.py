@@ -4,7 +4,9 @@
   at most binom(n0, i) * 2^(-n0 (eps - tau)) codewords, eps = k0/n0.
 * soft-decoding condition on the outer code: the probability that an i.i.d.
   product of the sparse-combination distribution lands in the nonzero dual,
-  compared against 1/q^k.
+  compared against 1/q^k.  soft_enumerator gives it exactly, from the weight
+  enumerators of the concatenated and inner codes; soft_condition sums the
+  dual in floats or samples it.
 * smooth min-entropy of outer codewords' empirical symbol distributions.
 
 C_TILDE_DEFAULT = 4 ln 2 and C_DEFAULT = 128 sqrt(e) are the documented
@@ -21,7 +23,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .codes import BinaryCode, OuterCode, codeword_table, weight_distribution
+from .codes import BinaryCode, ConcatCode, OuterCode, WeightDistribution, codeword_table, weight_distribution
 from .field import FieldCtx
 from .linalg import nullspace_basis
 from .rng import SplitMix64
@@ -215,6 +217,71 @@ def soft_condition(
         phat, lo, hi = wilson_interval(hits, budget)
         return SoftReport(phat, phat * qk - 1.0, False, lo, hi, budget)
     raise ValueError(f"unknown mode {mode!r}")
+
+
+@dataclass(frozen=True)
+class ExactSoft:
+    """The soft condition in exact arithmetic: prob = prob_num / den and
+    delta = delta_num / den, with den a power of two."""
+
+    prob_num: int
+    delta_num: int
+    den: int
+
+    @property
+    def prob(self) -> float:
+        return self.prob_num / self.den  # int / int true division rounds once, correctly
+
+    @property
+    def delta(self) -> float:
+        return self.delta_num / self.den
+
+
+def _enumerator_at(counts: Sequence[int], a: int, e: int) -> int:
+    """sum_j counts[j] * a^j * 2^(e (L - j)), L = len(counts) - 1: the weight
+    enumerator at theta = a / 2^e, times 2^(e L), by Horner's rule in integers."""
+    total = 0
+    for i, count in enumerate(reversed(counts)):  # count = counts[L - i]
+        total = total * a + (count << e * i)
+    return total
+
+
+def soft_enumerator(
+    cc: ConcatCode,
+    p: float,
+    wd: WeightDistribution | None = None,
+    budget: int = 1 << 20,
+) -> ExactSoft:
+    """The soft condition of cc's outer code at the law D of cc's Omega, exactly.
+
+    D's character at a is theta^w(a), theta = 1 - 2p and w(a) the weight of
+    a's inner codeword, so Poisson summation over the outer dual
+    (MacWilliams-Sloane ch. 5) gives
+
+        delta = W_cc(theta) - 1 - q^k (W_in(theta) / q)^n,
+
+    W_cc the enumerator of all q^k concatenated codewords (wd, or
+    weight_distribution(cc, budget), which checks the budget on q^k first)
+    and W_in that of the 2^k0 inner codewords.  The float p is a dyadic
+    rational, theta = a / 2^e exactly, so both enumerators are integers over
+    powers of two and prob and delta are integers over 2^(e N + k0 n).
+    """
+    p = float(p)
+    if not 0 <= p <= 0.5:
+        raise ValueError(f"p={p} outside [0, 1/2]")
+    if wd is None:
+        wd = weight_distribution(cc, budget)
+    elif wd.length != cc.N:
+        raise ValueError(f"weight distribution has length {wd.length}, the code has length N={cc.N}")
+    num, den = p.as_integer_ratio()
+    a, e = den - 2 * num, den.bit_length() - 1  # theta = a / 2^e
+    w_cc = _enumerator_at(wd.delta, a, e)  # W_cc(theta) * 2^(e N)
+    w_in = _enumerator_at(weight_distribution(cc.inner).delta, a, e)  # W_in(theta) * 2^(e n0)
+    k0, n, k = cc.ctx.k0, cc.outer.n, cc.outer.k
+    # prob = W_cc(theta) / q^k - (W_in(theta) / q)^n, over 2^(e N + k0 n)
+    prob_num = (w_cc << k0 * (n - k)) - w_in**n
+    scale = 1 << e * cc.N + k0 * n
+    return ExactSoft(prob_num, (prob_num << k0 * k) - scale, scale)
 
 
 def wilson_interval(hits: int, trials: int):

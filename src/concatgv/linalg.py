@@ -197,9 +197,11 @@ def sample_binary_code(n: int, k: int, seed: int) -> BitMatrix:
 
 
 def sample_field_code(ctx: FieldCtx, n: int, k: int, seed: int) -> FieldMatrix:
-    """Uniform k-dimensional subspace of ctx^n, as a full-rank k x n generator."""
+    """Uniform k-dimensional subspace of ctx^n, as a full-rank k x n generator.
+
+    Each draw takes k * n stream outputs, row by row, and keeps the low k0 bits
+    of each: q is a power of two, so that is ``randrange(q)``, which never rejects."""
     def draw(rng: SplitMix64) -> FieldMatrix:
-        rows = tuple(tuple(rng.randrange(ctx.q) for _ in range(n)) for _ in range(k))
-        return FieldMatrix(rows, n, ctx)
+        return FieldMatrix((rng.words(k * n) & (ctx.q - 1)).reshape(k, n).tolist(), n, ctx)
 
     return _sample_full_rank(n, k, seed, draw)

@@ -12,14 +12,17 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_MUL1, _MUL2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+# words' operands as uint64 scalars, which numpy applies without converting a
+# Python int on every call: gamma, the two multipliers and the three shifts
+_WORD_OPS = tuple(map(np.uint64, (_GOLDEN, _MUL1, _MUL2, 30, 27, 31)))
 
 
-def mix64(z):
-    """SplitMix64 finalizer: a 64-bit bijective hash of an int or, elementwise,
-    of a uint64 array, whose products wrap mod 2^64 as the masks do."""
+def mix64(z: int) -> int:
+    """SplitMix64 finalizer: a 64-bit bijective hash."""
     z = z & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    z = ((z ^ (z >> 30)) * _MUL1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MUL2) & _MASK64
     return z ^ (z >> 31)
 
 
@@ -79,12 +82,24 @@ class SplitMix64:
         """Uniform float in [0, 1) with 53 random bits."""
         return (self.u64() >> 11) * 2.0**-53
 
-    def uniforms(self, count: int) -> np.ndarray:
-        """The next `count` ``uniform()`` outputs, as a float64 array: output i
-        is mix64(state + (i + 1) * gamma), taken over a uint64 array."""
+    def words(self, count: int) -> np.ndarray:
+        """The next `count` ``u64()`` outputs, as a uint64 array: output i is
+        mix64(state + (i + 1) * gamma).  The bit buffer of ``bits`` is not read."""
         if count < 0:
             raise ValueError("count must be nonnegative")
-        steps = np.arange(1, count + 1, dtype=np.uint64)
-        z = mix64(steps * _GOLDEN + self._state)
+        golden, mul1, mul2, s30, s27, s31 = _WORD_OPS
+        z = np.arange(1, count + 1, dtype=np.uint64)
+        z *= golden
+        z += np.uint64(self._state)
+        # mix64 in place: uint64 products wrap mod 2^64 as its masks do
+        z ^= z >> s30
+        z *= mul1
+        z ^= z >> s27
+        z *= mul2
+        z ^= z >> s31
         self._state = (self._state + count * _GOLDEN) & _MASK64
-        return (z >> 11) * 2.0**-53
+        return z
+
+    def uniforms(self, count: int) -> np.ndarray:
+        """The next `count` ``uniform()`` outputs, as a float64 array."""
+        return (self.words(count) >> 11) * 2.0**-53

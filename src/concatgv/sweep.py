@@ -31,6 +31,7 @@ from .certify import (
     d_pmf,
     entropy_hypothesis,
     soft_condition,
+    soft_enumerator,
     tau_in_range,
 )
 from .codes import BinaryCode, ConcatCode, OuterCode, min_distance, weight_distribution
@@ -266,14 +267,17 @@ def run_trial(config: SweepConfig, trial: int) -> SweepRow:
     soft_exact = None
     if config.toggles.run_soft:
         p = bernoulli_p(config.constants.c_tilde, config.k0 / config.n0)
-        pmf = d_pmf(ctx, cc.omega, p)
-        mode = "exact" if q ** (config.n - config.k) <= config.budgets.soft else "montecarlo"
-        rep = soft_condition(
-            outer, pmf, mode,
-            config.budgets.soft if mode == "exact" else config.budgets.mc_draws,
-            derive_seed(trial_seed, 3),
-        )
-        soft_prob, soft_delta, soft_exact = rep.prob, rep.delta, rep.is_exact
+        if wd is not None:  # the weight enumerator at theta: exact, rounded once
+            rep = soft_enumerator(cc, p, wd)
+            soft_prob, soft_delta, soft_exact = rep.prob, rep.delta, True
+        else:
+            mode = "exact" if q ** (config.n - config.k) <= config.budgets.soft else "montecarlo"
+            rep = soft_condition(
+                outer, d_pmf(ctx, cc.omega, p), mode,
+                config.budgets.soft if mode == "exact" else config.budgets.mc_draws,
+                derive_seed(trial_seed, 3),
+            )
+            soft_prob, soft_delta, soft_exact = rep.prob, rep.delta, rep.is_exact
 
     entropy_ok = None
     entropy_min = None

@@ -1,5 +1,6 @@
 """Reference enumerations that the tests check the package's fast paths against."""
 
+import itertools
 import json
 import math
 from collections import Counter
@@ -9,9 +10,11 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 import numpy as np
 
 from concatgv.bounds import h2
-from concatgv.certify import Pmf
-from concatgv.codes import ConcatCode, OuterCode
-from concatgv.rng import SplitMix64
+from concatgv.certify import Pmf, bernoulli_p
+from concatgv.codes import BinaryCode, ConcatCode, OuterCode
+from concatgv.field import make_field
+from concatgv.linalg import FieldMatrix, rank, sample_binary_code, sample_field_code
+from concatgv.rng import SplitMix64, derive_seed
 
 
 def all_messages(outer: OuterCode) -> Iterable[Tuple[int, ...]]:
@@ -80,6 +83,55 @@ def d_pmf_oracle(q: int, omega: Sequence[int], p: float) -> Dict[int, Fraction]:
                 acc ^= b
         law[acc] += weights[mask.bit_count()]
     return law
+
+
+def soft_fraction_oracle(cc: ConcatCode, p: float) -> Tuple[Fraction, Fraction]:
+    """(prob, delta) of the soft condition on cc's outer code in Fractions, at
+    the float p: every nonzero x in GF(q)^n that ``dual_membership`` puts in
+    the outer dual adds prod D(x_alpha), D the law of cc's Omega from
+    ``d_pmf_oracle``; delta = prob * q^k - 1."""
+    outer, q = cc.outer, cc.ctx.q
+    law = d_pmf_oracle(q, cc.omega, p)
+    prob = Fraction(0)
+    for x in itertools.product(range(q), repeat=outer.n):
+        if any(x) and dual_membership(outer, x):
+            prob += math.prod((law[sym] for sym in x), start=Fraction(1))
+    return prob, prob * q**outer.k - 1
+
+
+def soft_closed_form(cc: ConcatCode, p: float, counts: Sequence[int]) -> Tuple[Fraction, Fraction]:
+    """(prob, delta) in Fractions from the weight enumerators at theta = 1 - 2p:
+    prob = W_cc(theta) / q^k - (W_in(theta) / q)^n, W_cc from the concatenated
+    code's weight counts and W_in from the inner encodings of all q messages."""
+    q, n, k = cc.ctx.q, cc.outer.n, cc.outer.k
+    theta = 1 - 2 * Fraction(p)
+    w_cc = sum(count * theta**j for j, count in enumerate(counts))
+    w_in = sum(theta ** cc.inner.encode(m).bit_count() for m in range(q))
+    prob = w_cc / q**k - (w_in / q) ** n
+    return prob, prob * q**k - 1
+
+
+def trial_code(config, trial: int) -> Tuple[ConcatCode, float]:
+    """A sweep trial's concatenated code, drawn from its derived seeds as the
+    sweep draws it, and the Bernoulli parameter of its soft check."""
+    trial_seed = derive_seed(config.master_seed, trial)
+    inner = BinaryCode(sample_binary_code(config.n0, config.k0, derive_seed(trial_seed, 0)))
+    ctx = make_field(config.k0)
+    outer = OuterCode(sample_field_code(ctx, config.n, config.k, derive_seed(trial_seed, 1)))
+    return ConcatCode(outer, inner), bernoulli_p(config.constants.c_tilde, config.k0 / config.n0)
+
+
+def sample_field_code_by_randrange(ctx, n: int, k: int, seed: int) -> Tuple[FieldMatrix, int]:
+    """The field sampler's rejection loop with one ``randrange(q)`` per symbol,
+    row by row, from one SplitMix64(seed) stream: the first full-rank k x n
+    draw, and the number of draws it took."""
+    rng = SplitMix64(seed)
+    draws = 0
+    while True:
+        draws += 1
+        m = FieldMatrix(tuple(tuple(rng.randrange(ctx.q) for _ in range(n)) for _ in range(k)), n, ctx)
+        if rank(m) == k:
+            return m, draws
 
 
 def clmul_mod(a: int, b: int, modulus: int, k0: int) -> int:

@@ -17,6 +17,7 @@ from concatgv.certify import (
     d_pmf,
     smooth_min_entropy,
     soft_condition,
+    soft_enumerator,
 )
 from concatgv.codes import (
     BinaryCode,
@@ -29,10 +30,11 @@ from concatgv.field import make_field
 from concatgv.linalg import sample_binary_code, sample_field_code
 from concatgv.moments import bad_bound, count_W, moment_dual, poisson_product_check
 from concatgv.rng import SplitMix64, derive_seed
-from concatgv.sweep import SweepConfig, emit_csv, emit_json, run_sweep
+from concatgv.sweep import SweepConfig, config_from_dict, emit_csv, emit_json, run_sweep
 
-from oracles import all_messages
+from oracles import all_messages, trial_code
 from test_certify import lp_min_entropy_oracle, naive_soft_oracle
+from test_golden import CONFIGS as GOLDEN_CONFIGS
 
 MASTER_SEED = 20260810
 
@@ -256,6 +258,69 @@ def test_c09_soft_condition():
         "criterion 9: soft condition exactness + MC coverage",
         exact_ok and covered >= 93,
         f"worst oracle gap {worst:.2e}, CI coverage {covered}/100",
+    )
+
+
+def test_c09b_float_dual_within_its_stated_bound():
+    """The float dual sum against the exact soft condition, within a bound.
+
+    soft_condition's exact mode at pmf = d_pmf(ctx, Omega, p) rounds in three
+    places.  Take u = 2^-53 and gamma_m = m u / (1 - m u).  Every quantity is
+    nonnegative until the last step, so each exact term collects rounding
+    factors (1 + d_i), |d_i| <= u, and a product of m of them is 1 + theta
+    with |theta| <= gamma_m (Higham, Accuracy and Stability of Numerical
+    Algorithms, Lemma 3.1).
+
+    1. d_pmf takes one step per nonzero Omega entry, at most n0 steps.  A step
+       rounds 1 - p, the product with it or with p, and at most one sum into
+       each entry: 3 factors.  So D~(v) = D(v) (1 + theta), |theta| <=
+       gamma_(3 n0), where D is the exact law at the float p.
+    2. A dual word's term multiplies n of those values left to right from
+       1.0: n - 1 roundings, on top of the 3 n0 n factors from step 1.
+    3. The T = q^(n-k) slots (slot 0 holds 0.0) are added one at a time, left
+       to right, so a term passes through at most T - 1 roundings.
+
+    So prob~ = prob (1 + theta) with |theta| <= gamma_m, m = 3 n0 n + n + T.
+    delta~ = fl(prob~ q^k - 1): the power-of-two scale is exact and the
+    subtraction rounds once, so
+
+        |delta~ - delta| <= (1 + u) gamma_m q^k prob + u |delta|.
+
+    Both bounds are checked in Fractions against soft_enumerator on every
+    golden sweep trial with run_soft, and on trials 0 and 1 of the budget edge
+    (k0=4, n0=8, n=10, k=5, seed 20260810), whose T = 2^20 is the largest sum
+    the default budget allows.
+    """
+    u = Fraction(1, 1 << 53)
+    configs = [
+        config_from_dict({**GOLDEN_CONFIGS[name], "master_seed": seed})
+        for name in ("certify", "lowrate", "toggles")
+        for seed in (MASTER_SEED, 1)
+    ] + [SweepConfig(k0=4, n0=8, n=10, k=5, trials=2, master_seed=MASTER_SEED)]
+    worst = 0.0
+    checked = 0
+    for cfg in configs:
+        q = 1 << cfg.k0
+        T = q ** (cfg.n - cfg.k)
+        m = 3 * cfg.n0 * cfg.n + cfg.n + T
+        gamma = m * u / (1 - m * u)
+        for trial in range(cfg.trials):
+            cc, p = trial_code(cfg, trial)
+            dual = soft_condition(cc.outer, d_pmf(cc.ctx, cc.omega, p), "exact", budget=T)
+            exact = soft_enumerator(cc, p)
+            prob, delta = Fraction(exact.prob_num, exact.den), Fraction(exact.delta_num, exact.den)
+            prob_bound = gamma * prob
+            delta_bound = (1 + u) * gamma * q**cfg.k * prob + u * abs(delta)
+            worst = max(
+                worst,
+                float(abs(Fraction(dual.prob) - prob) / prob_bound),
+                float(abs(Fraction(dual.delta) - delta) / delta_bound),
+            )
+            checked += 1
+    report(
+        "criterion 9b: float dual soft sum within gamma_m of the exact enumerator",
+        worst <= 1 and checked == 10,
+        f"{checked} trials, largest error / bound {worst:.2e}",
     )
 
 

@@ -19,9 +19,10 @@ from concatgv.certify import (
     sample_pmf_many,
     smooth_min_entropy,
     soft_condition,
+    soft_enumerator,
     wilson_interval,
 )
-from concatgv.codes import BinaryCode, OuterCode, codeword_table, weight_distribution
+from concatgv.codes import BinaryCode, ConcatCode, OuterCode, codeword_table, weight_distribution
 from concatgv.field import FieldCtx, make_field
 from concatgv.linalg import BitMatrix, FieldMatrix, nullspace_basis, sample_binary_code, sample_field_code
 from concatgv.rng import SplitMix64, derive_seed
@@ -34,6 +35,7 @@ from oracles import (
     empirical_dist,
     inversion_draws,
     sequential_sum,
+    soft_fraction_oracle,
 )
 
 F4 = make_field(2)
@@ -369,6 +371,69 @@ def test_exact_soft_prob_is_the_left_to_right_sum_over_the_dual_table(k0, n, k):
         assert soft_condition(outer, pm, "exact").prob == sequential_sum(terms)
 
 
+# -- exact soft condition from the weight enumerator ----------------------------
+
+
+def every_outer_code(ctx, n: int):
+    """Every k-dimensional subspace of GF(q)^n, 1 <= k <= n, once, by its
+    reduced row echelon generator: each choice of pivot columns, then each
+    value of the entries right of a row's pivot outside the pivot columns."""
+    for k in range(1, n + 1):
+        for pivots in itertools.combinations(range(n), k):
+            free = [(i, c) for i, p in enumerate(pivots) for c in range(p + 1, n) if c not in pivots]
+            for values in itertools.product(range(ctx.q), repeat=len(free)):
+                rows = [[int(c == p) for c in range(n)] for p in pivots]
+                for (i, c), v in zip(free, values):
+                    rows[i][c] = v
+                yield OuterCode(FieldMatrix(rows, n, ctx))
+
+
+# Inner [n0, 2] generators: Omega of two, three (one of them 0) and four
+# entries (one repeated)
+INNER_F4 = [((0b01, 0b10), 2), ((0b011, 0b110), 3), ((0b001, 0b010), 3), ((0b1011, 0b1101), 4)]
+
+
+def test_soft_enumerator_equals_the_full_space_fraction_oracle():
+    outers = [outer for n in (1, 2, 3) for outer in every_outer_code(F4, n)]
+    assert len(outers) == 1 + (5 + 1) + (21 + 21 + 1)  # Gaussian binomials over GF(4)
+    inners = [BinaryCode(BitMatrix(rows, n0)) for rows, n0 in INNER_F4]
+    omegas = [ConcatCode(outers[0], inner).omega for inner in inners]
+    assert 0 in omegas[2] and len(set(omegas[3])) < len(omegas[3])
+    for outer in outers:
+        for inner in inners:
+            cc = ConcatCode(outer, inner)
+            for p in (0.0, 0.5, bernoulli_p(C_TILDE_DEFAULT, 0.5), 0.1, 1 / 3):
+                got = soft_enumerator(cc, p)
+                prob, delta = soft_fraction_oracle(cc, p)
+                assert Fraction(got.prob_num, got.den) == prob
+                assert Fraction(got.delta_num, got.den) == delta
+                assert (got.prob, got.delta) == (float(prob), float(delta))
+
+
+@pytest.mark.parametrize("k0, n0, n, k", [(2, 2, 3, 1), (2, 4, 4, 2), (3, 9, 6, 2), (4, 8, 4, 2), (3, 6, 3, 3)])
+def test_soft_enumerator_at_p_zero_and_one_half(k0, n0, n, k):
+    # p = 0: D is the point mass at 0, which every dual word but 0 misses, so
+    # delta = q^k * 0 - 1; p = 1/2: D is uniform, so prob = (q^(n-k) - 1) / q^n
+    ctx = make_field(k0)
+    for seed in range(3):
+        inner = BinaryCode(sample_binary_code(n0, k0, derive_seed(k0 * n0, seed)))
+        cc = ConcatCode(OuterCode(sample_field_code(ctx, n, k, derive_seed(n * k, seed))), inner)
+        zero, half = soft_enumerator(cc, 0.0), soft_enumerator(cc, 0.5)
+        assert (zero.prob_num, zero.delta_num) == (0, -zero.den)
+        assert Fraction(half.delta_num, half.den) == -Fraction(ctx.q**k, ctx.q**n)
+        assert Fraction(half.prob_num, half.den) == Fraction(ctx.q ** (n - k) - 1, ctx.q**n)
+
+
+def test_soft_enumerator_refuses_a_foreign_weight_distribution_or_p():
+    inner = BinaryCode(sample_binary_code(8, 4, 3))
+    cc = ConcatCode(OuterCode(sample_field_code(F16, 4, 2, 3)), inner)
+    with pytest.raises(ValueError, match=r"weight distribution has length 8, the code has length N=32"):
+        soft_enumerator(cc, 0.25, weight_distribution(inner))
+    for p in (-0.125, 0.75, math.nan, math.inf):
+        with pytest.raises(ValueError, match=r"outside \[0, 1/2\]"):
+            soft_enumerator(cc, p)
+
+
 # -- empirical distribution and smoothed min-entropy ---------------------------
 
 
@@ -661,15 +726,20 @@ def test_sorting_network_sorts_every_zero_one_column():
 
 def test_table_budgets_fail_before_any_multiply(monkeypatch):
     outer = OuterCode(sample_field_code(F8, 4, 2, 7))
+    cc = ConcatCode(outer, BinaryCode(sample_binary_code(6, 3, 7)))
     pm = d_pmf(F8, [1, 2, 4], 0.2)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("field arithmetic before the budget check")
 
-    for name in ("mul", "scale", "mul_array"):
+    for name in ("mul", "scale", "mul_array", "arrays"):
         monkeypatch.setattr(FieldCtx, name, forbidden)
     with pytest.raises(ValueError, match="dual size 64 exceeds budget 63"):
         soft_condition(outer, pm, "exact", budget=63)
+    with pytest.raises(ValueError, match="code size 64 exceeds budget 63"):
+        soft_enumerator(cc, 0.2, budget=63)
+    with pytest.raises(AssertionError, match="field arithmetic"):
+        soft_enumerator(cc, 0.2, budget=64)
     with pytest.raises(ValueError, match="codeword count 64 exceeds budget 63"):
         entropy_hypothesis(outer, 1.0, 1.0, budget=63)
     with pytest.raises(ValueError, match="smoothing level"):

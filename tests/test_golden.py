@@ -30,16 +30,20 @@ CONFIGS = {
 }
 
 GOLDEN = {
-    ("certify", 20260810): "1f1189f16cf6c07eb64d9065d94273acb0408ca48d232dd39a4c868c38da10b8",
+    # re-pinned for the exact soft condition from the weight enumerator: in the
+    # certify and lowrate digests (both seeds) soft_prob moved by at most 11 ulp
+    # and soft_delta by at most 5765 ulp (relative 7.5e-13), to the correctly
+    # rounded exact values; every other byte is unchanged
+    ("certify", 20260810): "e654c302294a92a084ad684e2d89af73cb20e5333effb8a2843bc34def4869aa",
     # re-pinned for the closed-form water level: trial 0's entropy_min moved
     # from 2.0000000000000004 to the exact 2.0 (cap 1/4), one ulp
-    ("certify", 1): "010390c44ae8f6ec33e47e62be737a625806d42e32517ca73fceaa67f9add79d",
+    ("certify", 1): "715517fc344468c2a12c33035bdb884e3682b744019de4813c8c24362530d372",
     ("ensemble", 20260810): "e84513b5f5791d8fa75dd76f8d3af1ca1f21d92697d8b5a6ac7c072334c38091",
     ("ensemble", 1): "cfc33d85887553cfd8b68d69a4f984e7f61949b6dcd2fc6c7d4900819577588f",
     ("long", 20260810): "f574665aef8d1275ad6e36e070698e7573c62d25d8befa82cd95ba5ff7d2fce3",
     ("long", 1): "961d55df7c26db6421a30aede31c514dbd1597346a926a0cdfacda0f16cc5f09",
-    ("lowrate", 20260810): "a28c8f1ff481b4d0ee13aafb6c9a9891cd1a6552628c8300eca7687f6d2c0abe",
-    ("lowrate", 1): "57c815c37c1045043e901387b48b48a02aafd0e1667ff961a9470a84538ef961",
+    ("lowrate", 20260810): "035faa04afaa43502e01cde1a57ef975016c4dacb53c46c2bab5cda23fbd3fe9",
+    ("lowrate", 1): "ace2abb5178f046795d31d6ffb8d97459a38fbfc5d3fe04f25c0cdd4357efc50",
     ("moments", 20260810): "f7f4f0a94e825a07c3656205f91ecd2e2fe0935b0172fdfb7bf3eac35c9341f4",
     ("moments", 1): "e19c9512392fe5d5165cca0b44b23dac9ae3cd150c6e1a0adb93d8294358bfb0",
     ("montecarlo", 20260810): "0be8045b2dfc8533fb226db5ec687dbb4ee8632c89660f86485a23d126c20a70",

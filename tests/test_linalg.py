@@ -16,7 +16,7 @@ from concatgv.linalg import (
 )
 from concatgv.rng import SplitMix64, derive_seed
 
-from oracles import field_rref_by_scale, gf2_rref_by_columns
+from oracles import field_rref_by_scale, gf2_rref_by_columns, sample_field_code_by_randrange
 
 
 def test_rank_examples():
@@ -205,6 +205,20 @@ def test_sample_code_rank_and_determinism():
     fa = sample_field_code(ctx, 5, 2, seed=8)
     fb = sample_field_code(ctx, 5, 2, seed=8)
     assert fa == fb and rank(fa) == 2
+
+
+# (k0, n, k): the ensemble and certify shapes, a square GF(2) draw that is
+# rejected about 71% of the time, and the widest symbols
+@pytest.mark.parametrize("k0, n, k", [(4, 6, 3), (4, 4, 2), (1, 3, 3), (2, 4, 2), (3, 1, 1), (16, 3, 2)])
+def test_field_sampler_takes_the_randrange_stream(k0, n, k):
+    ctx = make_field(k0)
+    redrawn = 0
+    for seed in range(200):
+        want, draws = sample_field_code_by_randrange(ctx, n, k, derive_seed(k0, seed))
+        assert sample_field_code(ctx, n, k, derive_seed(k0, seed)) == want
+        redrawn += draws > 1
+    if k0 == 1:  # rank rejections, and the draws after them, are exercised
+        assert redrawn > 100
 
 
 def test_unique_subspace_n1_k1():

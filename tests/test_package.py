@@ -10,7 +10,7 @@ from concatgv import certify, codes, field, linalg, moments, sweep
 # concatgv.cli binds it on the package.
 PUBLIC = [
     "BadBoundReport", "BinaryCode", "BitMatrix", "C_DEFAULT", "C_TILDE_DEFAULT",
-    "ConcatCode", "EntropyReport", "FieldCtx", "FieldMatrix", "NicenessReport",
+    "ConcatCode", "EntropyReport", "ExactSoft", "FieldCtx", "FieldMatrix", "NicenessReport",
     "OuterCode", "Pmf", "SoftReport", "SplitMix64",
     "SweepConfig", "SweepRow", "WCountReport", "WeightDistribution", "bad_bound",
     "bernoulli_p", "bias", "check_nice", "config_from_dict", "count_W", "d_pmf",
@@ -18,7 +18,7 @@ PUBLIC = [
     "h2", "h2_inv", "load_binary_code", "load_outer_code", "make_field",
     "min_distance", "moment_dual", "nullspace_basis", "poisson_product_check",
     "rank", "run_sweep", "sample_binary_code", "sample_field_code",
-    "smooth_min_entropy", "soft_condition", "weight_distribution", "zyablov_rate",
+    "smooth_min_entropy", "soft_condition", "soft_enumerator", "weight_distribution", "zyablov_rate",
 ]
 
 

@@ -43,3 +43,13 @@ def test_uniforms_continue_the_uniform_stream():
         assert ours.u64() == ref.u64()
     with pytest.raises(ValueError, match="count must be nonnegative"):
         SplitMix64(1).uniforms(-1)
+
+
+def test_words_continue_the_u64_stream():
+    for seed in (0, 5, -1, (1 << 64) - 1):
+        ours, ref = SplitMix64(seed), SplitMix64(seed)
+        for count in (0, 1, 7, 300):
+            assert ours.words(count).tolist() == [ref.u64() for _ in range(count)]
+        assert ours.u64() == ref.u64()
+    with pytest.raises(ValueError, match="count must be nonnegative"):
+        SplitMix64(1).words(-1)

@@ -28,7 +28,7 @@ from concatgv.sweep import (
     run_sweep,
     run_trial,
 )
-from oracles import reemit_json_stdlib
+from oracles import reemit_json_stdlib, soft_closed_form, trial_code
 from test_golden import CONFIGS as GOLDEN_CONFIGS
 
 SMALL = SweepConfig(k0=2, n0=4, n=4, k=2, trials=6, master_seed=99)
@@ -488,6 +488,63 @@ def test_one_weight_distribution_per_trial(distance_budget, monkeypatch):
     row = run_trial(cfg, 0)
     assert row.moments_equal is True and row.distance_exact == (distance_budget > 16)
     assert len(calls) == 1
+
+
+ALL_ON = {"run_nice": True, "run_soft": True, "run_entropy": True, "run_moments": True, "r_list": [2]}
+# eps = 1/8: the dual holds 4^14 words, past budgets.soft, and the code 4^2 messages
+EPS_1_8 = {"k0": 2, "n0": 16, "n": 16, "k": 2, "trials": 5, "constants": {"tau": 0.05}, "toggles": ALL_ON}
+
+
+def test_soft_delta_past_the_soft_budget_is_exact_and_its_sign_shows():
+    # the Monte Carlo fallback's 4000 draws read delta = -0.048 here
+    cfg = config_from_dict({**EPS_1_8, "master_seed": 20260810})
+    row = run_trial(cfg, 0)
+    cc, p = trial_code(cfg, 0)
+    _, delta = soft_closed_form(cc, p, weight_distribution(cc).delta)
+    assert row.soft_exact is True and row.soft_delta == float(delta) > 0
+
+
+def test_exact_distance_rows_report_the_correctly_rounded_soft_values():
+    sweeps = [GOLDEN_CONFIGS[name] for name in ("certify", "lowrate", "toggles")] + [
+        EPS_1_8,
+        {**EPS_1_8, "n0": 12, "n": 12, "trials": 2},  # eps = 1/6: 4^10 dual words, at budgets.soft
+    ]
+    checked = 0
+    for doc in sweeps:
+        for seed in (20260810, 1):
+            cfg = config_from_dict({**doc, "master_seed": seed})
+            for row in run_sweep(cfg)[0]:
+                assert row.distance_exact
+                cc, p = trial_code(cfg, row.trial)
+                prob, delta = soft_closed_form(cc, p, weight_distribution(cc).delta)
+                assert (row.soft_prob, row.soft_delta, row.soft_exact) == (float(prob), float(delta), True)
+                checked += 1
+    assert checked == 2 * (1 + 1 + 2 + 5 + 2)
+
+
+# k0=2, n=4, k=2: 4^2 messages and 4^2 dual words
+@pytest.mark.parametrize(
+    "budgets, calls, exact",
+    [
+        ({}, ["soft_enumerator"], True),
+        ({"distance": 8}, ["d_pmf", "soft_condition"], True),
+        ({"distance": 8, "soft": 8}, ["d_pmf", "soft_condition"], False),
+    ],
+)
+def test_soft_path_follows_the_distance_then_the_soft_budget(budgets, calls, exact, monkeypatch):
+    from concatgv import sweep
+
+    seen = []
+    for name in ("soft_enumerator", "soft_condition", "d_pmf"):
+        fn = getattr(sweep, name)
+        monkeypatch.setattr(sweep, name, lambda *a, fn=fn, name=name: seen.append(name) or fn(*a))
+    cfg = SweepConfig(
+        k0=2, n0=4, n=4, k=2, trials=1, master_seed=5,
+        budgets=Budgets(**budgets), toggles=Toggles(run_soft=True),
+    )
+    row = run_trial(cfg, 0)
+    assert seen == calls and row.soft_exact is exact
+    assert row.distance_exact is ("distance" not in budgets)
 
 
 def test_montecarlo_distance_mode_flagged():
