@@ -31,7 +31,7 @@ from .certify import (
     entropy_hypothesis,
     soft_condition,
 )
-from .codes import BinaryCode, ConcatCode, OuterCode, min_distance, weight_distribution
+from .codes import BinaryCode, ConcatCode, OuterCode, binary_shape, min_distance, weight_distribution
 from .field import make_field
 from .fileio import dumps_code, load_binary_code, load_outer_code
 from .linalg import sample_binary_code, sample_field_code
@@ -113,9 +113,10 @@ def cmd_distance(args) -> int:
     else:
         code = _load_concat(args)
         desc = {"outer": args.outer, "inner": args.inner}
+    dim, length = binary_shape(code)
     mode = args.mode
     if mode == "auto":
-        mode = "exact" if 1 << code.gen.nrows <= args.budget else "montecarlo"
+        mode = "exact" if 1 << dim <= args.budget else "montecarlo"
     d, is_exact = min_distance(code, mode, args.budget, args.seed)
     _emit(
         args,
@@ -125,7 +126,7 @@ def cmd_distance(args) -> int:
             "seed": args.seed,
             "budget": args.budget,
             "distance": d,
-            "rel_distance": d / code.gen.cols,
+            "rel_distance": d / length,
             "is_exact": is_exact,
         },
     )

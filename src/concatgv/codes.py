@@ -138,29 +138,6 @@ class ConcatCode:
                 word |= self.inner.encode(ctx.coords(sym)) << (alpha * n0)
         return word
 
-    @functools.cached_property
-    def gen(self) -> BitMatrix:
-        """The K x N binary generator; the concatenation is GF(2)-linear, so its
-        rows span the code.  Row i * k0 + j is the codeword of nu_j in outer
-        position i: outer generator row i scaled by nu_j (one log lookup for
-        nu_j), each symbol inner-encoded.  The products take at most q - 1
-        distinct nonzero values, so each is encoded once, on first use, and
-        looked up after that.  The exact weight enumerator does not read it."""
-        ctx, n0 = self.ctx, self.inner.n0
-        coords, encode = ctx.coords, self.inner.encode
-        inner_word = {0: 0}
-        words = []
-        for row in self.outer.gen.rows:
-            for nu in ctx.basis:
-                word = 0
-                for a, sym in enumerate(ctx.scale(nu, row)):
-                    cw = inner_word.get(sym)
-                    if cw is None:
-                        cw = inner_word[sym] = encode(coords(sym))
-                    word |= cw << (a * n0)
-                words.append(word)
-        return BitMatrix(words, self.N)
-
     def _pair_masks(self, columns: Iterable[Sequence[int]]) -> Counter:
         """The (alpha, b) pairs, alpha an outer coordinate and b an Omega
         entry, as XOR masks on a vector that holds symbol i in bits
@@ -261,10 +238,14 @@ class WeightDistribution:
         return Fraction(total, messages)
 
 
-def _binary_gen(code: BinaryCode | ConcatCode) -> BitMatrix:
-    if not isinstance(getattr(code, "gen", None), BitMatrix):
-        raise TypeError(f"unsupported code type {type(code).__name__}")
-    return code.gen
+def binary_shape(code: BinaryCode | ConcatCode) -> Tuple[int, int]:
+    """(K, N): the message bits and the codeword length of a binary or concatenated
+    code.  Any other code raises a TypeError that names its type, before any work."""
+    if isinstance(code, ConcatCode):
+        return code.K, code.N
+    if isinstance(code, BinaryCode):
+        return code.k0, code.n0
+    raise TypeError(f"unsupported code type {type(code).__name__}")
 
 
 def _subset_sums(rows: Sequence[int], limbs: int) -> np.ndarray:
@@ -278,18 +259,20 @@ def _subset_sums(rows: Sequence[int], limbs: int) -> np.ndarray:
 
 def _symbol_tables(code: BinaryCode | ConcatCode) -> List[np.ndarray]:
     """The span as limb-major (limbs, size) tables whose XORs, one entry per table, are
-    the codewords: binary rows give the subset sums of 4 rows at a time, and outer row i
-    gives the encoding of v * (row i) for each v in GF(q), gathered at exp[log g + log v].
-    Weights ignore bit positions: a limb packs 64 // n0 inner words, or a word takes
-    ceil(n0 / 64) limbs, and zero columns pad n."""
+    the codewords.  Table t reads the next log2(size) message bits, so column m of
+    ``_fold(tables)`` is the codeword of message m: binary rows give the subset sums of 4
+    rows at a time (bit i selects row i), and outer row i gives, in column x, the encoding
+    of from_coords(x) * (row i) (bit i * k0 + j selects nu_j in outer row i), gathered at
+    exp[log g + log_coords[x]].  Weights ignore bit positions: a limb packs 64 // n0 inner
+    words, or a word takes ceil(n0 / 64) limbs, and zero columns pad n."""
     if not isinstance(code, ConcatCode):
         rows, limbs = code.gen.rows, max(1, -(-code.gen.cols // 64))
         return [_subset_sums(rows[i : i + 4], limbs) for i in range(0, len(rows) or 1, 4)]
-    n0, (exp, log, coords) = code.inner.n0, code.ctx.arrays()
-    by_log = _subset_sums(code.inner.gen.rows, -(-n0 // 64))[:, coords[exp]]
+    n0, (_, log, exp_coords, log_coords) = code.inner.n0, code.ctx.arrays()
+    by_log = _subset_sums(code.inner.gen.rows, -(-n0 // 64))[:, exp_coords]
     per = max(1, 64 // n0)
     gen = np.array([row + (0,) * (-len(row) % per) for row in code.outer.gen.rows], dtype=np.intp)
-    symbols = by_log.take(log[gen][:, :, None] + log, axis=1)  # [limb, i, a, v]
+    symbols = by_log.take(log[gen][:, :, None] + log_coords, axis=1)  # [limb, i, a, x]
     place = np.left_shift(1, np.arange(0, per * n0, n0, dtype=np.uint64))  # disjoint: sum is OR
     return list(place @ symbols.transpose(1, 2, 0, 3).reshape(len(gen), -1, per, len(log)))
 
@@ -328,8 +311,7 @@ def weight_distribution(
     code: BinaryCode | ConcatCode, budget: int = 1 << 24
 ) -> WeightDistribution:
     """Exact weight enumerator: every codeword is formed and popcounted, once the budget holds."""
-    gen = None if isinstance(code, ConcatCode) else _binary_gen(code)
-    dim, length = (code.K, code.N) if gen is None else (gen.nrows, gen.cols)
+    dim, length = binary_shape(code)
     if 1 << dim > budget:
         raise ValueError(f"code size {1 << dim} exceeds budget {budget}")
     return WeightDistribution(tuple(_span_weight_counts(_symbol_tables(code), length)))
@@ -346,25 +328,38 @@ def min_distance(
     exact: read off the weight distribution (requires code size <= budget);
     returns (distance, True).  montecarlo: minimum over `budget` random
     nonzero codewords, an upper bound on the distance; returns (value, False).
+    Draw t is the message in bits [tK, (t+1)K) of the SplitMix64(seed) stream,
+    the pieces that successive ``bits(K)`` calls return; zero pieces are
+    skipped, so the draws are the first `budget` nonzero pieces.
     """
+    dim, length = binary_shape(code)
     if mode == "exact":
         return weight_distribution(code, budget).min_weight, True
-    gen = _binary_gen(code)
-    if mode == "montecarlo":
-        if budget < 1:
-            raise ValueError(f"Monte Carlo distance needs at least one draw, got budget {budget}")
-        rng = SplitMix64(seed)
-        dim = gen.nrows
-        best = gen.cols + 1
-        if dim == 0:  # no nonzero codeword to draw; the exact-mode convention
-            return best, False
-        for _ in range(budget):
-            m = 0
-            while m == 0:
-                m = rng.bits(dim)
-            best = min(best, gen.combine(m).bit_count())
+    if mode != "montecarlo":
+        raise ValueError(f"unknown mode {mode!r}")
+    if budget < 1:
+        raise ValueError(f"Monte Carlo distance needs at least one draw, got budget {budget}")
+    best = length + 1
+    if dim == 0:  # no nonzero codeword to draw; the exact-mode convention
         return best, False
-    raise ValueError(f"unknown mode {mode!r}")
+    rng, tables = SplitMix64(seed), _symbol_tables(code)
+    width = tables[0].shape[1].bit_length() - 1  # bits per table; zeros pad a binary code's last
+    place = (1 << np.arange(width)).astype(np.min_scalar_type(tables[0].shape[1] - 1))
+    pad = len(tables) * width - dim
+    while budget:
+        # up to 2^BLOCK_BITS draws, a multiple of 64 so that they end on a word
+        draws = min(1 << BLOCK_BITS, -(-budget // 64) * 64)
+        words = rng.words(draws * dim // 64).astype("<u8", copy=False)  # stream order on any host
+        bits = np.unpackbits(words.view(np.uint8), bitorder="little").reshape(draws, dim)
+        bits = np.pad(bits, ((0, 0), (0, pad))) if pad else bits
+        index = bits.reshape(draws, len(tables), width) @ place  # [draw, table]
+        cw = tables[0][:, index[:, 0]]
+        for t in range(1, len(tables)):
+            cw ^= tables[t][:, index[:, t]]
+        weights = np.bitwise_count(cw).sum(axis=0)[index.any(axis=1)][:budget]
+        best = int(weights.min(initial=best))
+        budget -= len(weights)
+    return best, False
 
 
 def codeword_table(gen: FieldMatrix) -> np.ndarray:

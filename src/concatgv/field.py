@@ -151,21 +151,21 @@ class FieldCtx:
         exp, log, lc = self._exp, self._log, self._log[c]
         return [exp[lc + log[v]] for v in vec]
 
-    def arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """numpy copies (exp, log, coords) of the tables, made on first use: exp
-        in the smallest unsigned type, log int32 (log sums are < 2^31), coords intp."""
+    def arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """numpy tables (exp, log, exp_coords, log_coords), made on first use: exp in the
+        smallest unsigned type, log int32 (log sums are < 2^31), and the two in coordinates,
+        exp_coords[l] = coords(exp[l]) (intp) and log_coords[x] = log[from_coords(x)]."""
         if "_arrays" not in self.__dict__:
-            self._arrays = (
-                np.array(self._exp, dtype=np.min_scalar_type(self.q - 1)),
-                np.array(self._log, dtype=np.int32),
-                np.array(self._coords_table, dtype=np.intp),
-            )
+            exp = np.array(self._exp, dtype=np.min_scalar_type(self.q - 1))
+            log = np.array(self._log, dtype=np.int32)
+            exp_coords = np.array(self._coords_table, dtype=np.intp)[exp]
+            self._arrays = (exp, log, exp_coords, log[self._element_table])
         return self._arrays
 
     def mul_array(self, a, b) -> np.ndarray:
         """Elementwise field product of two broadcastable integer arrays,
         gathered from the tables of :meth:`arrays`, in exp's dtype."""
-        exp, log, _ = self.arrays()
+        exp, log = self.arrays()[:2]
         return exp[log[a] + log[b]]
 
     def packed_products(

@@ -13,7 +13,7 @@ from concatgv.bounds import h2
 from concatgv.certify import Pmf, bernoulli_p
 from concatgv.codes import BinaryCode, ConcatCode, OuterCode
 from concatgv.field import make_field
-from concatgv.linalg import FieldMatrix, rank, sample_binary_code, sample_field_code
+from concatgv.linalg import BitMatrix, FieldMatrix, rank, sample_binary_code, sample_field_code
 from concatgv.rng import SplitMix64, derive_seed
 
 
@@ -246,6 +246,37 @@ def gray_block_weight_counts(words: Sequence[int], length: int, block_bits: int 
         weights = weights[:, 0] if limbs == 1 else weights.sum(axis=1, dtype=np.intp)
         counts += np.bincount(weights, minlength=length + 1)
     return counts.tolist()
+
+
+def concat_generator(cc: ConcatCode) -> BitMatrix:
+    """The K x N binary generator of a concatenated code from its definitional
+    encoder: row i * k0 + j is ``cc.encode`` of the unit message that holds
+    nu_j in outer position i and zero elsewhere."""
+    ctx, k = cc.ctx, cc.outer.k
+    rows = [
+        cc.encode(tuple(ctx.from_coords(1 << j) if t == i else 0 for t in range(k)))
+        for i in range(k)
+        for j in range(ctx.k0)
+    ]
+    return BitMatrix(tuple(rows), cc.N)
+
+
+def min_distance_loop(code, budget: int, seed: int) -> Tuple[int, bool]:
+    """Monte Carlo distance one draw at a time: the minimum weight over the
+    first `budget` nonzero ``rng.bits(K)`` messages, each encoded by the
+    generator (``code.gen`` of a binary code, ``concat_generator`` of a
+    concatenated one)."""
+    gen = concat_generator(code) if isinstance(code, ConcatCode) else code.gen
+    rng = SplitMix64(seed)
+    best = gen.cols + 1
+    if gen.nrows == 0:
+        return best, False
+    for _ in range(budget):
+        m = 0
+        while m == 0:
+            m = rng.bits(gen.nrows)
+        best = min(best, gen.combine(m).bit_count())
+    return best, False
 
 
 def g_of_tuple(cc: ConcatCode, pairs: Sequence[Tuple[int, int]]) -> Tuple[int, ...]:

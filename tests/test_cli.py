@@ -390,6 +390,26 @@ def test_cli_montecarlo_distance_refuses_zero_draws(budget, tmp_path, capsys):
     assert captured.err.startswith("error:") and captured.out == ""
 
 
+@pytest.mark.parametrize("excess, mode", [(-1, "montecarlo"), (0, "exact")])
+def test_cli_auto_distance_of_a_concatenated_code_matches_the_explicit_mode(
+    excess, mode, tmp_path, capsys
+):
+    # K = 2 * 2 = 4 message bits and N = 4 * 6 = 24: budget 2^K - 1 is Monte Carlo
+    outer, inner = tmp_path / "outer.code", tmp_path / "inner.code"
+    inner.write_text(dumps_code(BinaryCode(sample_binary_code(6, 2, 5))))
+    outer.write_text(dumps_code(OuterCode(sample_field_code(make_field(2), 4, 2, 6))))
+    argv = ["distance", "--outer", str(outer), "--inner", str(inner),
+            "--budget", str((1 << 4) + excess), "--seed", "7"]
+    reports = []
+    for extra in ([], ["--mode", mode]):
+        assert main(argv + extra) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    auto, explicit = reports
+    assert auto == explicit and auto["mode"] == mode
+    assert auto["is_exact"] == (mode == "exact")
+    assert auto["rel_distance"] == auto["distance"] / 24
+
+
 @pytest.mark.parametrize("budget", ["0", "-3"])
 def test_cli_montecarlo_soft_check_names_the_budget(budget, tmp_path, capsys):
     outer, inner = tmp_path / "outer.code", tmp_path / "inner.code"

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from concatgv.codes import (
+    BLOCK_BITS,
     BinaryCode,
     ConcatCode,
     OuterCode,
@@ -11,12 +12,20 @@ from concatgv.codes import (
     codeword_table,
     min_distance,
     weight_distribution,
+    _fold,
+    _symbol_tables,
 )
-from concatgv.field import FieldCtx, make_field
+from concatgv.field import make_field
 from concatgv.linalg import BitMatrix, FieldMatrix, sample_binary_code, sample_field_code
 from concatgv.rng import SplitMix64, derive_seed
 
-from oracles import all_messages, dual_membership, gray_block_weight_counts
+from oracles import (
+    all_messages,
+    concat_generator,
+    dual_membership,
+    gray_block_weight_counts,
+    min_distance_loop,
+)
 
 F2 = make_field(1)
 F4 = make_field(2)
@@ -98,14 +107,27 @@ def inner_with_zero_and_repeated_column(k0: int, seed: int) -> BinaryCode:
     return BinaryCode(BitMatrix(tuple(r | (r & 1) << (k0 + 1) for r in rows), k0 + 2))
 
 
+def assert_tables_index_messages(code, generator):
+    """Column m of the folded symbol tables has the weight of message m's codeword."""
+    weights = np.bitwise_count(_fold(_symbol_tables(code))).sum(axis=0)
+    messages = range(1 << generator.nrows)
+    assert weights.tolist() == [generator.combine(m).bit_count() for m in messages]
+
+
 @pytest.mark.parametrize("k0", [*range(1, 9), 12])
 def test_message_basis_words_are_codewords_of_single_bit_messages(k0):
+    # The tables read message bits in order: bit i * k0 + j selects nu_j in
+    # outer row i, bit i selects row i of a binary code, for every message of
+    # K <= 12 bits.  Binary codes include n0 > 64 and k0 not a multiple of 4.
     ctx = make_field(k0)
-    shapes = [(2, 1)] if k0 > 8 else [(n, k) for n in range(1, 4) for k in range(1, n + 1)]
+    shapes = [(n, k) for n in range(1, 4) for k in range(1, n + 1) if k * k0 <= 12]
     inners = [BinaryCode(sample_binary_code(n0, k0, derive_seed(n0, k0))) for n0 in (k0, k0 + 2)]
     inners.append(inner_with_zero_and_repeated_column(k0, derive_seed(3, k0)))
     omega = ConcatCode(OuterCode(FieldMatrix(((1,),), 1, ctx)), inners[-1]).omega
     assert omega[k0] == 0 and omega[k0 + 1] == omega[0]
+    long_binary = BinaryCode(sample_binary_code(64 + 2 * k0 + 1, k0, derive_seed(7, k0)))
+    for binary in (*inners, long_binary):
+        assert_tables_index_messages(binary, binary.gen)
     zeros_seen = 0
     for inner in inners:
         for n, k in shapes:
@@ -115,30 +137,8 @@ def test_message_basis_words_are_codewords_of_single_bit_messages(k0):
             ):
                 zeros_seen += sum(row.count(0) for row in outer.gen.rows)
                 cc = ConcatCode(outer, inner)
-                want = [
-                    cc.encode(tuple(ctx.from_coords(1 << j) if t == i else 0 for t in range(k)))
-                    for i in range(k)
-                    for j in range(k0)
-                ]
-                assert cc.gen.rows == tuple(want) and cc.gen.cols == cc.N
+                assert_tables_index_messages(cc, concat_generator(cc))
     assert zeros_seen > 0
-
-
-# (k0, n0, n, k): the ensemble shape, q - 1 < K * n, and K * n < q - 1.
-@pytest.mark.parametrize("k0, n0, n, k", [(4, 8, 6, 3), (2, 4, 4, 2), (12, 14, 2, 1)])
-def test_generator_encodes_each_distinct_symbol_once(k0, n0, n, k, monkeypatch):
-    ctx = make_field(k0)
-    inner = BinaryCode(sample_binary_code(n0, k0, derive_seed(k0, 0)))
-    outer = OuterCode(sample_field_code(ctx, n, k, derive_seed(k0, 1)))
-    symbols = {ctx.mul(nu, g) for row in outer.gen.rows for nu in ctx.basis for g in row} - {0}
-    calls = {"mul": [], "encode": []}
-    for cls, name in ((FieldCtx, "mul"), (BinaryCode, "encode")):
-        fn = getattr(cls, name)
-        monkeypatch.setattr(cls, name, lambda *a, fn=fn, log=calls[name]: log.append(a) or fn(*a))
-    cc = ConcatCode(outer, inner)
-    cc.gen
-    assert calls["mul"] == []
-    assert len(calls["encode"]) == len(symbols) <= min(ctx.q - 1, cc.K * n)
 
 
 def test_bias_of_zero_message_is_N():
@@ -228,7 +228,7 @@ def test_max_bias_from_the_top_weight():
 def test_weight_distribution_of_concat_matches_gray_code_reference():
     cc = tiny_concat(4, k0=4, n0=20, n=4, k=2)  # N = 80: two limbs
     wd = weight_distribution(cc)
-    assert wd.delta == gray_weight_counts(cc.gen.rows, cc.N)
+    assert wd.delta == gray_weight_counts(concat_generator(cc).rows, cc.N)
     assert min_distance(cc) == (wd.min_weight, True)
 
 
@@ -254,9 +254,9 @@ def test_concat_weight_distribution_matches_the_generator_enumerations(k0, n0, n
     ):
         cc = ConcatCode(outer, inner)
         wd = weight_distribution(cc)
-        assert "gen" not in vars(cc)  # the exact path builds no binary generator
-        assert wd.delta == gray_weight_counts(cc.gen.rows, cc.N)
-        assert list(wd.delta) == gray_block_weight_counts(cc.gen.rows, cc.N)
+        rows = concat_generator(cc).rows
+        assert wd.delta == gray_weight_counts(rows, cc.N)
+        assert list(wd.delta) == gray_block_weight_counts(rows, cc.N)
 
 
 @pytest.mark.parametrize("k0", [1, 2, 3, 4, 8, 12])
@@ -265,7 +265,7 @@ def test_concat_weight_distribution_with_zero_and_repeated_omega_entries(k0):
     inner = inner_with_zero_and_repeated_column(k0, derive_seed(5, k0))
     for n, k in [(3, 1)] if k0 > 4 else [(3, 1), (4, 2), (7, 3)]:
         cc = ConcatCode(OuterCode(sample_field_code(ctx, n, k, derive_seed(n, k0))), inner)
-        assert weight_distribution(cc).delta == gray_weight_counts(cc.gen.rows, cc.N)
+        assert weight_distribution(cc).delta == gray_weight_counts(concat_generator(cc).rows, cc.N)
 
 
 def test_weight_distribution_dimension_zero():
@@ -327,6 +327,47 @@ def test_montecarlo_upper_bounds_exact():
     d_mc, is_exact = min_distance(cc, "montecarlo", budget=500, seed=5)
     assert not is_exact
     assert d_mc >= d_exact
+
+
+# Codes for the Monte Carlo oracle: K = 1 and 2 (zero pieces are frequent), K
+# not a multiple of 8 or 64 (K = 13 also pads a binary code's last table), K > 64
+# (a draw spans two words), n0 > 64 (two-limb tables), and dimension 0.
+MONTECARLO_CODES = {
+    "binary-K1": lambda: BinaryCode(sample_binary_code(5, 1, 11)),
+    "binary-K2": lambda: BinaryCode(sample_binary_code(6, 2, 12)),
+    "concat-K2": lambda: tiny_concat(13, k0=1, n0=3, n=3, k=2),
+    "concat-K12": lambda: tiny_concat(14, k0=4, n0=8, n=6, k=3),
+    "binary-K13": lambda: BinaryCode(sample_binary_code(30, 13, 15)),
+    "binary-K70": lambda: BinaryCode(sample_binary_code(80, 70, 16)),
+    "concat-K68": lambda: tiny_concat(17, k0=4, n0=8, n=20, k=17),
+    "concat-n0-70": lambda: tiny_concat(18, k0=3, n0=70, n=3, k=2),
+    "binary-K0": lambda: BinaryCode(BitMatrix((), 5)),
+}
+BLOCK = 1 << BLOCK_BITS
+
+
+@pytest.mark.parametrize(
+    "name, budget",
+    [(name, budget) for name in MONTECARLO_CODES for budget in (1, 63, 64, 65)]
+    + [(name, budget) for name in ("binary-K2", "binary-K13", "concat-K68")
+       for budget in (BLOCK - 1, BLOCK + 1)],
+)
+def test_montecarlo_matches_the_per_draw_loop(name, budget):
+    code = MONTECARLO_CODES[name]()
+    for seed in (0, 20260810):
+        assert min_distance(code, "montecarlo", budget, seed) == min_distance_loop(code, budget, seed)
+
+
+def test_montecarlo_draws_at_most_one_block_of_words_per_call(monkeypatch):
+    cc = MONTECARLO_CODES["concat-K12"]()
+    counts = []
+    words = SplitMix64.words
+    monkeypatch.setattr(
+        SplitMix64, "words", lambda rng, count: counts.append(count) or words(rng, count)
+    )
+    min_distance(cc, "montecarlo", 1 << 20, seed=3)
+    assert max(counts) <= BLOCK * cc.K // 64
+    assert 64 * sum(counts) >= (1 << 20) * cc.K  # every draw came from a block
 
 
 def test_montecarlo_on_dimension_zero_returns_without_drawing():
