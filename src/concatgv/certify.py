@@ -60,25 +60,19 @@ class Pmf:
 def d_pmf(ctx: FieldCtx, omega: Sequence[int], p: float) -> Pmf:
     """Exact law of sum(zeta_b * b for b in omega), zeta_b i.i.d. Bernoulli(p).
 
-    Sequential convolution over omega; field addition is XOR of values.
-    Accumulation order is fixed (omega order) so results are bit-stable.
+    Sequential convolution over omega, one array step per nonzero entry b:
+    P(v) <- (1 - p) P(v) + p P(v ^ b), two products added once (bit-stable).
     """
     if not 0 <= p <= 0.5:
         raise ValueError(f"p={p} outside [0, 1/2]")
     if not omega:
         raise ValueError("omega must be nonempty")
-    probs = [0.0] * ctx.q
+    probs, elements = np.zeros(ctx.q), np.arange(ctx.q)
     probs[0] = 1.0
     for b in omega:
-        if b == 0:
-            continue  # zeta * 0 never moves mass
-        new = [0.0] * ctx.q
-        for v, pv in enumerate(probs):
-            if pv:
-                new[v] += (1 - p) * pv
-                new[v ^ b] += p * pv
-        probs = new
-    return Pmf(ctx, tuple(probs))
+        if b:  # zeta * 0 never moves mass
+            probs = (1 - p) * probs + p * probs[elements ^ b]
+    return Pmf(ctx, tuple(probs.tolist()))
 
 
 def bernoulli_p(c_tilde: float, eps: float) -> float:
@@ -99,7 +93,7 @@ def sample_pmf_many(pmf: Pmf, seed: int, count: int) -> np.ndarray:
     entry on, so no u reaches a trailing zero.  The draws come as an array of
     the smallest unsigned type that holds q - 1, filled a block at a time."""
     cdf = np.add.accumulate(pmf.probs)  # left to right, one term at a time
-    cdf[max(i for i, p in enumerate(pmf.probs) if p) :] = 1.0
+    cdf[np.flatnonzero(pmf.probs)[-1] :] = 1.0
     rng = SplitMix64(seed)
     out = np.empty(count, dtype=np.min_scalar_type(pmf.ctx.q - 1))
     for start in range(0, count, SAMPLE_BLOCK):

@@ -263,13 +263,14 @@ def _symbol_tables(code: BinaryCode | ConcatCode) -> List[np.ndarray]:
     ``_fold(tables)`` is the codeword of message m: binary rows give the subset sums of 4
     rows at a time (bit i selects row i), and outer row i gives, in column x, the encoding
     of from_coords(x) * (row i) (bit i * k0 + j selects nu_j in outer row i), gathered at
-    exp[log g + log_coords[x]].  Weights ignore bit positions: a limb packs 64 // n0 inner
-    words, or a word takes ceil(n0 / 64) limbs, and zero columns pad n."""
+    exp[log g + log_coords[x]] from the inner code's own folded tables.  Weights ignore bit
+    positions: a limb packs 64 // n0 inner words, or a word takes ceil(n0 / 64) limbs, and
+    zero columns pad n."""
     if not isinstance(code, ConcatCode):
         rows, limbs = code.gen.rows, max(1, -(-code.gen.cols // 64))
         return [_subset_sums(rows[i : i + 4], limbs) for i in range(0, len(rows) or 1, 4)]
     n0, (_, log, exp_coords, log_coords) = code.inner.n0, code.ctx.arrays()
-    by_log = _subset_sums(code.inner.gen.rows, -(-n0 // 64))[:, exp_coords]
+    by_log = _fold(_symbol_tables(code.inner))[:, exp_coords]
     per = max(1, 64 // n0)
     gen = np.array([row + (0,) * (-len(row) % per) for row in code.outer.gen.rows], dtype=np.intp)
     symbols = by_log.take(log[gen][:, :, None] + log_coords, axis=1)  # [limb, i, a, x]

@@ -85,6 +85,24 @@ def d_pmf_oracle(q: int, omega: Sequence[int], p: float) -> Dict[int, Fraction]:
     return law
 
 
+def d_pmf_loop(ctx, omega: Sequence[int], p: float) -> Tuple[float, ...]:
+    """The law of sum(zeta_b * b for b in omega) by a float convolution one
+    field element at a time: for each nonzero b, every v of nonzero mass adds
+    (1 - p) P(v) to v and p P(v) to v ^ b, in value order."""
+    probs = [0.0] * ctx.q
+    probs[0] = 1.0
+    for b in omega:
+        if b == 0:
+            continue
+        new = [0.0] * ctx.q
+        for v, pv in enumerate(probs):
+            if pv:
+                new[v] += (1 - p) * pv
+                new[v ^ b] += p * pv
+        probs = new
+    return tuple(probs)
+
+
 def soft_fraction_oracle(cc: ConcatCode, p: float) -> Tuple[Fraction, Fraction]:
     """(prob, delta) of the soft condition on cc's outer code in Fractions, at
     the float p: every nonzero x in GF(q)^n that ``dual_membership`` puts in

@@ -30,6 +30,7 @@ from concatgv.rng import SplitMix64, derive_seed
 from oracles import (
     all_messages,
     bisect_min_entropy,
+    d_pmf_loop,
     d_pmf_oracle,
     dual_membership,
     empirical_dist,
@@ -183,6 +184,25 @@ def test_d_pmf_matches_subset_enumeration_oracle():
     omega = [1, 2, 4, 8] * 4
     oracle = d_pmf_oracle(16, omega, 0.125)
     assert all(Fraction(d_pmf(F16, omega, 0.125)[v]) == oracle[v] for v in range(16))
+
+
+@pytest.mark.parametrize("k0", range(1, 11))
+def test_d_pmf_matches_the_per_element_loop_bit_for_bit(k0):
+    # one array step per Omega entry adds the same two products as the loop,
+    # in one order or the other; repr also compares the signs of zeros
+    ctx = make_field(k0)
+    rng = SplitMix64(derive_seed(777, k0))
+    n0 = k0 + 2
+    for _ in range(6):
+        omega = [rng.randrange(ctx.q) for _ in range(n0)]
+        omega[rng.randrange(n0)] = 0
+        omega[rng.randrange(n0)] = omega[0]
+        for p in (0.0, 0.5, bernoulli_p(C_TILDE_DEFAULT, k0 / n0), 0.1, 1 / 3, 1e-300,
+                  rng.uniform() / 2):
+            got = d_pmf(ctx, omega, p).probs
+            want = d_pmf_loop(ctx, omega, p)
+            assert got == want
+            assert list(map(repr, got)) == list(map(repr, want))
 
 
 # -- soft condition ------------------------------------------------------------

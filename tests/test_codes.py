@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from concatgv import codes
 from concatgv.codes import (
     BLOCK_BITS,
     BinaryCode,
@@ -235,14 +236,15 @@ def test_weight_distribution_of_concat_matches_gray_code_reference():
 # (k0, n0, n, k).  N in {63, 64, 65, 80, 128}; n0 in {3, 33, 64, 65, 70}, so
 # one limb holds several inner words, one, or a word spans two limbs; n is
 # not always a multiple of the words per limb floor(64 / n0); K > 16 takes
-# the chunked path, and at k0 = 6 each chunk holds several high entries.
+# the chunked path, and at k0 = 6 each chunk holds several high entries; at
+# k0 = 16 the inner span is the fold of four inner tables.
 @pytest.mark.parametrize(
     "k0, n0, n, k",
     [
         (3, 3, 21, 2), (1, 3, 21, 12), (8, 64, 1, 1), (4, 8, 8, 3), (3, 13, 5, 3),
         (8, 65, 1, 1), (4, 20, 4, 2), (4, 16, 8, 2), (2, 32, 4, 2), (3, 33, 3, 2),
         (4, 70, 3, 2), (12, 14, 2, 1), (2, 5, 13, 9), (4, 8, 6, 5), (1, 3, 20, 17),
-        (6, 9, 7, 3),
+        (6, 9, 7, 3), (16, 18, 1, 1),
     ],
 )
 def test_concat_weight_distribution_matches_the_generator_enumerations(k0, n0, n, k):
@@ -266,6 +268,20 @@ def test_concat_weight_distribution_with_zero_and_repeated_omega_entries(k0):
     for n, k in [(3, 1)] if k0 > 4 else [(3, 1), (4, 2), (7, 3)]:
         cc = ConcatCode(OuterCode(sample_field_code(ctx, n, k, derive_seed(n, k0))), inner)
         assert weight_distribution(cc).delta == gray_weight_counts(concat_generator(cc).rows, cc.N)
+
+
+@pytest.mark.parametrize("k0, n0, n, k", [(8, 10, 3, 2), (12, 14, 2, 1), (16, 18, 2, 1)])
+def test_subset_sums_only_ever_get_four_rows(monkeypatch, k0, n0, n, k):
+    # a concatenated code's inner span is the fold of the inner code's own
+    # tables, so no subset-sum call sees the whole k0-row inner generator
+    sizes = []
+    subset_sums = codes._subset_sums
+    monkeypatch.setattr(
+        codes, "_subset_sums", lambda rows, limbs: sizes.append(len(rows)) or subset_sums(rows, limbs)
+    )
+    weight_distribution(tiny_concat(23, k0=k0, n0=n0, n=n, k=k))
+    min_distance(tiny_concat(24, k0=k0, n0=n0, n=8, k=4), "montecarlo", budget=100, seed=1)
+    assert sizes and max(sizes) <= 4
 
 
 def test_weight_distribution_dimension_zero():

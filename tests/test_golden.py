@@ -27,6 +27,14 @@ CONFIGS = {
     # criterion-10 shape over the distance budget: Monte Carlo distance
     "montecarlo": {"k0": 4, "n0": 8, "n": 6, "k": 3, "trials": 3, "budgets": {"distance": 1000}},
     "toggles": {"k0": 2, "n0": 4, "n": 4, "k": 2, "trials": 2, "toggles": {**ALL_ON, "r_list": [2, 4]}},
+    # q = 65536: exact distance through a four-table inner fold, the enumerator
+    # soft path and the entropy check
+    "large": {"k0": 16, "n0": 18, "n": 2, "k": 1, "trials": 1, "equal_rate": False,
+              "toggles": {**ALL_ON, "r_list": [2]}},
+    # q = 4096, K = 48: Monte Carlo distance, and Monte Carlo soft through
+    # d_pmf and sample_pmf_many
+    "largemc": {"k0": 12, "n0": 14, "n": 8, "k": 4, "trials": 2, "equal_rate": False,
+                "toggles": {"run_soft": True}},
 }
 
 GOLDEN = {
@@ -40,6 +48,12 @@ GOLDEN = {
     ("certify", 1): "715517fc344468c2a12c33035bdb884e3682b744019de4813c8c24362530d372",
     ("ensemble", 20260810): "e84513b5f5791d8fa75dd76f8d3af1ca1f21d92697d8b5a6ac7c072334c38091",
     ("ensemble", 1): "cfc33d85887553cfd8b68d69a4f984e7f61949b6dcd2fc6c7d4900819577588f",
+    # captured before a concatenated code's inner span became the fold of the
+    # inner code's own tables
+    ("large", 20260810): "2d353d645df4207be3563fcc5d403065ad9dd08314aeac24b8775ce27554e0a2",
+    ("large", 1): "e27508459a1524f7e6ca77e11a8d06a3052c25f0f52798ea61eccaa5da562e7f",
+    ("largemc", 20260810): "55ec52baceb2185d34d1070f3b7acfecb8d15f3360d0e8f4735f2bfbddb97288",
+    ("largemc", 1): "a4b26d862b8228fbf3c6eac0dcdc073a288e265876caa307476d9242406cb64b",
     ("long", 20260810): "f574665aef8d1275ad6e36e070698e7573c62d25d8befa82cd95ba5ff7d2fce3",
     ("long", 1): "961d55df7c26db6421a30aede31c514dbd1597346a926a0cdfacda0f16cc5f09",
     ("lowrate", 20260810): "035faa04afaa43502e01cde1a57ef975016c4dacb53c46c2bab5cda23fbd3fe9",
