@@ -1,7 +1,10 @@
 """Certifiers for the three sufficient conditions.
 
 * tau-niceness of the inner code: every weight class of the inner dual holds
-  at most binom(n0, i) * 2^(-n0 (eps - tau)) codewords, eps = k0/n0.
+  at most binom(n0, i) * 2^(-n0 (eps - tau)) codewords, eps = k0/n0.  The
+  dual's weight counts come by the MacWilliams identity from the inner code's
+  weight distribution (BinaryCode.span_weights, which the soft enumerator
+  reads too); no dual is built.
 * soft-decoding condition on the outer code: the probability that an i.i.d.
   product of the sparse-combination distribution lands in the nonzero dual,
   compared against 1/q^k.  soft_enumerator gives it exactly, from the weight
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -124,26 +128,55 @@ def tau_in_range(tau: float, k0: int, n0: int) -> bool:
     return num * n0 < k0 * den
 
 
+@functools.lru_cache(maxsize=1 << 6)
+def _krawtchouk(n: int) -> Tuple[int, ...]:
+    """Row j of the Krawtchouk matrix, the values K_i(j; n) for i = 0..n, packed
+    into one integer sum_i K_i(j; n) 2^((n + 1) i).  The values come from the
+    three-term recurrence (i + 1) K_(i+1) = (n - 2j) K_i - (n - i + 1) K_(i-1),
+    K_0 = 1, in integers (each division is exact)."""
+    rows = []
+    for j in range(n + 1):
+        row = [1, n - 2 * j]
+        for i in range(1, n):
+            row.append(((n - 2 * j) * row[i] - (n - i + 1) * row[i - 1]) // (i + 1))
+        rows.append(sum(value << (n + 1) * i for i, value in enumerate(row[: n + 1])))
+    return tuple(rows)
+
+
+@functools.lru_cache(maxsize=1 << 10)
+def _nice_bounds(n0: int, k0: int, tau: float) -> Tuple[float, ...]:
+    """binom(n0, i) * 2^(-n0 (eps - tau)) for i = 1..n0, eps = k0/n0."""
+    scale = 2.0 ** (-n0 * (k0 / n0 - tau))
+    return tuple(math.comb(n0, i) * scale for i in range(1, n0 + 1))
+
+
 def check_nice(inner: BinaryCode, tau: float, budget: int = 1 << 20) -> NicenessReport:
-    """Exact tau-niceness check of the inner code by enumerating its dual."""
+    """Exact tau-niceness check of the inner code.
+
+    The dual's weight counts come from the inner code's own, in exact integers,
+    by the MacWilliams identity (MacWilliams-Sloane ch. 5):
+    B_i = 2^(-k0) sum_j A_j K_i(j; n0), A = ``inner.span_weights()``.  The
+    dual is never built, but the budget still bounds its size 2^(n0 - k0) and
+    is checked before any work.  The work is the 2^k0 inner codewords, which a
+    concatenated code built on ``inner`` has already enumerated.
+    """
     n0, k0 = inner.n0, inner.k0
-    eps = k0 / n0
     if not tau_in_range(tau, k0, n0):
-        raise ValueError(f"tau={tau} outside (0, eps={eps})")
-    counts = weight_distribution(inner.dual(), budget).delta
-    scale = 2.0 ** (-n0 * (eps - tau))
-    per_weight = []
-    worst = 0.0
-    ok = True
-    for i in range(1, n0 + 1):
-        bound = math.comb(n0, i) * scale
-        count = counts[i]
-        per_weight.append((count, bound))
-        if count > bound:
-            ok = False
-        if bound > 0:
-            worst = max(worst, count / bound)
-    return NicenessReport(tau, ok, tuple(per_weight), worst)
+        raise ValueError(f"tau={tau} outside (0, eps={k0 / n0})")
+    size = 1 << (n0 - k0)
+    if size > budget:
+        raise ValueError(f"code size {size} exceeds budget {budget}")
+    # sum_j A_j K_i(j; n0) = 2^k0 B_i lies in [0, 2^n0], so one sum of the packed
+    # rows (whose digits are signed) has 2^k0 B_i as its (n0 + 1)-bit digit i.
+    packed = sum(map(operator.mul, inner.span_weights().delta, _krawtchouk(n0)))
+    width, low = n0 + 1, (1 << k0) - 1
+    digits = [(packed >> width * i) & ((1 << width) - 1) for i in range(1, n0 + 1)]
+    if packed & low or any(digit & low for digit in digits):
+        raise AssertionError("MacWilliams transform left a remainder")
+    per_weight = tuple(zip([digit >> k0 for digit in digits], _nice_bounds(n0, k0, tau)))
+    ok = all(count <= bound for count, bound in per_weight)
+    worst = max((count / bound for count, bound in per_weight if bound > 0), default=0.0)
+    return NicenessReport(tau, ok, per_weight, worst)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +289,8 @@ def soft_enumerator(
 
     W_cc the enumerator of all q^k concatenated codewords (wd, or
     weight_distribution(cc, budget), which checks the budget on q^k first)
-    and W_in that of the 2^k0 inner codewords.  The float p is a dyadic
+    and W_in that of the 2^k0 inner codewords (``cc.inner.span_weights()``,
+    the count of the span cc's tables were built from).  The float p is a dyadic
     rational, theta = a / 2^e exactly, so both enumerators are integers over
     powers of two and prob and delta are integers over 2^(e N + k0 n).
     """
@@ -270,7 +304,7 @@ def soft_enumerator(
     num, den = p.as_integer_ratio()
     a, e = den - 2 * num, den.bit_length() - 1  # theta = a / 2^e
     w_cc = _enumerator_at(wd.delta, a, e)  # W_cc(theta) * 2^(e N)
-    w_in = _enumerator_at(weight_distribution(cc.inner).delta, a, e)  # W_in(theta) * 2^(e n0)
+    w_in = _enumerator_at(cc.inner.span_weights().delta, a, e)  # W_in(theta) * 2^(e n0)
     k0, n, k = cc.ctx.k0, cc.outer.n, cc.outer.k
     # prob = W_cc(theta) / q^k - (W_in(theta) / q)^n, over 2^(e N + k0 n)
     prob_num = (w_cc << k0 * (n - k)) - w_in**n
@@ -316,11 +350,16 @@ def smooth_min_entropy(pmf: Pmf, eta: float, halved_tv: bool = True) -> float:
     by integer compares, and t is rounded once, as a quotient of integers.
     The result depends only on the multiset of probabilities.
     """
+    return _water_level_entropy(pmf.probs, pmf.ctx.q, eta, halved_tv)
+
+
+def _water_level_entropy(masses: Sequence[float], q: int, eta: float, halved_tv: bool) -> float:
+    """:func:`smooth_min_entropy` of a law over q elements whose probabilities,
+    in any order, are `masses` and zeros: only the nonzero ones are read."""
     if not 0 <= eta < 1:
         raise ValueError(f"eta={eta} outside [0, 1)")
     budget = eta if halved_tv else eta / 2.0
-    q = pmf.ctx.q
-    ratios = [p.as_integer_ratio() for p in sorted(pmf.probs, reverse=True) if p]
+    ratios = [p.as_integer_ratio() for p in sorted([p for p in masses if p], reverse=True)]
     b_num, b_den = budget.as_integer_ratio()
     scale = max(b_den, *(den for _, den in ratios))  # all powers of two
     probs = [num * (scale // den) for num, den in ratios]
@@ -421,11 +460,10 @@ def _count_multiset(code: int, n: int) -> Tuple[int, ...]:
 @functools.lru_cache(maxsize=1 << 16)
 def _multiset_entropy(counts: Tuple[int, ...], ctx: FieldCtx, eta: float, halved_tv: bool) -> float:
     """The smoothed min-entropy of any word over ctx whose nonzero symbol
-    counts are `counts`: its empirical distribution, up to the order of the
-    probabilities, which :func:`smooth_min_entropy` does not read."""
+    counts are `counts`: that of its empirical distribution, read from the
+    nonzero probabilities alone, with no q-entry pmf built."""
     n = sum(counts)
-    probs = tuple(c / n for c in counts) + (0.0,) * (ctx.q - len(counts))
-    return smooth_min_entropy(Pmf(ctx, probs), eta, halved_tv)
+    return _water_level_entropy([c / n for c in counts], ctx.q, eta, halved_tv)
 
 
 def entropy_hypothesis(

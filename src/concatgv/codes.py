@@ -26,7 +26,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 import numpy as np
 
 from .field import FieldCtx
-from .linalg import BitMatrix, FieldMatrix, nullspace_basis, rank
+from .linalg import BitMatrix, FieldMatrix, rank
 from .rng import SplitMix64
 
 
@@ -52,9 +52,25 @@ class BinaryCode:
         """Codeword of a k0-bit message (XOR of the selected generator rows)."""
         return self.gen.combine(msg_bits)
 
-    def dual(self) -> BinaryCode:
-        """The dual code, read off the generator's cached echelon form."""
-        return BinaryCode(nullspace_basis(self.gen))
+    def span(self) -> np.ndarray:
+        """All 2^k0 codewords as a (limbs, 2^k0) array, column m the codeword of
+        message m (the fold of :func:`_symbol_tables`), made on first use and
+        kept, like :meth:`FieldCtx.arrays`: one array that every caller shares
+        and none writes.  A concatenated code's tables are gathered from it."""
+        span = self.__dict__.get("_span")
+        if span is None:
+            span = _fold(_symbol_tables(self))
+            object.__setattr__(self, "_span", span)
+        return span
+
+    def span_weights(self) -> WeightDistribution:
+        """The weight distribution of :meth:`span`, made on first use and kept: the
+        soft enumerator's W_in and the niceness check read this one count."""
+        weights = self.__dict__.get("_span_weights")
+        if weights is None:
+            weights = WeightDistribution(tuple(_weight_counts(self.span(), self.n0).tolist()))
+            object.__setattr__(self, "_span_weights", weights)
+        return weights
 
 
 @dataclass(frozen=True)
@@ -263,14 +279,14 @@ def _symbol_tables(code: BinaryCode | ConcatCode) -> List[np.ndarray]:
     ``_fold(tables)`` is the codeword of message m: binary rows give the subset sums of 4
     rows at a time (bit i selects row i), and outer row i gives, in column x, the encoding
     of from_coords(x) * (row i) (bit i * k0 + j selects nu_j in outer row i), gathered at
-    exp[log g + log_coords[x]] from the inner code's own folded tables.  Weights ignore bit
+    exp[log g + log_coords[x]] from the inner code's kept span.  Weights ignore bit
     positions: a limb packs 64 // n0 inner words, or a word takes ceil(n0 / 64) limbs, and
     zero columns pad n."""
     if not isinstance(code, ConcatCode):
         rows, limbs = code.gen.rows, max(1, -(-code.gen.cols // 64))
         return [_subset_sums(rows[i : i + 4], limbs) for i in range(0, len(rows) or 1, 4)]
     n0, (_, log, exp_coords, log_coords) = code.inner.n0, code.ctx.arrays()
-    by_log = _fold(_symbol_tables(code.inner))[:, exp_coords]
+    by_log = code.inner.span()[:, exp_coords]
     per = max(1, 64 // n0)
     gen = np.array([row + (0,) * (-len(row) % per) for row in code.outer.gen.rows], dtype=np.intp)
     symbols = by_log.take(log[gen][:, :, None] + log_coords, axis=1)  # [limb, i, a, x]
@@ -301,11 +317,15 @@ def _span_weight_counts(tables: Sequence[np.ndarray], length: int) -> List[int]:
     step = max(1, (1 << BLOCK_BITS) // block.shape[1])
     counts = np.zeros(length + 1, dtype=np.int64)
     for start in range(0, high.shape[1], step):
-        # each chunk is freed before bincount allocates, so it reuses the memory
-        weights = np.bitwise_count(_fold([block, high[:, start : start + step]]))
-        weights = weights[0] if len(weights) == 1 else weights.sum(axis=0, dtype=np.intp)
-        counts += np.bincount(weights, minlength=length + 1)
+        counts += _weight_counts(_fold([block, high[:, start : start + step]]), length)
     return counts.tolist()
+
+
+def _weight_counts(words: np.ndarray, length: int) -> np.ndarray:
+    """How many columns of a (limbs, size) array have each weight 0..length."""
+    weights = np.bitwise_count(words)
+    weights = weights[0] if len(weights) == 1 else weights.sum(axis=0, dtype=np.intp)
+    return np.bincount(weights, minlength=length + 1)
 
 
 def weight_distribution(

@@ -10,10 +10,10 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 import numpy as np
 
 from concatgv.bounds import h2
-from concatgv.certify import Pmf, bernoulli_p
-from concatgv.codes import BinaryCode, ConcatCode, OuterCode
+from concatgv.certify import NicenessReport, Pmf, bernoulli_p, tau_in_range
+from concatgv.codes import BinaryCode, ConcatCode, OuterCode, weight_distribution
 from concatgv.field import make_field
-from concatgv.linalg import BitMatrix, FieldMatrix, rank, sample_binary_code, sample_field_code
+from concatgv.linalg import BitMatrix, FieldMatrix, nullspace_basis, rank, sample_binary_code, sample_field_code
 from concatgv.rng import SplitMix64, derive_seed
 
 
@@ -295,6 +295,34 @@ def min_distance_loop(code, budget: int, seed: int) -> Tuple[int, bool]:
             m = rng.bits(gen.nrows)
         best = min(best, gen.combine(m).bit_count())
     return best, False
+
+
+def dual_code(code: BinaryCode) -> BinaryCode:
+    """The dual code, generated by a basis of the generator's right kernel."""
+    return BinaryCode(nullspace_basis(code.gen))
+
+
+def check_nice_by_dual(inner: BinaryCode, tau: float, budget: int = 1 << 20) -> NicenessReport:
+    """tau-niceness by enumerating the dual code: its weight classes are counted
+    codeword by codeword and compared, one at a time, with their bounds."""
+    n0, k0 = inner.n0, inner.k0
+    eps = k0 / n0
+    if not tau_in_range(tau, k0, n0):
+        raise ValueError(f"tau={tau} outside (0, eps={eps})")
+    counts = weight_distribution(dual_code(inner), budget).delta
+    scale = 2.0 ** (-n0 * (eps - tau))
+    per_weight = []
+    worst = 0.0
+    ok = True
+    for i in range(1, n0 + 1):
+        bound = math.comb(n0, i) * scale
+        count = counts[i]
+        per_weight.append((count, bound))
+        if count > bound:
+            ok = False
+        if bound > 0:
+            worst = max(worst, count / bound)
+    return NicenessReport(tau, ok, tuple(per_weight), worst)
 
 
 def g_of_tuple(cc: ConcatCode, pairs: Sequence[Tuple[int, int]]) -> Tuple[int, ...]:

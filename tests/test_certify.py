@@ -30,8 +30,10 @@ from concatgv.rng import SplitMix64, derive_seed
 from oracles import (
     all_messages,
     bisect_min_entropy,
+    check_nice_by_dual,
     d_pmf_loop,
     d_pmf_oracle,
+    dual_code,
     dual_membership,
     empirical_dist,
     inversion_draws,
@@ -84,9 +86,61 @@ def test_full_length_inner_code_has_trivial_dual():
 def test_check_nice_counts_match_weight_distribution():
     inner = BinaryCode(sample_binary_code(10, 4, 33))
     rep = check_nice(inner, 0.2)
-    dual = inner.dual()
-    wd = weight_distribution(dual)
+    wd = weight_distribution(dual_code(inner))
     assert tuple(c for c, _ in rep.per_weight) == wd.delta[1:]
+
+
+def _nice_cases():
+    """(inner, tau) pairs: every (n0, k0) with n0 <= 12 on three seeds, and
+    generators with a zero column and repeated columns."""
+    for n0 in range(1, 13):
+        for k0 in range(1, n0 + 1):
+            for seed in range(3):
+                yield BinaryCode(sample_binary_code(n0, k0, seed)), k0 / n0 / 2
+    for n0, k0, seed in ((6, 2, 0), (9, 3, 1), (12, 4, 2), (12, 5, 3)):
+        for attempt in itertools.count(seed * 100):
+            rows = tuple(sample_binary_code(n0, k0, attempt).rows)
+            # column 0 zero, column 2 a copy of column 1, column 4 one of column 3
+            rows = tuple((r & ~0b10101) | (r >> 1 & 1) << 2 | (r >> 3 & 1) << 4 for r in rows)
+            try:
+                inner = BinaryCode(BitMatrix(rows, n0))
+            except ValueError:  # the edit lost rank; try the next draw
+                continue
+            yield inner, 0.125
+            break
+
+
+def test_check_nice_by_macwilliams_matches_dual_enumeration():
+    for inner, tau in _nice_cases():
+        rep, ref = check_nice(inner, tau), check_nice_by_dual(inner, tau)
+        assert rep == ref, (inner.gen, tau)
+        assert [type(c) for c, _ in rep.per_weight] == [int] * inner.n0
+        assert [b.hex() for _, b in rep.per_weight] == [b.hex() for _, b in ref.per_weight]
+        assert rep.worst_ratio.hex() == ref.worst_ratio.hex()
+
+
+def test_check_nice_by_macwilliams_on_a_large_dual():
+    inner = BinaryCode(sample_binary_code(24, 4, 1))  # a 2^20-word dual
+    for tau in (0.05, 0.1, 1 / 6 - 1e-9):
+        assert check_nice(inner, tau) == check_nice_by_dual(inner, tau)
+
+
+def test_check_nice_checks_the_dual_budget_before_any_work(monkeypatch):
+    big = BinaryCode(sample_binary_code(24, 4, 1))
+    with pytest.raises(ValueError) as ref:
+        check_nice_by_dual(big, 0.1, budget=(1 << 20) - 1)
+
+    def forbidden(*args):
+        raise AssertionError("enumerated over budget")
+
+    from concatgv import codes
+
+    monkeypatch.setattr(codes, "_symbol_tables", forbidden)
+    monkeypatch.setattr(certify, "_krawtchouk", forbidden)
+    with pytest.raises(ValueError) as err:
+        check_nice(big, 0.1, budget=(1 << 20) - 1)
+    assert str(err.value) == str(ref.value) == f"code size {1 << 20} exceeds budget {(1 << 20) - 1}"
+    assert "_span" not in vars(big)
 
 
 def test_check_nice_monotone_in_tau():
@@ -687,14 +741,14 @@ def clear_entropy_memos():
 
 def test_entropy_hypothesis_is_bit_identical_to_codeword_loop(monkeypatch):
     calls = 0
-    real = smooth_min_entropy
+    real = certify._water_level_entropy
 
     def counted(*args, **kwargs):
         nonlocal calls
         calls += 1
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(certify, "smooth_min_entropy", counted)
+    monkeypatch.setattr(certify, "_water_level_entropy", counted)
     fewer = 0
     for outer in itertools.chain(small_outer_codes(256), edge_outer_codes()):
         for ceta in (0.0, 0.5, 0.9):
@@ -727,6 +781,23 @@ def test_one_count_multiset_gets_a_value_per_field_eta_and_convention():
             empirical_dist(ctx, word), eta, halved_tv
         )
     assert certify._multiset_entropy.cache_info().misses == len(steps)
+
+
+@pytest.mark.parametrize("k0", [2, 4, 8, 16])
+def test_multiset_entropy_matches_the_full_pmf_bit_for_bit(k0):
+    # the memo reads the nonzero counts alone; smooth_min_entropy reads all q entries
+    ctx, rng = make_field(k0), SplitMix64(k0)
+    clear_entropy_memos()
+    for n in (1, 2, 3, 7, 16, 33):
+        cuts = sorted({1 + rng.randrange(n - 1) for _ in range(min(n - 1, 5))})
+        counts = tuple(sorted(b - a for a, b in zip([0, *cuts], [*cuts, n])))
+        if len(counts) > ctx.q:
+            continue
+        pmf = empirical_dist(ctx, [s for s, c in enumerate(counts) for _ in range(c)])
+        for eta in (0.0, 0.1, 1 / 3, 0.5, 0.9):
+            for halved_tv in (True, False):
+                full = smooth_min_entropy(pmf, eta, halved_tv)
+                assert repr(certify._multiset_entropy(counts, ctx, eta, halved_tv)) == repr(full)
 
 
 def test_sorting_network_sorts_every_zero_one_column():

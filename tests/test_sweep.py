@@ -490,6 +490,30 @@ def test_one_weight_distribution_per_trial(distance_budget, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("distance_budget", [1 << 20, 8])
+@pytest.mark.parametrize("k0, n0, n, k", [(2, 4, 4, 2), (5, 10, 4, 2)])
+def test_one_inner_enumeration_per_trial(k0, n0, n, k, distance_budget, monkeypatch):
+    # The concatenated code's tables, the soft enumerator's W_in and the
+    # niceness check all read the inner span that one subset-sum table per 4
+    # inner rows builds; the niceness check enumerates no dual.
+    import concatgv.codes as codes
+
+    sizes = []
+    subset_sums = codes._subset_sums
+    monkeypatch.setattr(
+        codes, "_subset_sums", lambda rows, limbs: sizes.append(len(rows)) or subset_sums(rows, limbs)
+    )
+    cfg = SweepConfig(
+        k0=k0, n0=n0, n=n, k=k, trials=3, master_seed=11,
+        budgets=Budgets(distance=distance_budget),
+        toggles=Toggles(run_nice=True, run_soft=True, run_entropy=True, run_moments=True),
+    )
+    rows, _ = run_sweep(cfg)
+    assert all(r.nice_ok is not None and r.soft_prob is not None for r in rows)
+    assert [r.distance_exact for r in rows] == [distance_budget > (1 << k0) ** k] * cfg.trials
+    assert len(sizes) == cfg.trials * -(-k0 // 4) and sum(sizes) == cfg.trials * k0
+
+
 ALL_ON = {"run_nice": True, "run_soft": True, "run_entropy": True, "run_moments": True, "r_list": [2]}
 # eps = 1/8: the dual holds 4^14 words, past budgets.soft, and the code 4^2 messages
 EPS_1_8 = {"k0": 2, "n0": 16, "n": 16, "k": 2, "trials": 5, "constants": {"tau": 0.05}, "toggles": ALL_ON}
@@ -580,9 +604,9 @@ def test_emitted_eps_equals_both_rates_under_equal_rate():
 @pytest.mark.parametrize("all_on", [False, True])
 def test_eliminations_per_trial(all_on, monkeypatch):
     # Each sampler draw is reduced once, and the codes built from the accepted
-    # draws reuse that echelon form; only the niceness check reduces a further
-    # matrix, the inner dual's generator.  The soft check reads the outer
-    # generator's kernel off its echelon form.
+    # draws reuse that echelon form; the niceness check reduces no further
+    # matrix (it reads the inner code's weights, not its dual).  The soft
+    # check reads the outer generator's kernel off its echelon form.
     from concatgv import linalg
 
     counts = {}
@@ -595,6 +619,6 @@ def test_eliminations_per_trial(all_on, monkeypatch):
     run_sweep(cfg)
     draws = [m for (m,) in counts["rank"]]
     binary = sum(isinstance(m, linalg.BitMatrix) for m in draws)
-    assert len(counts["_gf2_rref"]) == binary + all_on * cfg.trials
+    assert len(counts["_gf2_rref"]) == binary
     assert len(counts["_field_rref"]) == len(draws) - binary
     assert len(draws) >= 2 * cfg.trials
