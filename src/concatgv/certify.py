@@ -27,7 +27,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .codes import BinaryCode, ConcatCode, OuterCode, WeightDistribution, codeword_table, weight_distribution
+from .codes import BLOCK_BITS, BinaryCode, ConcatCode, OuterCode, WeightDistribution, codeword_table, weight_distribution
 from .field import FieldCtx
 from .linalg import nullspace_basis
 from .rng import SplitMix64
@@ -86,22 +86,18 @@ def bernoulli_p(c_tilde: float, eps: float) -> float:
     return (1.0 - math.exp(-2.0 * c_tilde * eps * eps)) / 2.0
 
 
-# sample_pmf_many draws this many uniforms per array, bounding its temporaries
-SAMPLE_BLOCK = 1 << 16
-
-
 def sample_pmf_many(pmf: Pmf, seed: int, count: int) -> np.ndarray:
     """Draws from an arbitrary pmf by CDF inversion (used by Monte Carlo modes):
     draw i is the first index whose cumulative probability exceeds the i-th
     ``uniform()`` of SplitMix64(seed).  The CDF is 1 from the last nonzero
     entry on, so no u reaches a trailing zero.  The draws come as an array of
-    the smallest unsigned type that holds q - 1, filled a block at a time."""
+    the smallest unsigned type that holds q - 1, filled 2^BLOCK_BITS at a time."""
     cdf = np.add.accumulate(pmf.probs)  # left to right, one term at a time
     cdf[np.flatnonzero(pmf.probs)[-1] :] = 1.0
     rng = SplitMix64(seed)
     out = np.empty(count, dtype=np.min_scalar_type(pmf.ctx.q - 1))
-    for start in range(0, count, SAMPLE_BLOCK):
-        block = out[start : start + SAMPLE_BLOCK]
+    for start in range(0, count, 1 << BLOCK_BITS):
+        block = out[start : start + (1 << BLOCK_BITS)]
         block[:] = np.searchsorted(cdf, rng.uniforms(len(block)), side="right")
     return out
 
@@ -155,17 +151,16 @@ def check_nice(inner: BinaryCode, tau: float, budget: int = 1 << 20) -> Niceness
 
     The dual's weight counts come from the inner code's own, in exact integers,
     by the MacWilliams identity (MacWilliams-Sloane ch. 5):
-    B_i = 2^(-k0) sum_j A_j K_i(j; n0), A = ``inner.span_weights()``.  The
-    dual is never built, but the budget still bounds its size 2^(n0 - k0) and
-    is checked before any work.  The work is the 2^k0 inner codewords, which a
-    concatenated code built on ``inner`` has already enumerated.
+    B_i = 2^(-k0) sum_j A_j K_i(j; n0), A = ``inner.span_weights()``, so no
+    dual is built.  The work is the 2^k0 inner codewords, which a concatenated
+    code built on ``inner`` has already enumerated; the budget bounds them and
+    is checked before any work.
     """
     n0, k0 = inner.n0, inner.k0
     if not tau_in_range(tau, k0, n0):
         raise ValueError(f"tau={tau} outside (0, eps={k0 / n0})")
-    size = 1 << (n0 - k0)
-    if size > budget:
-        raise ValueError(f"code size {size} exceeds budget {budget}")
+    if 1 << k0 > budget:
+        raise ValueError(f"code size {1 << k0} exceeds budget {budget}")
     # sum_j A_j K_i(j; n0) = 2^k0 B_i lies in [0, 2^n0], so one sum of the packed
     # rows (whose digits are signed) has 2^k0 B_i as its (n0 + 1)-bit digit i.
     packed = sum(map(operator.mul, inner.span_weights().delta, _krawtchouk(n0)))

@@ -242,19 +242,13 @@ def cmd_gv_compare(args) -> int:
     points = _read_points(args.points) if args.points else None
     outdir = _resolve_out(args.out) or Path(".")
     outdir.mkdir(parents=True, exist_ok=True)
-    gv_lines = ["# concatgv-curve-v1 gv"]
-    zy_lines = ["# concatgv-curve-v1 zyablov"]
-    for i in range(grid):
-        d = 0.5 * i / grid
-        gv_lines.append(f"{d!r} {gv_rate(d)!r}")
-        zy_lines.append(f"{d!r} {zyablov_rate(d)!r}")
-    (outdir / "gv_curve.dat").write_text("\n".join(gv_lines) + "\n", encoding="ascii")
-    (outdir / "zyablov_curve.dat").write_text("\n".join(zy_lines) + "\n", encoding="ascii")
+    deltas = [0.5 * i / grid for i in range(grid)]
+    files = [("gv_curve.dat", "gv", [f"{d!r} {gv_rate(d)!r}" for d in deltas]),
+             ("zyablov_curve.dat", "zyablov", [f"{d!r} {zyablov_rate(d)!r}" for d in deltas])]
     if points is not None:
-        measured = ["# concatgv-curve-v1 measured"] + points
-        (outdir / "measured_points.dat").write_text(
-            "\n".join(measured) + "\n", encoding="ascii"
-        )
+        files.append(("measured_points.dat", "measured", points))
+    for name, kind, lines in files:
+        (outdir / name).write_text("\n".join([f"# concatgv-curve-v1 {kind}", *lines]) + "\n", encoding="ascii")
     return 0
 
 
@@ -312,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inner", default=None)
     p.add_argument("--mode", choices=("exact", "montecarlo", "auto"), default="auto")
 
-    p = add("nice-check", cmd_nice_check, "tau-niceness of an inner code", "budget")
+    p = add("nice-check", cmd_nice_check, "tau-niceness of an inner code (--budget: its 2^k0 words)", "budget")
     p.add_argument("--inner", required=True)
     p.add_argument("--tau", type=_finite_float, required=True)
 

@@ -264,6 +264,11 @@ def binary_shape(code: BinaryCode | ConcatCode) -> Tuple[int, int]:
     raise TypeError(f"unsupported code type {type(code).__name__}")
 
 
+# Temporaries hold about 2^BLOCK_BITS entries (0.5 MB per limb), bounding memory: the weight
+# count's low block and the XORs that meet it, a gathered chunk of outer rows, draw blocks.
+BLOCK_BITS = 16
+
+
 def _subset_sums(rows: Sequence[int], limbs: int) -> np.ndarray:
     """Every subset XOR of rows as a (limbs, 2^len(rows)) array; column bit i selects row i."""
     sums = [0]
@@ -281,7 +286,7 @@ def _symbol_tables(code: BinaryCode | ConcatCode) -> List[np.ndarray]:
     of from_coords(x) * (row i) (bit i * k0 + j selects nu_j in outer row i), gathered at
     exp[log g + log_coords[x]] from the inner code's kept span.  Weights ignore bit
     positions: a limb packs 64 // n0 inner words, or a word takes ceil(n0 / 64) limbs, and
-    zero columns pad n."""
+    zero columns pad n.  Outer rows are gathered one, or as many as fit 2^BLOCK_BITS words."""
     if not isinstance(code, ConcatCode):
         rows, limbs = code.gen.rows, max(1, -(-code.gen.cols // 64))
         return [_subset_sums(rows[i : i + 4], limbs) for i in range(0, len(rows) or 1, 4)]
@@ -289,14 +294,13 @@ def _symbol_tables(code: BinaryCode | ConcatCode) -> List[np.ndarray]:
     by_log = code.inner.span()[:, exp_coords]
     per = max(1, 64 // n0)
     gen = np.array([row + (0,) * (-len(row) % per) for row in code.outer.gen.rows], dtype=np.intp)
-    symbols = by_log.take(log[gen][:, :, None] + log_coords, axis=1)  # [limb, i, a, x]
     place = np.left_shift(1, np.arange(0, per * n0, n0, dtype=np.uint64))  # disjoint: sum is OR
-    return list(place @ symbols.transpose(1, 2, 0, 3).reshape(len(gen), -1, per, len(log)))
-
-
-# The low block folds tables while it holds at most 2^BLOCK_BITS entries (0.5 MB
-# per limb); the other tables' XORs meet it in chunks that size, bounding memory.
-BLOCK_BITS = 16
+    step = max(1, (1 << BLOCK_BITS) * per // (len(by_log) * gen.shape[1] * len(log)))  # rows
+    tables = []
+    for i in range(0, len(gen), step):
+        symbols = by_log.take(log[gen[i : i + step]][:, :, None] + log_coords, axis=1)  # [limb, i, a, x]
+        tables.extend(place @ symbols.transpose(1, 2, 0, 3).reshape(symbols.shape[1], -1, per, len(log)))
+    return tables
 
 
 def _fold(tables: Sequence[np.ndarray]) -> np.ndarray:

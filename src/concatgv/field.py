@@ -102,16 +102,14 @@ class FieldCtx:
                 self._trace_mask |= 1 << j
         self.basis = self._build_self_dual_basis()
         self._verify_basis()
-        # The element with coordinates x is the XOR of nu_(i+1) over the set
-        # bits i of x, so each entry is an earlier one plus one basis vector.
-        self._element_table: List[int] = [0] * self.q
-        self._coords_table: List[int] = [0] * self.q
-        for x in range(1, self.q):
-            lsb = x & -x
-            self._element_table[x] = (
-                self._element_table[x ^ lsb] ^ self.basis[lsb.bit_length() - 1]
-            )
-            self._coords_table[self._element_table[x]] = x
+        # The element with coordinates x is the XOR of nu_(i+1) over the set bits
+        # i of x, so entries [2^i, 2^(i+1)) are the ones below plus nu_(i+1).
+        self._elements = np.zeros(self.q, dtype=np.intp)
+        for i, nu in enumerate(self.basis):
+            self._elements[1 << i : 2 << i] = self._elements[: 1 << i] ^ nu
+        self._coords = np.empty_like(self._elements)  # its inverse permutation
+        self._coords[self._elements] = np.arange(self.q)
+        self._element_table, self._coords_table = self._elements.tolist(), self._coords.tolist()
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -152,14 +150,16 @@ class FieldCtx:
         return [exp[lc + log[v]] for v in vec]
 
     def arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """numpy tables (exp, log, exp_coords, log_coords), made on first use: exp in the
-        smallest unsigned type, log int32 (log sums are < 2^31), and the two in coordinates,
+        """numpy tables (exp, log, exp_coords, log_coords), made on first use from one array
+        of the q - 1 powers: exp in the smallest unsigned type, log int32 (log sums are < 2^31),
         exp_coords[l] = coords(exp[l]) (intp) and log_coords[x] = log[from_coords(x)]."""
         if "_arrays" not in self.__dict__:
-            exp = np.array(self._exp, dtype=np.min_scalar_type(self.q - 1))
-            log = np.array(self._log, dtype=np.int32)
-            exp_coords = np.array(self._coords_table, dtype=np.intp)[exp]
-            self._arrays = (exp, log, exp_coords, log[self._element_table])
+            order = self.q - 1
+            powers = np.array(self._exp[:order], dtype=np.min_scalar_type(order))
+            exp = np.concatenate([powers, powers, np.zeros(2 * order + 1, powers.dtype)])
+            log = np.full(self.q, 2 * order, dtype=np.int32)
+            log[powers] = np.arange(order)
+            self._arrays = (exp, log, self._coords[exp], log[self._elements])
         return self._arrays
 
     def mul_array(self, a, b) -> np.ndarray:

@@ -43,10 +43,58 @@ from .rng import derive_seed
 SCHEMA = "concatgv-sweep-v1"
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_finite_number(v) -> bool:
+    """A finite float, or an int that converts to one without overflow."""
+    try:
+        return (isinstance(v, float) or _is_int(v)) and math.isfinite(v)
+    except OverflowError:
+        return False
+
+
+# Declared field type -> (check on the value, what the error asks for).  Values
+# are kept as given, so an int constant hashes as before.  json reads NaN and
+# Infinity, so a float must be finite, and an int must fit in a float, as the
+# trial uses it.  A section's type, added below its class, takes an instance.
+_FIELD_CHECKS = {
+    "int": (_is_int, "an integer"),
+    "float": (_is_finite_number, "a finite number"),
+    "bool": (lambda v: isinstance(v, bool), "a boolean"),
+    "Tuple[int, ...]": (
+        lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v)),
+        "a list of integers",
+    ),
+}
+
+
+@cache
+def _fields(cls) -> dict:
+    """A config dataclass's fields in order, read once: name -> (check, what)."""
+    return {f.name: _FIELD_CHECKS[f.type] for f in dc_fields(cls)}
+
+
+def _check_types(obj, where: str) -> None:
+    """Refuse the first field of obj not of its declared type, as a JSON config is refused."""
+    for name, (check, what) in _fields(type(obj)).items():
+        value = getattr(obj, name)
+        if not check(value):
+            raise ValueError(f"{where} key {name!r} must be {what}, got {value!r}")
+
+
+class _Section:
+    """A config section checks its field types when built: a shared default, once."""
+
+    def __post_init__(self) -> None:
+        _check_types(self, type(self).__name__.lower())
+
+
 @dataclass(frozen=True)
-class Budgets:
+class Budgets(_Section):
     distance: int = 1 << 20  # exact when q^k <= this, else Monte Carlo
-    niceness: int = 1 << 20  # niceness runs only when 2^(n0-k0) <= this
+    niceness: int = 1 << 20  # niceness runs only when its 2^k0 inner words <= this
     soft: int = 1 << 20
     entropy: int = 1 << 20
     moments: int = 1 << 27
@@ -54,7 +102,7 @@ class Budgets:
 
 
 @dataclass(frozen=True)
-class Constants:
+class Constants(_Section):
     c: float = C_DEFAULT
     c_tilde: float = C_TILDE_DEFAULT
     c_gamma: float = 1.0
@@ -63,12 +111,20 @@ class Constants:
 
 
 @dataclass(frozen=True)
-class Toggles:
+class Toggles(_Section):
     run_nice: bool = False
     run_soft: bool = False
     run_entropy: bool = False
     run_moments: bool = False
     r_list: Tuple[int, ...] = (2,)
+
+    def __post_init__(self) -> None:
+        _check_types(self, "toggles")
+        object.__setattr__(self, "r_list", tuple(self.r_list))  # a list, from JSON or Python, as a tuple
+
+
+_SECTIONS = {"budgets": Budgets, "constants": Constants, "toggles": Toggles}
+_FIELD_CHECKS.update({c.__name__: (lambda v, c=c: isinstance(v, c), f"a {c.__name__}") for c in _SECTIONS.values()})
 
 
 @dataclass(frozen=True)
@@ -86,6 +142,7 @@ class SweepConfig:
     equal_rate: bool = True
 
     def __post_init__(self) -> None:
+        _check_types(self, "config")
         if not 1 <= self.k0 <= self.n0:
             raise ValueError(f"need 1 <= k0 <= n0, got k0={self.k0}, n0={self.n0}")
         if self.k0 > MAX_DEGREE:
@@ -101,13 +158,10 @@ class SweepConfig:
         if self.toggles.run_nice:
             if not tau_in_range(self.constants.tau, self.k0, self.n0):
                 raise ValueError(f"tau={self.constants.tau} outside (0, {self.k0 / self.n0})")
-            if (1 << (self.n0 - self.k0)) > self.budgets.niceness:
+            if (1 << self.k0) > self.budgets.niceness:
                 raise ValueError("niceness check over budget for this config")
-        if not 0 < self.constants.c < math.inf:
+        if self.constants.c <= 0:
             raise ValueError(f"GV constant c must be positive and finite, got {self.constants.c}")
-        for name, value in vars(self.constants).items():
-            if not -math.inf < value < math.inf:
-                raise ValueError(f"constants.{name} must be finite, got {value}")
         if self.toggles.run_soft and self.constants.c_tilde < 0:
             raise ValueError(f"constants.c_tilde must be nonnegative, got {self.constants.c_tilde}")
         if self.toggles.run_entropy:
@@ -124,15 +178,15 @@ class SweepConfig:
             walks = [walk_work(self.n * self.n0, self.k * self.k0, r) for r in self.toggles.r_list]
             if max([(1 << self.k0) ** self.k, *walks]) > self.budgets.moments:
                 raise ValueError("moment check over budget for this config")
-        for name in _SCHEMA[Budgets]:
+        for name in _fields(Budgets):
             if getattr(self.budgets, name) <= 0:
                 raise ValueError(f"budget {name} must be positive")
 
     def to_dict(self) -> dict:
         # Shallow copies in field order; dataclasses.asdict deep-copies and costs
         # several times more.  Fields, not vars(), so the cached digest stays out.
-        doc = {name: getattr(self, name) for name in _SCHEMA[SweepConfig]}
-        for part in ("budgets", "constants", "toggles"):
+        doc = {name: getattr(self, name) for name in _fields(SweepConfig)}
+        for part in _SECTIONS:
             doc[part] = dict(vars(doc[part]))
         doc["toggles"]["r_list"] = list(self.toggles.r_list)
         return doc
@@ -144,73 +198,26 @@ class SweepConfig:
         return hashlib.sha256(canon.encode("ascii")).hexdigest()[:16]
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_finite_number(v) -> bool:
-    """A finite float, or an int that converts to one without overflow."""
-    if _is_int(v):
-        try:
-            float(v)
-        except OverflowError:
-            return False
-        return True
-    return isinstance(v, float) and math.isfinite(v)
-
-
-# Declared field type -> (check on the JSON value, what the error asks for).
-# Values are kept as given, so an int constant hashes as before; a list of
-# ints becomes the tuple the dataclass holds.  json reads NaN and Infinity, so
-# a float must be finite, and an int must fit in a float, as the trial uses it.
-_FIELD_CHECKS = {
-    "int": (_is_int, "an integer"),
-    "float": (_is_finite_number, "a finite number"),
-    "bool": (lambda v: isinstance(v, bool), "a boolean"),
-    "Tuple[int, ...]": (
-        lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v)),
-        "a list of integers",
-    ),
-}
-
-# Each config dataclass's fields in order, read once: name -> (check, what)
-# for a field of a checked type, None for a section.
-_SCHEMA = {
-    cls: {f.name: _FIELD_CHECKS.get(f.type) for f in dc_fields(cls)}
-    for cls in (SweepConfig, Budgets, Constants, Toggles)
-}
-
 # The config_hash's canonical form: sorted keys, no whitespace.
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
-def _from_dict(cls, data, where: str) -> dict:
-    """data as a dict of cls's fields: it must be an object with known keys,
-    and every scalar or tuple field must hold a value of its declared type."""
+def _json_object(cls, data, where: str) -> dict:
+    """data, which must be an object whose keys are all fields of cls."""
     if not isinstance(data, dict):
         raise ValueError(f"{where} must be a JSON object, got {data!r}")
-    fields = _SCHEMA[cls]
-    unknown = data.keys() - fields.keys()
+    unknown = data.keys() - _fields(cls).keys()
     if unknown:
         raise ValueError(f"unknown config key(s) in {where}: {sorted(unknown)}")
-    out = dict(data)
-    for key, value in data.items():
-        rule = fields[key]
-        if rule is not None:
-            check, what = rule
-            if not check(value):
-                raise ValueError(f"{where} key {key!r} must be {what}, got {value!r}")
-            if isinstance(value, list):
-                out[key] = tuple(value)
-    return out
+    return data
 
 
 def config_from_dict(data: dict) -> SweepConfig:
-    """Build a SweepConfig from a parsed JSON document; unknown keys are errors."""
-    top = _from_dict(SweepConfig, data, "config")
-    for part, cls in (("budgets", Budgets), ("constants", Constants), ("toggles", Toggles)):
+    """Build a SweepConfig from a parsed JSON document; the dataclasses check the values."""
+    top = dict(_json_object(SweepConfig, data, "config"))
+    for part, cls in _SECTIONS.items():
         if part in top:
-            top[part] = cls(**_from_dict(cls, top[part], part))
+            top[part] = cls(**_json_object(cls, top[part], part))
     return SweepConfig(**top)
 
 

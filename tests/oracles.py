@@ -279,6 +279,18 @@ def concat_generator(cc: ConcatCode) -> BitMatrix:
     return BitMatrix(tuple(rows), cc.N)
 
 
+def symbol_tables_single_gather(cc: ConcatCode) -> List[np.ndarray]:
+    """A concatenated code's symbol tables from one gather over every outer row
+    at once: the (limbs, k, n, q) array that the chunked build bounds."""
+    n0, (_, log, exp_coords, log_coords) = cc.inner.n0, cc.ctx.arrays()
+    by_log = cc.inner.span()[:, exp_coords]
+    per = max(1, 64 // n0)
+    gen = np.array([row + (0,) * (-len(row) % per) for row in cc.outer.gen.rows], dtype=np.intp)
+    symbols = by_log.take(log[gen][:, :, None] + log_coords, axis=1)  # [limb, i, a, x]
+    place = np.left_shift(1, np.arange(0, per * n0, n0, dtype=np.uint64))
+    return list(place @ symbols.transpose(1, 2, 0, 3).reshape(len(gen), -1, per, len(log)))
+
+
 def min_distance_loop(code, budget: int, seed: int) -> Tuple[int, bool]:
     """Monte Carlo distance one draw at a time: the minimum weight over the
     first `budget` nonzero ``rng.bits(K)`` messages, each encoded by the

@@ -22,7 +22,7 @@ from concatgv.certify import (
     soft_enumerator,
     wilson_interval,
 )
-from concatgv.codes import BinaryCode, ConcatCode, OuterCode, codeword_table, weight_distribution
+from concatgv.codes import BLOCK_BITS, BinaryCode, ConcatCode, OuterCode, codeword_table, weight_distribution
 from concatgv.field import FieldCtx, make_field
 from concatgv.linalg import BitMatrix, FieldMatrix, nullspace_basis, sample_binary_code, sample_field_code
 from concatgv.rng import SplitMix64, derive_seed
@@ -125,22 +125,27 @@ def test_check_nice_by_macwilliams_on_a_large_dual():
         assert check_nice(inner, tau) == check_nice_by_dual(inner, tau)
 
 
-def test_check_nice_checks_the_dual_budget_before_any_work(monkeypatch):
-    big = BinaryCode(sample_binary_code(24, 4, 1))
-    with pytest.raises(ValueError) as ref:
-        check_nice_by_dual(big, 0.1, budget=(1 << 20) - 1)
+def test_check_nice_checks_the_inner_budget_before_any_work(monkeypatch):
+    # the budget bounds the 2^k0 inner words the check reads, not the dual
+    high_rate = BinaryCode(sample_binary_code(24, 22, 5))  # 2^22 words, a 4-word dual
 
     def forbidden(*args):
         raise AssertionError("enumerated over budget")
 
     from concatgv import codes
 
-    monkeypatch.setattr(codes, "_symbol_tables", forbidden)
-    monkeypatch.setattr(certify, "_krawtchouk", forbidden)
-    with pytest.raises(ValueError) as err:
-        check_nice(big, 0.1, budget=(1 << 20) - 1)
-    assert str(err.value) == str(ref.value) == f"code size {1 << 20} exceeds budget {(1 << 20) - 1}"
-    assert "_span" not in vars(big)
+    with monkeypatch.context() as mp:
+        mp.setattr(codes, "_symbol_tables", forbidden)
+        mp.setattr(certify, "_krawtchouk", forbidden)
+        with pytest.raises(ValueError) as err:
+            check_nice(high_rate, 0.5, budget=8)
+    assert str(err.value) == f"code size {1 << 22} exceeds budget 8"
+    assert "_span" not in vars(high_rate)
+    # a [24, 4] code reads 16 words: admitted at 16, below its 2^20-word dual
+    low_rate = BinaryCode(sample_binary_code(24, 4, 1))
+    with pytest.raises(ValueError, match="code size 16 exceeds budget 15"):
+        check_nice(low_rate, 0.1, budget=15)
+    assert check_nice(low_rate, 0.1, budget=16) == check_nice_by_dual(low_rate, 0.1)
 
 
 def test_check_nice_monotone_in_tau():
@@ -906,7 +911,7 @@ def test_sample_pmf_many_never_draws_a_trailing_zero_past_a_rounded_cdf(monkeypa
 
 def test_sample_pmf_many_matches_the_oracle_across_blocks():
     pm = next(pmfs_with_zeros(F8, 1, 23))
-    count = 2 * certify.SAMPLE_BLOCK + 3
+    count = 2 * (1 << BLOCK_BITS) + 3
     draws = sample_pmf_many(pm, 8, count)
     assert draws.dtype == np.uint8 and len(draws) == count
     assert draws.tolist() == inversion_draws(pm.probs, 8, count)

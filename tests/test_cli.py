@@ -241,6 +241,22 @@ def test_cli_error_reporting(tmp_path):
     assert proc.returncode != 0
 
 
+def test_cli_nice_check_refuses_over_budget_before_any_work(tmp_path, monkeypatch, capsys):
+    # --budget bounds the 2^k0 inner words that nice-check reads: a [24, 22]
+    # code, whose dual holds 4 words, exits 1 at --budget 8 before enumerating
+    inner = tmp_path / "inner.code"
+    inner.write_text(dumps_code(BinaryCode(sample_binary_code(24, 22, 5))))
+
+    def forbidden(*args):
+        raise AssertionError("enumerated over budget")
+
+    from concatgv import codes
+
+    monkeypatch.setattr(codes, "_symbol_tables", forbidden)
+    assert main(["nice-check", "--inner", str(inner), "--tau", "0.5", "--budget", "8"]) == 1
+    assert capsys.readouterr().err == f"error: code size {1 << 22} exceeds budget 8\n"
+
+
 def test_cli_gv_compare(tmp_path):
     run_cli("gv-compare", "--grid", "50", "--out", str(tmp_path))
     gv = (tmp_path / "gv_curve.dat").read_text().splitlines()

@@ -26,6 +26,7 @@ from oracles import (
     dual_membership,
     gray_block_weight_counts,
     min_distance_loop,
+    symbol_tables_single_gather,
 )
 
 F2 = make_field(1)
@@ -284,6 +285,21 @@ def test_subset_sums_only_ever_get_four_rows(monkeypatch, k0, n0, n, k):
     weight_distribution(tiny_concat(23, k0=k0, n0=n0, n=n, k=k))
     min_distance(tiny_concat(24, k0=k0, n0=n0, n=8, k=4), "montecarlo", budget=100, seed=1)
     assert sizes and max(sizes) <= 4
+
+
+@pytest.mark.parametrize("k0, n0, n, k", [(4, 8, 6, 3), (12, 14, 40, 4), (16, 18, 8, 4), (3, 40, 7, 3)])
+def test_symbol_tables_gathered_in_chunks_match_one_gather(k0, n0, n, k):
+    # tables of more than 2^BLOCK_BITS words in all are gathered a chunk of
+    # outer rows at a time; the bytes are those of one gather over every row
+    ctx = make_field(k0)
+    cc = ConcatCode(OuterCode(sample_field_code(ctx, n, k, 3)), BinaryCode(sample_binary_code(n0, k0, 4)))
+    tables, oracle = _symbol_tables(cc), symbol_tables_single_gather(cc)
+    words = sum(t.size for t in tables)
+    assert (words > 1 << BLOCK_BITS) == (k0 >= 12)  # so the k0 >= 12 shapes take several chunks
+    assert len(tables) == len(oracle) == k
+    for table, want in zip(tables, oracle):
+        assert table.dtype == want.dtype and table.shape == want.shape
+        assert table.tobytes() == want.tobytes()
 
 
 def test_weight_distribution_dimension_zero():

@@ -244,7 +244,7 @@ def test_config_validation_before_trials():
         (dict(k0=0), "need 1 <= k0 <= n0"),
         (dict(n=2, k=3, equal_rate=False), "need 1 <= k <= n"),
         (dict(trials=-1), "trials must be nonnegative"),
-        # 2^(n0 - k0) = 4 dual words of the inner code: a niceness budget of 3 is refused
+        # 2^k0 = 4 inner words: a niceness budget of 3 is refused
         (dict(budgets=Budgets(niceness=3), toggles=Toggles(run_nice=True)),
          "niceness check over budget"),
         (dict(budgets=Budgets(mc_draws=0)), "budget mc_draws must be positive"),
@@ -252,9 +252,14 @@ def test_config_validation_before_trials():
     ]:
         with pytest.raises(ValueError, match=message):
             SweepConfig(**{**base, **change})
-    # gv_check needs a positive, finite c: refused before any trial runs
-    for c in (0.0, -1.0, math.nan, math.inf):
+    # gv_check needs a positive, finite c: refused before any trial runs, a
+    # NaN or infinite c by the type check as the section is built
+    for c in (0.0, -1.0):
         with pytest.raises(ValueError, match="GV constant"):
+            SweepConfig(k0=2, n0=4, n=4, k=2, trials=1, master_seed=0,
+                        constants=Constants(c=c))
+    for c in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="constants key 'c' must be a finite number"):
             SweepConfig(k0=2, n0=4, n=4, k=2, trials=1, master_seed=0,
                         constants=Constants(c=c))
     # q^k = 16 codewords: an entropy budget of 8 is refused, 16 runs the check
@@ -269,15 +274,18 @@ def test_config_validation_before_trials():
 @pytest.mark.parametrize("name", ["c_tilde", "c_gamma", "c_eta", "tau"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_non_finite_constants_refused_by_name_whatever_the_toggles(name, value):
-    # the Python API refuses what JSON configs and the CLI refuse; with every
-    # check on, tau=nan is refused by the tau range check, which names it too
-    base = dict(k0=2, n0=4, n=4, k=2, trials=1, master_seed=0)
-    constants = Constants(**{name: value})
-    with pytest.raises(ValueError, match=f"constants.{name} must be finite"):
-        SweepConfig(**base, constants=constants)
-    all_on = Toggles(run_nice=True, run_soft=True, run_entropy=True, run_moments=True)
-    with pytest.raises(ValueError, match=name):
-        SweepConfig(**base, constants=constants, toggles=all_on)
+    # the Python API refuses what JSON configs and the CLI refuse, with the
+    # same message, by the type check that runs as the section is built
+    message = f"constants key {name!r} must be a finite number, got {value!r}"
+    with pytest.raises(ValueError) as err:
+        Constants(**{name: value})
+    assert str(err.value) == message
+    all_on = dict.fromkeys(["run_nice", "run_soft", "run_entropy", "run_moments"], True)
+    for toggles in ({}, all_on):
+        with pytest.raises(ValueError) as err:
+            config_from_dict({"k0": 2, "n0": 4, "n": 4, "k": 2, "trials": 1, "master_seed": 0,
+                              "constants": {name: value}, "toggles": toggles})
+        assert str(err.value) == message
 
 
 def test_tau_compared_exactly_with_the_inner_rate():
@@ -405,35 +413,40 @@ def _refusal(name, doc, message):
     return pytest.param(doc, message, id=name)
 
 
+FIELD_TYPE_REFUSALS = [
+    # an integer: a bool, a float or a numeric string is not one
+    _refusal("k0-bool", {**BASE, "k0": True}, "config key 'k0' must be an integer, got True"),
+    _refusal("k0-float", {**BASE, "k0": 1.5}, "config key 'k0' must be an integer, got 1.5"),
+    _refusal("trials-str", {**BASE, "trials": "4"},
+             "config key 'trials' must be an integer, got '4'"),
+    _refusal("budgets.soft-float", {**BASE, "budgets": {"soft": 1.0}},
+             "budgets key 'soft' must be an integer, got 1.0"),
+    # a boolean: 1 is not one
+    _refusal("equal_rate-int", {**BASE, "equal_rate": 1},
+             "config key 'equal_rate' must be a boolean, got 1"),
+    _refusal("toggles.run_soft-int", {**BASE, "toggles": {"run_soft": 1}},
+             "toggles key 'run_soft' must be a boolean, got 1"),
+    # a finite number: NaN, a string, an int past the float range
+    _refusal("constants.c-nan", {**BASE, "constants": {"c": math.nan}},
+             "constants key 'c' must be a finite number, got nan"),
+    _refusal("constants.c-str", {**BASE, "constants": {"c": "x"}},
+             "constants key 'c' must be a finite number, got 'x'"),
+    _refusal("constants.tau-huge", {**BASE, "constants": {"tau": 10**400}},
+             f"constants key 'tau' must be a finite number, got {10**400!r}"),
+    # a list of integers
+    _refusal("r_list-float", {**BASE, "toggles": {"r_list": [1.5]}},
+             "toggles key 'r_list' must be a list of integers, got [1.5]"),
+    _refusal("r_list-str", {**BASE, "toggles": {"r_list": "2"}},
+             "toggles key 'r_list' must be a list of integers, got '2'"),
+    _refusal("r_list-bool", {**BASE, "toggles": {"r_list": [True]}},
+             "toggles key 'r_list' must be a list of integers, got [True]"),
+]
+
+
 @pytest.mark.parametrize(
     "doc, message",
     [
-        # an integer: a bool, a float or a numeric string is not one
-        _refusal("k0-bool", {**BASE, "k0": True}, "config key 'k0' must be an integer, got True"),
-        _refusal("k0-float", {**BASE, "k0": 1.5}, "config key 'k0' must be an integer, got 1.5"),
-        _refusal("trials-str", {**BASE, "trials": "4"},
-                 "config key 'trials' must be an integer, got '4'"),
-        _refusal("budgets.soft-float", {**BASE, "budgets": {"soft": 1.0}},
-                 "budgets key 'soft' must be an integer, got 1.0"),
-        # a boolean: 1 is not one
-        _refusal("equal_rate-int", {**BASE, "equal_rate": 1},
-                 "config key 'equal_rate' must be a boolean, got 1"),
-        _refusal("toggles.run_soft-int", {**BASE, "toggles": {"run_soft": 1}},
-                 "toggles key 'run_soft' must be a boolean, got 1"),
-        # a finite number: NaN, a string, an int past the float range
-        _refusal("constants.c-nan", {**BASE, "constants": {"c": math.nan}},
-                 "constants key 'c' must be a finite number, got nan"),
-        _refusal("constants.c-str", {**BASE, "constants": {"c": "x"}},
-                 "constants key 'c' must be a finite number, got 'x'"),
-        _refusal("constants.tau-huge", {**BASE, "constants": {"tau": 10**400}},
-                 f"constants key 'tau' must be a finite number, got {10**400!r}"),
-        # a list of integers
-        _refusal("r_list-float", {**BASE, "toggles": {"r_list": [1.5]}},
-                 "toggles key 'r_list' must be a list of integers, got [1.5]"),
-        _refusal("r_list-str", {**BASE, "toggles": {"r_list": "2"}},
-                 "toggles key 'r_list' must be a list of integers, got '2'"),
-        _refusal("r_list-bool", {**BASE, "toggles": {"r_list": [True]}},
-                 "toggles key 'r_list' must be a list of integers, got [True]"),
+        *FIELD_TYPE_REFUSALS,
         # a JSON object, for a section and for the whole config
         _refusal("budgets-list", {**BASE, "budgets": [1]}, "budgets must be a JSON object, got [1]"),
         _refusal("config-list", [BASE], f"config must be a JSON object, got {[BASE]!r}"),
@@ -443,6 +456,60 @@ def test_config_field_of_the_wrong_type_refused_with_its_message(doc, message):
     with pytest.raises(ValueError) as exc:
         config_from_dict(doc)
     assert str(exc.value) == message
+
+
+SECTIONS = {"budgets": Budgets, "constants": Constants, "toggles": Toggles}
+
+
+@pytest.mark.parametrize("doc, message", FIELD_TYPE_REFUSALS)
+def test_config_field_of_the_wrong_type_refused_through_the_python_api(doc, message):
+    # the dataclasses run the one type check: the JSON path's message, word for word
+    with pytest.raises(ValueError) as exc:
+        sections = {part: cls(**doc[part]) for part, cls in SECTIONS.items() if part in doc}
+        SweepConfig(**{**doc, **sections})
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Toggles(run_nice="no"), "toggles key 'run_nice' must be a boolean, got 'no'"),
+        (lambda: Budgets(distance=2.5), "budgets key 'distance' must be an integer, got 2.5"),
+        (lambda: SweepConfig(**{**BASE, "trials": True}), "config key 'trials' must be an integer, got True"),
+        (lambda: SweepConfig(**{**BASE, "master_seed": "7"}),
+         "config key 'master_seed' must be an integer, got '7'"),
+        (lambda: Constants(tau="0.25"), "constants key 'tau' must be a finite number, got '0.25'"),
+        (lambda: SweepConfig(**BASE, budgets={"distance": 5}),
+         "config key 'budgets' must be a Budgets, got {'distance': 5}"),
+        (lambda: SweepConfig(**BASE, toggles=Constants()),
+         f"config key 'toggles' must be a Toggles, got {Constants()!r}"),
+    ],
+)
+def test_mistyped_python_config_refused_with_a_value_error(build, message):
+    # none of these reaches a TypeError or AttributeError, nor a trial
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+def test_python_api_holds_r_list_as_a_tuple():
+    toggles = Toggles(run_moments=True, r_list=[2, 4])
+    assert toggles.r_list == (2, 4) and toggles == Toggles(run_moments=True, r_list=(2, 4))
+    cfg = SweepConfig(**BASE, toggles=toggles)
+    assert cfg == config_from_dict({**BASE, "toggles": {"run_moments": True, "r_list": [2, 4]}})
+
+
+def test_niceness_budget_bounds_the_inner_words():
+    # eps = 1/8 with a 2^21-word inner dual: 2^3 inner words fit the default budget
+    doc = {"k0": 3, "n0": 24, "n": 24, "k": 3, "trials": 3, "master_seed": 0,
+           "constants": {"tau": 0.05}, "toggles": {"run_nice": True}}
+    rows, agg = run_sweep(config_from_dict(doc))
+    assert all(row.nice_ok is not None for row in rows) and agg["frac_nice"] is not None
+    # a [5, 4] inner code has a 2-word dual and 16 words: a budget of 8 is refused
+    with pytest.raises(ValueError, match="niceness check over budget"):
+        config_from_dict({"k0": 4, "n0": 5, "n": 5, "k": 4, "trials": 1, "master_seed": 0,
+                          "constants": {"tau": 0.5}, "budgets": {"niceness": 8},
+                          "toggles": {"run_nice": True}})
 
 
 def test_config_from_dict_roundtrip():
