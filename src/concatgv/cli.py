@@ -3,8 +3,8 @@
 Subcommands: field, sample-code, concat, distance, nice-check, soft-check,
 entropy-check, moment-check, gv-compare, sweep.  Each subcommand takes only
 the flags it reads: every one takes --out (a file, or for gv-compare a
-directory; default stdout), --seed goes to sample-code, distance and
-soft-check, --budget to distance and the four checks, and --format to sweep.
+directory; default stdout), --seed goes to sample-code and soft-check,
+--budget to distance and the four checks, and --format to sweep.
 Reports echo seeds and budgets so runs can be reproduced from their outputs.
 If the environment variable CONCATGV_OUTDIR is set, relative --out paths are
 resolved inside it.
@@ -113,23 +113,9 @@ def cmd_distance(args) -> int:
     else:
         code = _load_concat(args)
         desc = {"outer": args.outer, "inner": args.inner}
-    dim, length = binary_shape(code)
-    mode = args.mode
-    if mode == "auto":
-        mode = "exact" if 1 << dim <= args.budget else "montecarlo"
-    d, is_exact = min_distance(code, mode, args.budget, args.seed)
-    _emit(
-        args,
-        {
-            **desc,
-            "mode": mode,
-            "seed": args.seed,
-            "budget": args.budget,
-            "distance": d,
-            "rel_distance": d / length,
-            "is_exact": is_exact,
-        },
-    )
+    lower, upper, words, _ = min_distance(code, args.budget)
+    _emit(args, {**desc, "budget": args.budget, "lower": lower, "distance": upper,
+                 "rel_distance": upper / binary_shape(code)[1], "is_exact": lower == upper, "words": words})
     return 0
 
 
@@ -300,11 +286,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outer", required=True)
     p.add_argument("--inner", required=True)
 
-    p = add("distance", cmd_distance, "minimum distance of a code", "seed", "budget")
+    p = add("distance", cmd_distance, "minimum distance, or an interval (--budget: codewords formed)", "budget")
     p.add_argument("--code", default=None, help="binary code file")
     p.add_argument("--outer", default=None)
     p.add_argument("--inner", default=None)
-    p.add_argument("--mode", choices=("exact", "montecarlo", "auto"), default="auto")
 
     p = add("nice-check", cmd_nice_check, "tau-niceness of an inner code (--budget: its 2^k0 words)", "budget")
     p.add_argument("--inner", required=True)

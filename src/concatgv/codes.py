@@ -18,16 +18,16 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from .field import FieldCtx
-from .linalg import BitMatrix, FieldMatrix, rank
-from .rng import SplitMix64
+from .linalg import BitMatrix, FieldMatrix, _gf2_rref, rank
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ class BinaryCode:
         soft enumerator's W_in and the niceness check read this one count."""
         weights = self.__dict__.get("_span_weights")
         if weights is None:
-            weights = WeightDistribution(tuple(_weight_counts(self.span(), self.n0).tolist()))
+            weights = WeightDistribution(tuple(np.bincount(_weights(self.span()), minlength=self.n0 + 1).tolist()))
             object.__setattr__(self, "_span_weights", weights)
         return weights
 
@@ -265,7 +265,7 @@ def binary_shape(code: BinaryCode | ConcatCode) -> Tuple[int, int]:
 
 
 # Temporaries hold about 2^BLOCK_BITS entries (0.5 MB per limb), bounding memory: the weight
-# count's low block and the XORs that meet it, a gathered chunk of outer rows, draw blocks.
+# count's low block and the XORs that meet it, a chunk of outer rows or of w-subsets, draws.
 BLOCK_BITS = 16
 
 
@@ -274,8 +274,13 @@ def _subset_sums(rows: Sequence[int], limbs: int) -> np.ndarray:
     sums = [0]
     for row in rows:
         sums += [s ^ row for s in sums]
-    packed = b"".join([s.to_bytes(8 * limbs, "little") for s in sums])
-    return np.frombuffer(packed, dtype="<u8").reshape(len(sums), limbs).T
+    return _pack(sums, limbs)
+
+
+def _pack(words: Sequence[int], limbs: int) -> np.ndarray:
+    """Ints below 2^(64 limbs) as the columns of a (limbs, len(words)) uint64 array."""
+    packed = b"".join([w.to_bytes(8 * limbs, "little") for w in words])
+    return np.frombuffer(packed, dtype="<u8").reshape(len(words), limbs).T
 
 
 def _symbol_tables(code: BinaryCode | ConcatCode) -> List[np.ndarray]:
@@ -321,15 +326,14 @@ def _span_weight_counts(tables: Sequence[np.ndarray], length: int) -> List[int]:
     step = max(1, (1 << BLOCK_BITS) // block.shape[1])
     counts = np.zeros(length + 1, dtype=np.int64)
     for start in range(0, high.shape[1], step):
-        counts += _weight_counts(_fold([block, high[:, start : start + step]]), length)
+        counts += np.bincount(_weights(_fold([block, high[:, start : start + step]])), minlength=length + 1)
     return counts.tolist()
 
 
-def _weight_counts(words: np.ndarray, length: int) -> np.ndarray:
-    """How many columns of a (limbs, size) array have each weight 0..length."""
+def _weights(words: np.ndarray) -> np.ndarray:
+    """The weight of each column of a (limbs, size) array."""
     weights = np.bitwise_count(words)
-    weights = weights[0] if len(weights) == 1 else weights.sum(axis=0, dtype=np.intp)
-    return np.bincount(weights, minlength=length + 1)
+    return weights[0] if len(weights) == 1 else weights.sum(axis=0, dtype=np.intp)
 
 
 def weight_distribution(
@@ -342,49 +346,65 @@ def weight_distribution(
     return WeightDistribution(tuple(_span_weight_counts(_symbol_tables(code), length)))
 
 
-def min_distance(
-    code: BinaryCode | ConcatCode,
-    mode: str = "exact",
-    budget: int = 1 << 24,
-    seed: int = 0,
-) -> Tuple[int, bool]:
-    """Minimum nonzero codeword weight.
-
-    exact: read off the weight distribution (requires code size <= budget);
-    returns (distance, True).  montecarlo: minimum over `budget` random
-    nonzero codewords, an upper bound on the distance; returns (value, False).
-    Draw t is the message in bits [tK, (t+1)K) of the SplitMix64(seed) stream,
-    the pieces that successive ``bits(K)`` calls return; zero pieces are
-    skipped, so the draws are the first `budget` nonzero pieces.
-    """
+def min_distance(code: BinaryCode | ConcatCode, budget: int = 1 << 24) -> Tuple[int, int, int, object]:
+    """(lower, upper, words, witness): lower <= d <= upper for the least nonzero weight d,
+    `words` codewords formed (at most budget), `code.encode(witness)` of weight upper.  When
+    2^K <= budget the weight distribution gives d.  Else Brouwer-Zimmermann: pass w on a
+    greedy information set I_j, g_j of whose columns an earlier set holds, forms the XORs of
+    w rows of its systematic generator; after passes 1..w_j on each I_j no codeword left
+    weighs below sum_j max(0, w_j + 1 - g_j), and none is left once a w_j = K.  Each pass
+    that fits the budget goes to the prefix of sets that reaches the least weight seen in
+    the fewest words (2^K - 1 at most).  No word formed: upper = N + 1, no witness (None)."""
     dim, length = binary_shape(code)
-    if mode == "exact":
-        return weight_distribution(code, budget).min_weight, True
-    if mode != "montecarlo":
-        raise ValueError(f"unknown mode {mode!r}")
-    if budget < 1:
-        raise ValueError(f"Monte Carlo distance needs at least one draw, got budget {budget}")
-    best = length + 1
-    if dim == 0:  # no nonzero codeword to draw; the exact-mode convention
-        return best, False
-    rng, tables = SplitMix64(seed), _symbol_tables(code)
-    width = tables[0].shape[1].bit_length() - 1  # bits per table; zeros pad a binary code's last
-    place = (1 << np.arange(width)).astype(np.min_scalar_type(tables[0].shape[1] - 1))
-    pad = len(tables) * width - dim
-    while budget:
-        # up to 2^BLOCK_BITS draws, a multiple of 64 so that they end on a word
-        draws = min(1 << BLOCK_BITS, -(-budget // 64) * 64)
-        words = rng.words(draws * dim // 64).astype("<u8", copy=False)  # stream order on any host
-        bits = np.unpackbits(words.view(np.uint8), bitorder="little").reshape(draws, dim)
-        bits = np.pad(bits, ((0, 0), (0, pad))) if pad else bits
-        index = bits.reshape(draws, len(tables), width) @ place  # [draw, table]
-        cw = tables[0][:, index[:, 0]]
-        for t in range(1, len(tables)):
-            cw ^= tables[t][:, index[:, t]]
-        weights = np.bitwise_count(cw).sum(axis=0)[index.any(axis=1)][:budget]
-        best = int(weights.min(initial=best))
-        budget -= len(weights)
-    return best, False
+    if 1 << dim <= budget:
+        d = weight_distribution(code, budget).min_weight
+        return d, d, 1 << dim, None
+    if isinstance(code, BinaryCode):
+        rows = code.gen.rows
+    else:  # message bit i * k0 + j selects basis element j in outer position i, as in _symbol_tables
+        k, ctx = code.outer.k, code.ctx
+        rows = [code.encode([nu * (t == i) for t in range(k)]) for i in range(k) for nu in ctx.basis]
+    forms = list(_systematic_forms(rows, length))
+    gaps, levels, upper, witness, words = [g for *_, g in forms], [0] * len(forms), length + 1, None, 0
+
+    def cost(s: int) -> int:  # words for the first s sets to bring the bound to upper, or one to level K
+        top, rest = max(levels[:s]), sum(max(0, w + 1 - g) for w, g in zip(levels[s:], gaps[s:]))
+        while top < dim and rest + sum(max(0, max(top, w) + 1 - g) for w, g in zip(levels, gaps[:s])) < upper:
+            top += 1
+        return sum(math.comb(dim, v) for w in levels[:s] for v in range(w + 1, top + 1))
+
+    while (lower := sum(max(0, w + 1 - g) for w, g in zip(levels, gaps))) < upper and max(levels, default=dim) < dim:
+        s = min(range(1, len(forms) + 1), key=cost)
+        gen, messages, _ = forms[j := levels.index(min(levels[:s]))]
+        w, total = levels[j] + 1, math.comb(dim, levels[j] + 1)
+        if words + total > budget:
+            break
+        levels[j], words, picks = w, words + total, itertools.chain.from_iterable(itertools.combinations(range(dim), w))
+        while len(chunk := np.fromiter(itertools.islice(picks, (1 << BLOCK_BITS) // w * w), np.intp).reshape(-1, w)):
+            weights = _weights(np.bitwise_xor.reduce(gen[:, chunk], axis=2))
+            if weights[best := int(weights.argmin())] < upper:
+                upper, witness = int(weights[best]), np.bitwise_xor.reduce(messages[chunk[best]])
+    else:
+        lower = upper
+    if witness is not None and isinstance(code, ConcatCode):  # message bits back to outer symbols
+        witness = tuple(ctx.from_coords(witness >> (i * ctx.k0) & (ctx.q - 1)) for i in range(k))
+    return lower, upper, words, witness
+
+
+def _systematic_forms(rows: Sequence[int], length: int) -> Iterator[Tuple[np.ndarray, np.ndarray, int]]:
+    """Greedy information sets while one holds unused columns, as (generator, messages, g):
+    the generator systematic on the set, packed (limbs, K), column i the codeword of message
+    bits messages[i], and g of its columns held by an earlier set.  _gf2_rref pivots on the
+    lowest set bit, so unused columns go low (weight ignores order), the message above bit N."""
+    dim, unused, rows = len(rows), list(range(length)), [r | 1 << length + m for m, r in enumerate(rows)]
+    while unused:
+        order = unused + sorted(set(range(length + dim)).difference(unused))
+        reduced, pivots = _gf2_rref([sum((r >> c & 1) << i for i, c in enumerate(order)) for r in rows])
+        if not (fresh := {p for p in pivots if p < len(unused)}):
+            return
+        low = _pack([r & ((1 << length) - 1) for r in reduced], max(1, -(-length // 64)))
+        yield low, np.array([r >> length for r in reduced], dtype=object), dim - len(fresh)
+        unused = [c for i, c in enumerate(unused) if i not in fresh]
 
 
 def codeword_table(gen: FieldMatrix) -> np.ndarray:

@@ -93,7 +93,7 @@ class _Section:
 
 @dataclass(frozen=True)
 class Budgets(_Section):
-    distance: int = 1 << 20  # exact when q^k <= this, else Monte Carlo
+    distance: int = 1 << 20  # codewords the distance forms: all when q^k <= this, else Brouwer-Zimmermann's
     niceness: int = 1 << 20  # niceness runs only when its 2^k0 inner words <= this
     soft: int = 1 << 20
     entropy: int = 1 << 20
@@ -257,14 +257,11 @@ def run_trial(config: SweepConfig, trial: int) -> SweepRow:
     cc = ConcatCode(outer, inner)
     q = ctx.q
 
-    exact = q**config.k <= config.budgets.distance
-    wd = None
-    if exact:
-        wd = weight_distribution(cc, config.budgets.distance)
-        d, x_max = wd.min_weight, wd.max_bias
-    else:
-        d, _ = min_distance(cc, "montecarlo", config.budgets.mc_draws, derive_seed(trial_seed, 2))
-        x_max = None
+    # One enumeration, when the distance budget or the moments admit it (validation caps
+    # q^k at budgets.moments), serves the distance, x_max, the soft enumerator and the moments.
+    budget = config.budgets.moments if config.toggles.run_moments else config.budgets.distance
+    wd = weight_distribution(cc, budget) if q**config.k <= budget else None
+    lower, d = (wd.min_weight,) * 2 if wd else min_distance(cc, config.budgets.distance)[:2]
 
     nice_ok = None
     if config.toggles.run_nice:
@@ -296,8 +293,6 @@ def run_trial(config: SweepConfig, trial: int) -> SweepRow:
 
     moments_equal = None
     if config.toggles.run_moments:
-        if wd is None:
-            wd = weight_distribution(cc, config.budgets.moments)
         moments_equal = all(
             wd.moment(r) == moment_dual(cc, r, config.budgets.moments)
             for r in config.toggles.r_list
@@ -310,8 +305,8 @@ def run_trial(config: SweepConfig, trial: int) -> SweepRow:
         rate=cc.rate,
         distance=d,
         rel_distance=d / cc.N,
-        distance_exact=exact,
-        x_max=x_max,
+        distance_exact=lower == d,
+        x_max=wd.max_bias if wd else None,
         nice_ok=nice_ok,
         soft_prob=soft_prob,
         soft_delta=soft_delta,

@@ -291,24 +291,6 @@ def symbol_tables_single_gather(cc: ConcatCode) -> List[np.ndarray]:
     return list(place @ symbols.transpose(1, 2, 0, 3).reshape(len(gen), -1, per, len(log)))
 
 
-def min_distance_loop(code, budget: int, seed: int) -> Tuple[int, bool]:
-    """Monte Carlo distance one draw at a time: the minimum weight over the
-    first `budget` nonzero ``rng.bits(K)`` messages, each encoded by the
-    generator (``code.gen`` of a binary code, ``concat_generator`` of a
-    concatenated one)."""
-    gen = concat_generator(code) if isinstance(code, ConcatCode) else code.gen
-    rng = SplitMix64(seed)
-    best = gen.cols + 1
-    if gen.nrows == 0:
-        return best, False
-    for _ in range(budget):
-        m = 0
-        while m == 0:
-            m = rng.bits(gen.nrows)
-        best = min(best, gen.combine(m).bit_count())
-    return best, False
-
-
 def dual_code(code: BinaryCode) -> BinaryCode:
     """The dual code, generated by a basis of the generator's right kernel."""
     return BinaryCode(nullspace_basis(code.gen))

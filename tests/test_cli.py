@@ -9,7 +9,7 @@ import pytest
 
 import concatgv
 from concatgv.cli import main
-from concatgv.codes import BinaryCode, OuterCode
+from concatgv.codes import BinaryCode, ConcatCode, OuterCode, min_distance
 from concatgv.field import make_field
 from concatgv.fileio import dumps_code, load_binary_code, load_outer_code, parse_code
 from concatgv.linalg import BitMatrix, FieldMatrix, sample_binary_code, sample_field_code
@@ -205,8 +205,7 @@ def test_cli_distance_and_checks(tmp_path):
     run_cli("sample-code", "--n", "4", "--k", "2", "--k0", "2", "--seed", "6", "--out", str(outer))
 
     doc = json.loads(run_cli("distance", "--outer", str(outer), "--inner", str(inner)).stdout)
-    assert doc["is_exact"] and doc["mode"] == "exact"
-    assert doc["distance"] >= 1
+    assert doc["is_exact"] and doc["lower"] == doc["distance"] >= 1 and doc["words"] == 16
 
     doc = json.loads(run_cli("nice-check", "--inner", str(inner), "--tau", "0.2").stdout)
     assert "ok" in doc and len(doc["per_weight"]) == 6
@@ -394,36 +393,18 @@ def test_cli_refuses_a_non_finite_constant(argv, capsys):
     assert "is not a finite number" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("budget", ["0", "-3"])
-def test_cli_montecarlo_distance_refuses_zero_draws(budget, tmp_path, capsys):
-    outer, inner = tmp_path / "outer.code", tmp_path / "inner.code"
-    inner.write_text(dumps_code(BinaryCode(sample_binary_code(8, 4, 5))))
-    outer.write_text(dumps_code(OuterCode(sample_field_code(make_field(4), 6, 3, 6))))
-    argv = ["distance", "--outer", str(outer), "--inner", str(inner),
-            "--mode", "montecarlo", "--budget", budget]
-    assert main(argv) == 1
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error:") and captured.out == ""
-
-
-@pytest.mark.parametrize("excess, mode", [(-1, "montecarlo"), (0, "exact")])
-def test_cli_auto_distance_of_a_concatenated_code_matches_the_explicit_mode(
-    excess, mode, tmp_path, capsys
-):
-    # K = 2 * 2 = 4 message bits and N = 4 * 6 = 24: budget 2^K - 1 is Monte Carlo
+@pytest.mark.parametrize("budget", [3, 15, 16])
+def test_cli_distance_reports_the_interval_of_its_budget(budget, tmp_path, capsys):
+    # K = 2 * 2 = 4 message bits and N = 4 * 6 = 24: below 2^K words, Brouwer-Zimmermann
     outer, inner = tmp_path / "outer.code", tmp_path / "inner.code"
     inner.write_text(dumps_code(BinaryCode(sample_binary_code(6, 2, 5))))
     outer.write_text(dumps_code(OuterCode(sample_field_code(make_field(2), 4, 2, 6))))
-    argv = ["distance", "--outer", str(outer), "--inner", str(inner),
-            "--budget", str((1 << 4) + excess), "--seed", "7"]
-    reports = []
-    for extra in ([], ["--mode", mode]):
-        assert main(argv + extra) == 0
-        reports.append(json.loads(capsys.readouterr().out))
-    auto, explicit = reports
-    assert auto == explicit and auto["mode"] == mode
-    assert auto["is_exact"] == (mode == "exact")
-    assert auto["rel_distance"] == auto["distance"] / 24
+    argv = ["distance", "--outer", str(outer), "--inner", str(inner), "--budget", str(budget)]
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    lower, upper, words, _ = min_distance(ConcatCode(load_outer_code(outer), load_binary_code(inner)), budget)
+    assert (doc["lower"], doc["distance"], doc["words"], doc["is_exact"]) == (lower, upper, words, lower == upper)
+    assert doc["budget"] == budget and doc["rel_distance"] == upper / 24 and "seed" not in doc
 
 
 @pytest.mark.parametrize("budget", ["0", "-3"])
@@ -487,13 +468,14 @@ CLI_GOLDEN = {
                      "23f088eb93dd014f5eb1b549bea6078644365a1df32ef835100f1c882576623e"),
     "concat": (["concat", "OUTER", "INNER"],
                "5771f3e8770cdb330e41939b49e76e162d83783c380dce165be6b42c3a04126a"),
-    "distance-exact": (["distance", "OUTER", "INNER", "--mode", "exact"],
-                       "f70032cfcd7cf968f3ccc0946f818429b44c07fad4805f9cbbc62f767c1dc0e9"),
-    "distance-montecarlo": (["distance", "OUTER", "INNER", "--mode", "montecarlo",
-                             "--budget", "50", "--seed", "7"],
-                            "f08aa14489792285fb5cff3062c6b5bef067d124682b8eed753d1b0327ac8a62"),
+    # the distance reports (re-pinned with Brouwer-Zimmermann): budget, lower,
+    # distance, rel_distance, is_exact and words; no mode or seed
+    "distance-exact": (["distance", "OUTER", "INNER"],
+                       "4819483a01b4bc58dcd066df1b4e23481a53001eb061f106eceb50dcdb1abe9b"),
+    "distance-interval": (["distance", "OUTER", "INNER", "--budget", "5"],
+                          "c7ed0b1e1aa52476b6f98e4e436c346953402cad8e4cfcc84801d2df366e3f0a"),
     "distance-code": (["distance", "--code", "<tmp>/inner.code"],
-                      "82ab356d1e63d6c74c104c76f14c69cd3b5a3d35c8c2ea714e580d34dc85e165"),
+                      "36115c94d1cbcb0b8a32d8f77c336a9314a2ecb39231a4503a0bc3962cfb2700"),
     "nice-check": (["nice-check", "--inner", "<tmp>/inner.code", "--tau", "0.2", "--budget", "4096"],
                    "04b73cdf1d31a0f2bf5e0f40c72627ff163a93cf4fd4f61d62dc2c35e47fb371"),
     "soft-check-exact": (["soft-check", "OUTER", "INNER"],
@@ -534,7 +516,7 @@ UNREAD_FLAGS = [
     (["field", "--k0", "2"], ("--seed", "--budget", "--format")),
     (["sample-code", "--n", "4", "--k", "2"], ("--budget", "--format")),
     (["concat", "--outer", "o", "--inner", "i"], ("--seed", "--budget", "--format")),
-    (["distance", "--code", "c"], ("--format",)),
+    (["distance", "--code", "c"], ("--seed", "--format")),
     (["nice-check", "--inner", "i", "--tau", "0.2"], ("--seed", "--format")),
     (["soft-check", "--outer", "o", "--inner", "i"], ("--format",)),
     (["entropy-check", "--outer", "o", "--c-gamma", "1", "--c-eta", "1"], ("--seed", "--format")),

@@ -19,15 +19,17 @@ from concatgv.codes import (
 from concatgv.field import make_field
 from concatgv.linalg import BitMatrix, FieldMatrix, sample_binary_code, sample_field_code
 from concatgv.rng import SplitMix64, derive_seed
+from concatgv.sweep import SweepConfig
 
 from oracles import (
     all_messages,
     concat_generator,
     dual_membership,
     gray_block_weight_counts,
-    min_distance_loop,
     symbol_tables_single_gather,
+    trial_code,
 )
+from test_golden import CONFIGS as GOLDEN_CONFIGS
 
 F2 = make_field(1)
 F4 = make_field(2)
@@ -233,7 +235,7 @@ def test_weight_distribution_of_concat_matches_gray_code_reference():
     cc = tiny_concat(4, k0=4, n0=20, n=4, k=2)  # N = 80: two limbs
     wd = weight_distribution(cc)
     assert wd.delta == gray_weight_counts(concat_generator(cc).rows, cc.N)
-    assert min_distance(cc) == (wd.min_weight, True)
+    assert min_distance(cc) == (wd.min_weight, wd.min_weight, 1 << cc.K, None)
 
 
 # (k0, n0, n, k).  N in {63, 64, 65, 80, 128}; n0 in {3, 33, 64, 65, 70}, so
@@ -283,7 +285,7 @@ def test_subset_sums_only_ever_get_four_rows(monkeypatch, k0, n0, n, k):
         codes, "_subset_sums", lambda rows, limbs: sizes.append(len(rows)) or subset_sums(rows, limbs)
     )
     weight_distribution(tiny_concat(23, k0=k0, n0=n0, n=n, k=k))
-    min_distance(tiny_concat(24, k0=k0, n0=n0, n=8, k=4), "montecarlo", budget=100, seed=1)
+    min_distance(tiny_concat(24, k0=k0, n0=n0, n=8, k=4), budget=100)
     assert sizes and max(sizes) <= 4
 
 
@@ -305,7 +307,7 @@ def test_symbol_tables_gathered_in_chunks_match_one_gather(k0, n0, n, k):
 def test_weight_distribution_dimension_zero():
     zero = BinaryCode(BitMatrix((), 5))
     assert weight_distribution(zero).delta == (1, 0, 0, 0, 0, 0)
-    assert min_distance(zero) == (6, True)
+    assert min_distance(zero) == (6, 6, 1, None)
     with pytest.raises(ValueError, match="no nonzero message"):
         weight_distribution(zero).max_bias
     with pytest.raises(ValueError, match="no nonzero message"):
@@ -342,31 +344,101 @@ def test_weight_distribution_counts_and_budget():
 def test_min_distance_repetition():
     n = 7
     rep = BinaryCode(BitMatrix(((1 << n) - 1,), n))
-    assert min_distance(rep) == (n, True)
+    assert min_distance(rep) == (n, n, 2, None)
 
 
 def test_concat_distance_at_least_product():
     for seed in range(8):
         cc = tiny_concat(seed, k0=2, n0=4, n=3, k=2)
-        d, exact = min_distance(cc)
-        assert exact
-        d_in, _ = min_distance(cc.inner)
+        lower, d, _, _ = min_distance(cc)
+        assert lower == d
+        d_in = min_distance(cc.inner)[1]
         d_out = min(sum(map(bool, cc.outer.encode(m))) for m in all_messages(cc.outer) if any(m))
         assert d >= d_in * d_out
 
 
-def test_montecarlo_upper_bounds_exact():
-    cc = tiny_concat(21, k0=2, n0=4, n=3, k=2)
-    d_exact, _ = min_distance(cc, "exact")
-    d_mc, is_exact = min_distance(cc, "montecarlo", budget=500, seed=5)
-    assert not is_exact
-    assert d_mc >= d_exact
+def counted_min_distance(code, budget):
+    """min_distance, and how many codewords it popcounted (columns through codes._weights)."""
+    formed = []
+    with pytest.MonkeyPatch.context() as mp:
+        weights = codes._weights
+        mp.setattr(codes, "_weights", lambda words: formed.append(words.shape[1]) or weights(words))
+        result = min_distance(code, budget)
+    return result, sum(formed)
 
 
-# Codes for the Monte Carlo oracle: K = 1 and 2 (zero pieces are frequent), K
-# not a multiple of 8 or 64 (K = 13 also pads a binary code's last table), K > 64
-# (a draw spans two words), n0 > 64 (two-limb tables), and dimension 0.
-MONTECARLO_CODES = {
+def witness_weight(code, witness) -> int:
+    """The weight of a witness message's codeword: by the bias double sum for a
+    concatenated code (it shares no code with encode or the tables), by the
+    generator for a binary one."""
+    if isinstance(code, ConcatCode):
+        return (code.N - bias(code, witness)) // 2
+    return code.gen.combine(witness).bit_count()
+
+
+def check_interval(code, budget):
+    """The checks every min_distance call must pass: lower <= d <= upper, the words
+    formed are counted and within budget, and the witness has weight upper."""
+    (lower, upper, words, witness), formed = counted_min_distance(code, budget)
+    dim, length = codes.binary_shape(code)
+    d = weight_distribution(code).min_weight
+    assert lower <= d <= upper and formed == words <= budget
+    if 1 << dim <= budget:
+        assert (lower, upper, words, witness) == (d, d, 1 << dim, None)
+    elif witness is None:
+        assert words == 0 and upper == length + 1
+    else:
+        assert witness_weight(code, witness) == upper
+    return lower, upper, words
+
+
+@st.composite
+def codes_under_test(draw):
+    """Binary and concatenated codes with K <= 14: N not a multiple of 64 (and N = 64,
+    65), N < 2K, K = 1, inner codes with a zero and a repeated column, and inner codes of
+    distance 1 (the [k0, k0] full space)."""
+    seed = draw(st.integers(0, 1 << 20))
+    if draw(st.booleans()):
+        n = draw(st.sampled_from([1, 2, 5, 9, 17, 30, 64, 65, 70]))
+        return BinaryCode(sample_binary_code(n, draw(st.integers(1, min(n, 14))), seed))
+    k0 = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["random", "zero-and-repeated", "full-space"]))
+    if kind == "zero-and-repeated":
+        inner = inner_with_zero_and_repeated_column(k0, seed)
+    else:
+        n0 = k0 if kind == "full-space" else draw(st.integers(k0, k0 + 6))
+        inner = BinaryCode(sample_binary_code(n0, k0, seed))
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, min(n, 14 // k0)))
+    return ConcatCode(OuterCode(sample_field_code(make_field(k0), n, k, seed + 1)), inner)
+
+
+@given(code=codes_under_test(), cut=st.integers(0, 1 << 14))
+def test_brouwer_zimmermann_matches_the_enumeration(code, cut):
+    # one short of the enumeration's 2^K words, Brouwer-Zimmermann closes the interval;
+    # under any smaller budget its interval holds the distance
+    dim, _ = codes.binary_shape(code)
+    lower, upper, _ = check_interval(code, (1 << dim) - 1)
+    assert lower == upper == weight_distribution(code).min_weight
+    check_interval(code, ((1 << dim) - 1) * cut >> 14)
+
+
+GOLDEN_SHAPES = sorted({(c["k0"], c["n0"], c["n"], c["k"], c["trials"]) for c in GOLDEN_CONFIGS.values()})
+
+
+@pytest.mark.parametrize("k0, n0, n, k, trials", [s for s in GOLDEN_SHAPES if s[0] * s[3] <= 20])
+def test_brouwer_zimmermann_matches_the_enumeration_on_the_golden_shapes(k0, n0, n, k, trials):
+    for seed in (20260810, 1):
+        cfg = SweepConfig(k0=k0, n0=n0, n=n, k=k, trials=trials, master_seed=seed, equal_rate=False)
+        for trial in range(trials):
+            cc, _ = trial_code(cfg, trial)
+            lower, upper, _ = check_interval(cc, (1 << cc.K) - 1)
+            assert lower == upper
+
+
+# K = 1 and 2, K not a multiple of 8, K > 64 (a message spans two words), n0 > 64
+# (two-limb rows), and dimension 0.
+DISTANCE_CODES = {
     "binary-K1": lambda: BinaryCode(sample_binary_code(5, 1, 11)),
     "binary-K2": lambda: BinaryCode(sample_binary_code(6, 2, 12)),
     "concat-K2": lambda: tiny_concat(13, k0=1, n0=3, n=3, k=2),
@@ -377,49 +449,51 @@ MONTECARLO_CODES = {
     "concat-n0-70": lambda: tiny_concat(18, k0=3, n0=70, n=3, k=2),
     "binary-K0": lambda: BinaryCode(BitMatrix((), 5)),
 }
+
+
+@pytest.mark.parametrize("name", ["binary-K1", "binary-K13", "concat-K12", "concat-K68"])
+def test_a_budget_below_the_first_pass_forms_no_word(name):
+    # the first pass forms the K rows of one systematic generator; a budget one short of
+    # it forms nothing, and the interval runs from the count of full-rank sets to N + 1
+    code = DISTANCE_CODES[name]()
+    dim, length = codes.binary_shape(code)
+    (lower, upper, words, witness), formed = counted_min_distance(code, dim - 1)
+    assert (upper, words, witness, formed) == (length + 1, 0, None, 0) and 1 <= lower <= length
+    (lower, upper, words, witness), formed = counted_min_distance(code, dim)
+    assert words == formed == dim and upper <= length and witness is not None
+
+
 BLOCK = 1 << BLOCK_BITS
 
 
 @pytest.mark.parametrize(
     "name, budget",
-    [(name, budget) for name in MONTECARLO_CODES for budget in (1, 63, 64, 65)]
-    + [(name, budget) for name in ("binary-K2", "binary-K13", "concat-K68")
-       for budget in (BLOCK - 1, BLOCK + 1)],
+    [(name, budget) for name in DISTANCE_CODES for budget in (1, 63, 64, 65)]
+    + [(name, budget) for name in ("binary-K2", "binary-K13", "concat-K68") for budget in (BLOCK - 1, BLOCK + 1)],
 )
-def test_montecarlo_matches_the_per_draw_loop(name, budget):
-    code = MONTECARLO_CODES[name]()
-    for seed in (0, 20260810):
-        assert min_distance(code, "montecarlo", budget, seed) == min_distance_loop(code, budget, seed)
-
-
-def test_montecarlo_draws_at_most_one_block_of_words_per_call(monkeypatch):
-    cc = MONTECARLO_CODES["concat-K12"]()
-    counts = []
-    words = SplitMix64.words
-    monkeypatch.setattr(
-        SplitMix64, "words", lambda rng, count: counts.append(count) or words(rng, count)
-    )
-    min_distance(cc, "montecarlo", 1 << 20, seed=3)
-    assert max(counts) <= BLOCK * cc.K // 64
-    assert 64 * sum(counts) >= (1 << 20) * cc.K  # every draw came from a block
-
-
-def test_montecarlo_on_dimension_zero_returns_without_drawing():
-    zero = BinaryCode(BitMatrix((), 5))
-    assert min_distance(zero, "montecarlo", budget=10) == (6, False)
-
-
-@pytest.mark.parametrize("budget", [0, -3])
-def test_montecarlo_refuses_zero_draws(budget):
-    cc = tiny_concat(21, k0=2, n0=4, n=3, k=2)
-    with pytest.raises(ValueError, match="at least one draw"):
-        min_distance(cc, "montecarlo", budget=budget, seed=5)
+def test_min_distance_holds_its_budget_and_witness(name, budget):
+    # past the enumeration (K up to 70): the interval holds the distance and is nested
+    # in the interval of one word less, no call forms more words than its budget, and
+    # the witness weighs upper
+    code = DISTANCE_CODES[name]()
+    dim, length = codes.binary_shape(code)
+    (lower, upper, words, witness), formed = counted_min_distance(code, budget)
+    less = min_distance(code, budget - 1)[:2]
+    assert formed == words <= budget and less[0] <= lower <= upper <= less[1]
+    if dim <= 20:
+        assert lower <= weight_distribution(code).min_weight <= upper
+    if witness is not None:
+        assert witness_weight(code, witness) == upper
+    else:
+        assert upper == length + 1 or 1 << dim <= budget
+    if dim == 0:
+        assert (lower, upper) == (length + 1, length + 1)
 
 
 @pytest.mark.parametrize("call", [
     lambda code: weight_distribution(code),
-    lambda code: min_distance(code, "exact"),
-    lambda code: min_distance(code, "montecarlo", budget=10),
+    lambda code: min_distance(code),
+    lambda code: min_distance(code, budget=1),
 ])
 def test_enumerators_refuse_a_code_without_a_binary_generator(call):
     outer = OuterCode(FieldMatrix(((1, 1),), 2, F4))
@@ -436,11 +510,6 @@ def test_outer_code_rejects_vectors_of_the_wrong_length():
 def test_moment_rejects_a_negative_order():
     with pytest.raises(ValueError, match="r must be nonnegative"):
         weight_distribution(tiny_concat(5)).moment(-1)
-
-
-def test_min_distance_rejects_an_unknown_mode():
-    with pytest.raises(ValueError, match="unknown mode 'fast'"):
-        min_distance(tiny_concat(5), "fast")
 
 
 def test_dual_membership_examples():

@@ -54,7 +54,7 @@ def test_names_the_benchmark_reads():
 
     assert params(certify.soft_condition)[0] == "outer"
     assert params(moments.moment_dual)[:2] == ["cc", "r"]
-    assert params(codes.min_distance)[:3] == ["code", "mode", "budget"]
+    assert params(codes.min_distance) == ["code", "budget"]
     assert {"is_exact", "draws"} <= {f.name for f in dataclasses.fields(certify.SoftReport)}
     assert "n_checked" in {f.name for f in dataclasses.fields(certify.EntropyReport)}
     assert codes.WeightDistribution((1, 2, 1)).total == 4

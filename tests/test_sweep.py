@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import concatgv
 from concatgv.certify import check_nice
-from concatgv.codes import BinaryCode, ConcatCode, OuterCode, weight_distribution
+from concatgv.codes import BinaryCode, ConcatCode, OuterCode, min_distance, weight_distribution
 from concatgv.field import make_field
 from concatgv.linalg import sample_binary_code, sample_field_code
 from concatgv.rng import derive_seed
@@ -535,8 +535,8 @@ def test_certificates_toggle_on():
 
 @pytest.mark.parametrize("distance_budget", [1 << 20, 8])
 def test_one_weight_distribution_per_trial(distance_budget, monkeypatch):
-    # The distance, x_max and every direct moment read one enumeration;
-    # in Monte Carlo distance mode the moments build it themselves, once.
+    # The distance, x_max and every direct moment read one enumeration; past
+    # the distance budget the moments' enumeration gives the distance too.
     import concatgv.codes as codes
 
     calls = []
@@ -553,7 +553,7 @@ def test_one_weight_distribution_per_trial(distance_budget, monkeypatch):
         toggles=Toggles(run_moments=True, r_list=(1, 2, 4)),
     )
     row = run_trial(cfg, 0)
-    assert row.moments_equal is True and row.distance_exact == (distance_budget > 16)
+    assert row.moments_equal is True and row.distance_exact and row.x_max is not None
     assert len(calls) == 1
 
 
@@ -577,7 +577,7 @@ def test_one_inner_enumeration_per_trial(k0, n0, n, k, distance_budget, monkeypa
     )
     rows, _ = run_sweep(cfg)
     assert all(r.nice_ok is not None and r.soft_prob is not None for r in rows)
-    assert [r.distance_exact for r in rows] == [distance_budget > (1 << k0) ** k] * cfg.trials
+    assert all(r.distance_exact and r.x_max is not None for r in rows)  # the moments' enumeration
     assert len(sizes) == cfg.trials * -(-k0 // 4) and sum(sizes) == cfg.trials * k0
 
 
@@ -635,18 +635,52 @@ def test_soft_path_follows_the_distance_then_the_soft_budget(budgets, calls, exa
     )
     row = run_trial(cfg, 0)
     assert seen == calls and row.soft_exact is exact
-    assert row.distance_exact is ("distance" not in budgets)
+    lower, upper, _, _ = min_distance(trial_code(cfg, 0)[0], cfg.budgets.distance)
+    assert (row.distance, row.distance_exact) == (upper, lower == upper)
 
 
-def test_montecarlo_distance_mode_flagged():
+def test_distance_past_the_budget_is_exact_when_its_interval_closes():
+    # q^k = 4^6 = 4096 > 1024 words: Brouwer-Zimmermann's interval, closed or not
+    cfg = SweepConfig(k0=2, n0=4, n=12, k=6, trials=4, master_seed=3, budgets=Budgets(distance=1 << 10))
+    for r in run_sweep(cfg)[0]:
+        cc, _ = trial_code(cfg, r.trial)
+        lower, upper, words, _ = min_distance(cc, 1 << 10)
+        assert (r.distance, r.distance_exact, r.x_max) == (upper, lower == upper, None)
+        assert lower <= weight_distribution(cc).min_weight <= upper and words <= 1 << 10
+
+
+def test_distance_past_the_budget_is_the_exact_distance():
+    # 4^12 messages at (4, 8, 12, 6): 4000 random codewords read 24, 29, 25, 24, 22
+    cfg = SweepConfig(k0=4, n0=8, n=12, k=6, trials=5, master_seed=20260810)
+    rows, _ = run_sweep(cfg)
+    assert [(r.distance, r.distance_exact) for r in rows] == [(13, True), (17, True), (13, True), (15, True), (13, True)]
+
+
+def test_distance_past_the_budget_brackets_the_exact_distance(monkeypatch):
+    # (4, 8, 16, 8), 4^8 messages: the exact distances 17, 22, 21, 18, 18 (random
+    # codewords read 34, 38, 39, 34, 38) lie in the intervals within 2^20 words
+    from concatgv import sweep
+
+    seen = []
+    monkeypatch.setattr(sweep, "min_distance", lambda *a: seen.append(min_distance(*a)) or seen[-1])
+    rows, _ = run_sweep(SweepConfig(k0=4, n0=8, n=16, k=8, trials=5, master_seed=20260810))
+    for row, exact, (lower, upper, words, _) in zip(rows, [17, 22, 21, 18, 18], seen, strict=True):
+        assert lower <= exact <= upper == row.distance and row.distance_exact is (lower == upper)
+        assert words <= 1 << 20
+
+
+def test_moments_past_the_distance_budget_give_the_exact_distance():
+    # with run_moments on, the sweep enumerates every codeword whatever the distance
+    # budget; the distance, x_max and the soft check read that enumeration
     cfg = SweepConfig(
-        k0=2, n0=4, n=12, k=6, trials=2, master_seed=3,
-        budgets=Budgets(distance=1 << 10, mc_draws=200),
+        k0=4, n0=8, n=6, k=3, trials=3, master_seed=20260810,
+        budgets=Budgets(distance=1000), toggles=Toggles(run_moments=True, run_soft=True),
     )
-    rows, _ = run_sweep(cfg)  # q^k = 4^6 = 4096 > 1024 forces MC
-    for r in rows:
-        assert not r.distance_exact
-        assert r.x_max is None
+    rows, _ = run_sweep(cfg)
+    for row in rows:
+        wd = weight_distribution(trial_code(cfg, row.trial)[0])
+        assert (row.distance, row.distance_exact, row.x_max, row.soft_exact) == (wd.min_weight, True, wd.max_bias, True)
+    assert [row.distance for row in rows] == [8, 13, 5]
 
 
 def test_trial_seeds_derived_from_master():
