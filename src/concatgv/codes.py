@@ -350,11 +350,11 @@ def min_distance(code: BinaryCode | ConcatCode, budget: int = 1 << 24) -> Tuple[
     """(lower, upper, words, witness): lower <= d <= upper for the least nonzero weight d,
     `words` codewords formed (at most budget), `code.encode(witness)` of weight upper.  When
     2^K <= budget the weight distribution gives d.  Else Brouwer-Zimmermann: pass w on a
-    greedy information set I_j, g_j of whose columns an earlier set holds, forms the XORs of
-    w rows of its systematic generator; after passes 1..w_j on each I_j no codeword left
-    weighs below sum_j max(0, w_j + 1 - g_j), and none is left once a w_j = K.  Each pass
-    that fits the budget goes to the prefix of sets that reaches the least weight seen in
-    the fewest words (2^K - 1 at most).  No word formed: upper = N + 1, no witness (None)."""
+    greedy information set I_j (one rref, the columns earlier sets hold, g_j of I_j's, masked
+    high) forms the XORs of w rows of its systematic generator; after passes 1..w_j on each
+    I_j no codeword left weighs below sum_j max(0, w_j + 1 - g_j), none once a w_j = K.  Each
+    pass that fits the budget goes to the prefix of sets that reaches the least weight seen
+    in the fewest words (2^K - 1 at most).  No word formed: upper = N + 1, witness None."""
     dim, length = binary_shape(code)
     if 1 << dim <= budget:
         d = weight_distribution(code, budget).min_weight
@@ -395,16 +395,16 @@ def _systematic_forms(rows: Sequence[int], length: int) -> Iterator[Tuple[np.nda
     """Greedy information sets while one holds unused columns, as (generator, messages, g):
     the generator systematic on the set, packed (limbs, K), column i the codeword of message
     bits messages[i], and g of its columns held by an earlier set.  _gf2_rref pivots on the
-    lowest set bit, so unused columns go low (weight ignores order), the message above bit N."""
-    dim, unused, rows = len(rows), list(range(length)), [r | 1 << length + m for m, r in enumerate(rows)]
+    lowest set bit, so a row keeps the columns of the mask `unused` at their own bits, used
+    column c goes to N + c and message bit m to 2N + m; its codeword is (x | x >> N) & full."""
+    dim, full, unused = len(rows), (1 << length) - 1, (1 << length) - 1
     while unused:
-        order = unused + sorted(set(range(length + dim)).difference(unused))
-        reduced, pivots = _gf2_rref([sum((r >> c & 1) << i for i, c in enumerate(order)) for r in rows])
-        if not (fresh := {p for p in pivots if p < len(unused)}):
+        reduced, pivots = _gf2_rref([r & unused | (r & ~unused) << length | 1 << 2 * length + m for m, r in enumerate(rows)])
+        if not (fresh := sum(1 << p for p in pivots if p < length)):
             return
-        low = _pack([r & ((1 << length) - 1) for r in reduced], max(1, -(-length // 64)))
-        yield low, np.array([r >> length for r in reduced], dtype=object), dim - len(fresh)
-        unused = [c for i, c in enumerate(unused) if i not in fresh]
+        low = _pack([(x | x >> length) & full for x in reduced], max(1, -(-length // 64)))
+        yield low, np.array([x >> 2 * length for x in reduced], dtype=object), dim - fresh.bit_count()
+        unused &= ~fresh
 
 
 def codeword_table(gen: FieldMatrix) -> np.ndarray:

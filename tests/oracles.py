@@ -5,15 +5,15 @@ import json
 import math
 from collections import Counter
 from fractions import Fraction
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from concatgv.bounds import h2
 from concatgv.certify import NicenessReport, Pmf, bernoulli_p, tau_in_range
-from concatgv.codes import BinaryCode, ConcatCode, OuterCode, weight_distribution
+from concatgv.codes import BinaryCode, ConcatCode, OuterCode, _pack, weight_distribution
 from concatgv.field import make_field
-from concatgv.linalg import BitMatrix, FieldMatrix, nullspace_basis, rank, sample_binary_code, sample_field_code
+from concatgv.linalg import BitMatrix, FieldMatrix, _gf2_rref, nullspace_basis, rank, sample_binary_code, sample_field_code
 from concatgv.rng import SplitMix64, derive_seed
 
 
@@ -277,6 +277,22 @@ def concat_generator(cc: ConcatCode) -> BitMatrix:
         for j in range(ctx.k0)
     ]
     return BitMatrix(tuple(rows), cc.N)
+
+
+def systematic_forms_by_relabeling(rows: Sequence[int], length: int) -> Iterator[Tuple[np.ndarray, np.ndarray, int]]:
+    """``codes._systematic_forms`` by relabeling every bit of every row: the unused
+    columns first, in order, then the used ones and the message bits, so that
+    ``_gf2_rref``'s lowest-bit pivots land on the unused columns.  Its generator
+    columns are the codewords with their bits permuted (their weights are kept)."""
+    dim, unused, rows = len(rows), list(range(length)), [r | 1 << length + m for m, r in enumerate(rows)]
+    while unused:
+        order = unused + sorted(set(range(length + dim)).difference(unused))
+        reduced, pivots = _gf2_rref([sum((r >> c & 1) << i for i, c in enumerate(order)) for r in rows])
+        if not (fresh := {p for p in pivots if p < len(unused)}):
+            return
+        low = _pack([r & ((1 << length) - 1) for r in reduced], max(1, -(-length // 64)))
+        yield low, np.array([r >> length for r in reduced], dtype=object), dim - len(fresh)
+        unused = [c for i, c in enumerate(unused) if i not in fresh]
 
 
 def symbol_tables_single_gather(cc: ConcatCode) -> List[np.ndarray]:

@@ -27,6 +27,7 @@ from oracles import (
     dual_membership,
     gray_block_weight_counts,
     symbol_tables_single_gather,
+    systematic_forms_by_relabeling,
     trial_code,
 )
 from test_golden import CONFIGS as GOLDEN_CONFIGS
@@ -393,14 +394,15 @@ def check_interval(code, budget):
 
 
 @st.composite
-def codes_under_test(draw):
-    """Binary and concatenated codes with K <= 14: N not a multiple of 64 (and N = 64,
-    65), N < 2K, K = 1, inner codes with a zero and a repeated column, and inner codes of
-    distance 1 (the [k0, k0] full space)."""
+def codes_under_test(draw, lengths=st.sampled_from([1, 2, 5, 9, 17, 30, 64, 65, 70]), max_dim=14):
+    """Binary and concatenated codes with K <= max_dim: binary lengths N drawn from
+    `lengths` (by default not multiples of 64, and 64, 65), N < 2K, K = 1, inner codes
+    with a zero and a repeated column, and inner codes of distance 1 (the [k0, k0] full
+    space)."""
     seed = draw(st.integers(0, 1 << 20))
     if draw(st.booleans()):
-        n = draw(st.sampled_from([1, 2, 5, 9, 17, 30, 64, 65, 70]))
-        return BinaryCode(sample_binary_code(n, draw(st.integers(1, min(n, 14))), seed))
+        n = draw(lengths)
+        return BinaryCode(sample_binary_code(n, draw(st.integers(1, min(n, max_dim))), seed))
     k0 = draw(st.integers(1, 4))
     kind = draw(st.sampled_from(["random", "zero-and-repeated", "full-space"]))
     if kind == "zero-and-repeated":
@@ -409,8 +411,24 @@ def codes_under_test(draw):
         n0 = k0 if kind == "full-space" else draw(st.integers(k0, k0 + 6))
         inner = BinaryCode(sample_binary_code(n0, k0, seed))
     n = draw(st.integers(1, 6))
-    k = draw(st.integers(1, min(n, 14 // k0)))
+    k = draw(st.integers(1, min(n, max_dim // k0)))
     return ConcatCode(OuterCode(sample_field_code(make_field(k0), n, k, seed + 1)), inner)
+
+
+@given(code=codes_under_test(st.one_of(st.sampled_from([64, 65, 128]), st.integers(1, 130)), max_dim=40))
+def test_systematic_forms_match_the_relabeling(code):
+    # the mask layout pivots as the relabeled rows do: the same sets in the same order,
+    # with the same message bits, column weights and g; unpermuted, each generator
+    # column is the codeword of its message bits
+    gen = concat_generator(code) if isinstance(code, ConcatCode) else code.gen
+    forms = list(codes._systematic_forms(gen.rows, gen.cols))
+    reference = list(systematic_forms_by_relabeling(gen.rows, gen.cols))
+    assert len(forms) == len(reference)
+    for (low, messages, g), (low_ref, messages_ref, g_ref) in zip(forms, reference):
+        assert np.bitwise_count(low).sum(axis=0).tolist() == np.bitwise_count(low_ref).sum(axis=0).tolist()
+        assert messages.tolist() == messages_ref.tolist() and g == g_ref
+        words = [sum(int(limb) << 64 * i for i, limb in enumerate(column)) for column in low.T]
+        assert words == [gen.combine(m) for m in messages]
 
 
 @given(code=codes_under_test(), cut=st.integers(0, 1 << 14))

@@ -7,6 +7,11 @@ enumerator; a change that alters them changes results, not just code.
 """
 
 import hashlib
+import json
+import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -84,3 +89,30 @@ def sweep_digest(name: str, seed: int) -> str:
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_sweep_output_is_pinned(name, seed):
     assert sweep_digest(name, seed) == GOLDEN[name, seed]
+
+
+def repin_diff(tmp_path, old: str, new: str):
+    """Run tests/repin_diff.py on two report texts: (exit code, printed lines)."""
+    (tmp_path / "old.json").write_text(old, encoding="ascii")
+    (tmp_path / "new.json").write_text(new, encoding="ascii")
+    script = Path(__file__).with_name("repin_diff.py")
+    done = subprocess.run([sys.executable, str(script), "old.json", "new.json"], cwd=tmp_path, capture_output=True, text=True)
+    return done.returncode, done.stdout.splitlines()
+
+
+def test_repin_diff_reports_moved_cells_and_any_other_byte(tmp_path):
+    # the tool the golden re-pins are listed by: a report against itself, a float cell
+    # moved by one ulp, and a config value changed (a byte no cell accounts for)
+    cfg = config_from_dict({**CONFIGS["ensemble"], "master_seed": 20260810})
+    rows, agg = run_sweep(cfg)
+    text = emit_json(rows, agg, cfg)
+    assert repin_diff(tmp_path, text, text) == (0, ["0 moved; every other byte identical"])
+    doc = json.loads(text)
+    doc["rows"][0]["rel_distance"] = math.nextafter(doc["rows"][0]["rel_distance"], 1.0)
+    code, lines = repin_diff(tmp_path, text, json.dumps(doc, indent=2, ensure_ascii=True) + "\n")
+    assert code == 0 and len(lines) == 2 and lines[0].startswith("row 0 rel_distance: ")
+    assert lines[0].endswith("(1 ulp)") and lines[1] == "1 moved; every other byte identical"
+    doc = json.loads(text)
+    doc["config"]["trials"] += 1
+    assert repin_diff(tmp_path, text, json.dumps(doc, indent=2, ensure_ascii=True) + "\n") == (
+        1, ["0 moved; every other byte DIFFERS"])
