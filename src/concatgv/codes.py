@@ -137,19 +137,26 @@ class ConcatCode:
 
     @functools.cached_property
     def omega(self) -> Tuple[int, ...]:
-        """The derived multiset: inner generator columns as field elements."""
-        ctx = self.ctx
-        return tuple(
-            ctx.from_coords(self.inner.gen.column(beta))
-            for beta in range(self.inner.n0)
-        )
+        """The derived multiset: inner generator columns as field elements.
+        Column beta has coordinates bit i = bit beta of row i, so it is the XOR
+        of nu_i over the rows i with bit beta set: one pass over the set bits."""
+        omega = [0] * self.inner.n0
+        for row, nu in zip(self.inner.gen.rows, self.ctx.basis):
+            while row:
+                low = row & -row
+                omega[low.bit_length() - 1] ^= nu
+                row ^= low
+        return tuple(omega)
 
     def encode(self, msg: Sequence[int]) -> int:
         """Concatenated codeword of a message in GF(2^k0)^k, as an N-bit int."""
-        ctx = self.ctx
-        n0 = self.inner.n0
+        return self.inner_encode(self.outer.encode(msg))
+
+    def inner_encode(self, symbols: Sequence[int]) -> int:
+        """The N-bit word of an outer word: symbol alpha inner-encoded at bit alpha * n0."""
+        ctx, n0 = self.ctx, self.inner.n0
         word = 0
-        for alpha, sym in enumerate(self.outer.encode(msg)):
+        for alpha, sym in enumerate(symbols):
             if sym:
                 word |= self.inner.encode(ctx.coords(sym)) << (alpha * n0)
         return word
@@ -231,16 +238,21 @@ class WeightDistribution:
     @property
     def min_weight(self) -> int:
         """Minimum weight of a nonzero message's codeword (length + 1 if none)."""
-        return next((j for j, _ in self.nonzero_messages()), self.length + 1)
+        delta = self.delta
+        lo = int(delta[0] == 1)  # weight 0 only when a nonzero message has it
+        while lo < len(delta) and not delta[lo]:
+            lo += 1
+        return lo
 
     @property
     def max_bias(self) -> int:
         """max |length - 2 weight| over the nonzero messages, read off the
         lowest and highest of their weights."""
-        lo = self.min_weight
-        if lo > self.length:
+        lo, hi = self.min_weight, self.length
+        if lo > hi:
             raise ValueError("no nonzero message")
-        hi = next((j for j in range(self.length, lo, -1) if self.delta[j]), lo)
+        while hi > lo and not self.delta[hi]:
+            hi -= 1
         return max(self.length - 2 * lo, 2 * hi - self.length)
 
     def moment(self, r: int) -> Fraction:
@@ -317,12 +329,15 @@ def _fold(tables: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def _span_weight_counts(tables: Sequence[np.ndarray], length: int) -> List[int]:
-    """Weight counts of the span of a nonempty list of tables, by meeting in the
-    middle: a low block of the first tables (not the last) against the XORs of the rest."""
+    """Weight counts of the span of a nonempty list of tables: one fold when it fits a
+    2^BLOCK_BITS block, else by meeting in the middle, a low block of the first tables
+    (not the last) against the XORs of the rest."""
     low, size = 1, tables[0].shape[1]
-    while low < len(tables) - 1 and size * tables[low].shape[1] <= 1 << BLOCK_BITS:
+    while low < len(tables) and size * tables[low].shape[1] <= 1 << BLOCK_BITS:
         low, size = low + 1, size * tables[low].shape[1]
-    block, high = _fold(tables[:low]), _fold(tables[low:] or [np.zeros((1, 1), np.uint64)])
+    if low == len(tables):
+        return np.bincount(_weights(_fold(tables)), minlength=length + 1).tolist()
+    block, high = _fold(tables[:low]), _fold(tables[low:])
     step = max(1, (1 << BLOCK_BITS) // block.shape[1])
     counts = np.zeros(length + 1, dtype=np.int64)
     for start in range(0, high.shape[1], step):
@@ -363,7 +378,7 @@ def min_distance(code: BinaryCode | ConcatCode, budget: int = 1 << 24) -> Tuple[
         rows = code.gen.rows
     else:  # message bit i * k0 + j selects basis element j in outer position i, as in _symbol_tables
         k, ctx = code.outer.k, code.ctx
-        rows = [code.encode([nu * (t == i) for t in range(k)]) for i in range(k) for nu in ctx.basis]
+        rows = [code.inner_encode(ctx.scale(nu, row)) for row in code.outer.gen.rows for nu in ctx.basis]
     forms = list(_systematic_forms(rows, length))
     gaps, levels, upper, witness, words = [g for *_, g in forms], [0] * len(forms), length + 1, None, 0
 
@@ -379,8 +394,8 @@ def min_distance(code: BinaryCode | ConcatCode, budget: int = 1 << 24) -> Tuple[
         w, total = levels[j] + 1, math.comb(dim, levels[j] + 1)
         if words + total > budget:
             break
-        levels[j], words, picks = w, words + total, itertools.chain.from_iterable(itertools.combinations(range(dim), w))
-        while len(chunk := np.fromiter(itertools.islice(picks, (1 << BLOCK_BITS) // w * w), np.intp).reshape(-1, w)):
+        levels[j], words = w, words + total
+        for chunk in _subsets(dim, w):
             weights = _weights(np.bitwise_xor.reduce(gen[:, chunk], axis=2))
             if weights[best := int(weights.argmin())] < upper:
                 upper, witness = int(weights[best]), np.bitwise_xor.reduce(messages[chunk[best]])
@@ -389,6 +404,22 @@ def min_distance(code: BinaryCode | ConcatCode, budget: int = 1 << 24) -> Tuple[
     if witness is not None and isinstance(code, ConcatCode):  # message bits back to outer symbols
         witness = tuple(ctx.from_coords(witness >> (i * ctx.k0) & (ctx.q - 1)) for i in range(k))
     return lower, upper, words, witness
+
+
+def _subsets(dim: int, w: int) -> Iterator[np.ndarray]:
+    """The w-subsets of range(dim) in the order of itertools.combinations, as (rows, w) intp
+    arrays of 2^BLOCK_BITS // w subsets at most.  Lexicographic rank t is colex rank
+    comb(dim, w) - 1 - t of the mirrored subset (x -> dim - 1 - x), unranked greedily from
+    its largest element down: c_i is the largest c with comb(c, i) <= the rank left."""
+    total, step = math.comb(dim, w), (1 << BLOCK_BITS) // w
+    tables = [np.array([min(math.comb(c, i), total) for c in range(dim)], np.int64) for i in range(w, 0, -1)]
+    for start in range(0, total, step):
+        rank, chunk = np.arange(total - 1 - start, max(-1, total - 1 - start - step), -1), []
+        for table in tables:
+            c = table.searchsorted(rank, side="right") - 1
+            rank -= table[c]
+            chunk.append(dim - 1 - c)
+        yield np.stack(chunk, axis=1)
 
 
 def _systematic_forms(rows: Sequence[int], length: int) -> Iterator[Tuple[np.ndarray, np.ndarray, int]]:

@@ -3,21 +3,34 @@
 GF(2) matrices store each row as one int, bit j = column j.  Field matrices
 store rows as lists of element values plus the owning :class:`FieldCtx`.
 Matrices are immutable after construction; every operation here is pure.
-Each matrix reduces itself to row echelon form once, on first use
-(``m.rref``); its rank and right kernel are read off that one result, so a
-sampled generator that was ranked on acceptance is not reduced again by the
-code built from it.
+Each matrix eliminates once, on first use, and keeps its row echelon form
+(``m.echelon``: the forward phase's kept rows and their pivots); its rank is
+the number of kept rows.  Its reduced row echelon form (``m.rref``) is that
+kept form back-substituted, also on first use and kept, and its right kernel
+is read off the RREF.  So a sampled generator ranked on acceptance is not
+reduced again by the code built from it, and a rank check never pays for the
+back-substitution.
 """
 
 from __future__ import annotations
 
-import functools
 import operator
 from dataclasses import dataclass
 from typing import List, Sequence
 
 from .field import FieldCtx
 from .rng import SplitMix64
+
+
+def _kept(m, name: str, make):
+    """m's attribute `name`, made by make() on first use and kept: a ``__dict__``
+    check, as ``BinaryCode.span()`` keeps its span (``functools.cached_property``
+    takes a lock on Python 3.11)."""
+    value = m.__dict__.get(name)
+    if value is None:
+        value = make()
+        object.__setattr__(m, name, value)
+    return value
 
 
 @dataclass(frozen=True)
@@ -39,10 +52,17 @@ class BitMatrix:
     def nrows(self) -> int:
         return len(self.rows)
 
-    @functools.cached_property
+    @property
+    def echelon(self) -> tuple:
+        """(kept rows, their pivot bits) of the forward elimination (see
+        :func:`_gf2_echelon`), made on first use and kept."""
+        return _kept(self, "_echelon", lambda: _gf2_echelon(self.rows))
+
+    @property
     def rref(self) -> tuple:
-        """(reduced nonzero rows, pivot columns), computed once."""
-        return _gf2_rref(self.rows)
+        """(reduced nonzero rows, pivot columns): the kept echelon form
+        back-substituted, on first use and kept."""
+        return _kept(self, "_rref", lambda: _gf2_back_substitute(*self.echelon))
 
     def combine(self, bits: int) -> int:
         """XOR of the rows whose index is a set bit of bits (a generator's codeword)."""
@@ -51,13 +71,6 @@ class BitMatrix:
             low = bits & -bits
             out ^= rows[low.bit_length() - 1]
             bits ^= low
-        return out
-
-    def column(self, j: int) -> int:
-        """Column j packed as an int, bit i = entry of row i."""
-        out = 0
-        for i, r in enumerate(self.rows):
-            out |= ((r >> j) & 1) << i
         return out
 
 
@@ -83,19 +96,25 @@ class FieldMatrix:
     def nrows(self) -> int:
         return len(self.rows)
 
-    @functools.cached_property
+    @property
+    def echelon(self) -> tuple:
+        """(row echelon rows, pivot columns) of the forward elimination, made on
+        first use and kept."""
+        return _kept(self, "_echelon", lambda: _field_echelon(self))
+
+    @property
     def rref(self) -> tuple:
-        """(reduced nonzero rows, pivot columns), computed once."""
-        return _field_rref(self)
+        """(reduced nonzero rows, pivot columns): the kept echelon form
+        back-substituted, on first use and kept."""
+        return _kept(self, "_rref", lambda: _field_back_substitute(self.ctx, *self.echelon))
 
 
-def _gf2_rref(rows: Sequence[int]):
-    """RREF over GF(2); returns (reduced nonzero rows, pivot column indices).
-
-    A row's pivot is its lowest set bit.  Each row is reduced by the kept rows
-    until it is 0 or has a pivot no kept row has, and is then kept; the kept
-    rows are back-substituted from the highest pivot down.
-    """
+def _gf2_echelon(rows: Sequence[int]):
+    """Forward elimination over GF(2): (kept rows, their pivots), in the order
+    kept, a pivot being a row's lowest set bit (as an int, 1 << column).  Each
+    row is reduced by the kept rows until it is 0 or has a pivot no kept row
+    has, and is then kept; sorted by pivot, the kept rows are in row echelon
+    form."""
     by_pivot = {}
     for r in rows:
         while r:
@@ -104,6 +123,14 @@ def _gf2_rref(rows: Sequence[int]):
                 by_pivot[low] = r
                 break
             r ^= by_pivot[low]
+    return tuple(by_pivot.values()), tuple(by_pivot)
+
+
+def _gf2_back_substitute(rows: Sequence[int], lows: Sequence[int]):
+    """The RREF of kept rows: (reduced rows, pivot column indices) in pivot
+    order.  The rows are taken from the highest pivot down, and each clears
+    its bits at the pivots of the rows taken before it, already reduced."""
+    by_pivot = dict(zip(lows, rows))
     lows = sorted(by_pivot)
     reduced: List[int] = []
     for low in reversed(lows):
@@ -115,34 +142,63 @@ def _gf2_rref(rows: Sequence[int]):
     return tuple(reversed(reduced)), tuple(low.bit_length() - 1 for low in lows)
 
 
-def _field_rref(m: FieldMatrix):
-    """RREF over the field; returns (reduced nonzero rows, pivot column indices).
-    Row operations add logs: li = q - 1 - log(pivot) is the log of 1 / pivot."""
+def _gf2_rref(rows: Sequence[int]):
+    """RREF over GF(2); returns (reduced nonzero rows, pivot column indices)."""
+    return _gf2_back_substitute(*_gf2_echelon(rows))
+
+
+def _field_echelon(m: FieldMatrix):
+    """Forward elimination over the field: (row echelon rows, pivot column
+    indices).  Each pivot, the first nonzero entry of its column at or below
+    the current row, clears the rows below it and is not scaled; a row
+    operation adds logs, (log a - log pivot) mod (q - 1) being the log of
+    a / pivot."""
     exp, log, order = m.ctx._exp, m.ctx._log, m.ctx.q - 1
     mat = list(m.rows)
     pivots: List[int] = []
     r = 0
     for c in range(m.cols):
-        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if pivot_row is None:
+        for p in range(r, len(mat)):
+            if mat[p][c]:
+                break
+        else:
             continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        li = order - log[mat[r][c]]
-        mat[r] = pivot = [exp[li + log[v]] for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                lf = log[mat[i][c]]
-                mat[i] = [a ^ exp[lf + log[b]] for a, b in zip(mat[i], pivot)]
+        pivot, mat[p] = mat[p], mat[r]
+        lp = log[pivot[c]]
+        for i in range(r + 1, len(mat)):
+            row = mat[i]
+            if row[c]:
+                lf = (log[row[c]] - lp) % order
+                mat[i] = tuple([a ^ exp[lf + log[b]] for a, b in zip(row, pivot)])
+        mat[r] = pivot
         pivots.append(c)
         r += 1
         if r == len(mat):
             break
-    return tuple(tuple(row) for row in mat[:r]), tuple(pivots)
+    return tuple(mat[:r]), tuple(pivots)
+
+
+def _field_back_substitute(ctx: FieldCtx, rows: Sequence[Sequence[int]], pivots: Sequence[int]):
+    """The RREF of echelon rows over ctx.  The rows are taken from the highest
+    pivot down; each is scaled to a unit pivot (q - 1 - log pivot is the log of
+    its inverse) and clears its entries at the pivots of the rows taken before
+    it, already reduced."""
+    exp, log, order = ctx._exp, ctx._log, ctx.q - 1
+    reduced: List[tuple] = []
+    for row, c in zip(reversed(rows), reversed(pivots)):
+        li = order - log[row[c]]
+        row = [exp[li + log[v]] for v in row]
+        for b, p in zip(reduced, reversed(pivots)):
+            if row[p]:
+                lf = log[row[p]]
+                row = [a ^ exp[lf + log[v]] for a, v in zip(row, b)]
+        reduced.append(tuple(row))
+    return tuple(reversed(reduced)), tuple(pivots)
 
 
 def rank(m: BitMatrix | FieldMatrix) -> int:
-    """Rank over the matrix's field."""
-    return len(m.rref[0])
+    """Rank over the matrix's field: the rows of its kept echelon form."""
+    return len(m.echelon[0])
 
 
 def nullspace_basis(m: BitMatrix | FieldMatrix):

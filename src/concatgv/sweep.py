@@ -192,6 +192,11 @@ class SweepConfig:
         return doc
 
     @cached_property
+    def epsilon(self) -> Fraction:
+        """The GV check's eps = k/n, exact, made once per config."""
+        return Fraction(self.k, self.n)
+
+    @cached_property
     def digest(self) -> str:
         """The config_hash of the emitted files: sha256 of the canonical JSON, 16 hex digits."""
         canon = _CANONICAL.encode(self.to_dict())
@@ -314,7 +319,7 @@ def run_trial(config: SweepConfig, trial: int) -> SweepRow:
         entropy_ok=entropy_ok,
         entropy_min=entropy_min,
         moments_equal=moments_equal,
-        gv_ok=gv_check(cc.N, cc.K, d, Fraction(config.k, config.n), config.constants.c),
+        gv_ok=gv_check(cc.N, cc.K, d, config.epsilon, config.constants.c),
         wall_time_s=time.perf_counter() - t0,
     )
 

@@ -279,6 +279,21 @@ def concat_generator(cc: ConcatCode) -> BitMatrix:
     return BitMatrix(tuple(rows), cc.N)
 
 
+def column(m: BitMatrix, j: int) -> int:
+    """Column j of a GF(2) matrix packed as an int, bit i = entry of row i."""
+    out = 0
+    for i, r in enumerate(m.rows):
+        out |= ((r >> j) & 1) << i
+    return out
+
+
+def omega_by_columns(cc: ConcatCode) -> Tuple[int, ...]:
+    """``ConcatCode.omega`` by its definition: each inner generator column, packed
+    by :func:`column`, read as field coordinates by ``from_coords``."""
+    ctx = cc.ctx
+    return tuple(ctx.from_coords(column(cc.inner.gen, beta)) for beta in range(cc.inner.n0))
+
+
 def systematic_forms_by_relabeling(rows: Sequence[int], length: int) -> Iterator[Tuple[np.ndarray, np.ndarray, int]]:
     """``codes._systematic_forms`` by relabeling every bit of every row: the unused
     columns first, in order, then the used ones and the message bits, so that

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -26,6 +28,7 @@ from oracles import (
     concat_generator,
     dual_membership,
     gray_block_weight_counts,
+    omega_by_columns,
     symbol_tables_single_gather,
     systematic_forms_by_relabeling,
     trial_code,
@@ -83,7 +86,7 @@ def test_omega_is_generator_columns_in_order():
     inner = BinaryCode(BitMatrix((0b101, 0b011), 3))
     outer = OuterCode(FieldMatrix(((1,),), 1, F4))
     cc = ConcatCode(outer, inner)
-    cols = [inner.gen.column(b) for b in range(3)]
+    cols = [0b11, 0b10, 0b01]  # column b holds bit b of each row, row i at bit i
     assert cc.omega == tuple(F4.from_coords(c) for c in cols)
     assert len(cc.omega) == inner.n0  # duplicates kept
 
@@ -91,7 +94,7 @@ def test_omega_is_generator_columns_in_order():
 def test_omega_is_computed_once():
     cc = tiny_concat(4, k0=3, n0=5)
     assert cc.omega is cc.omega
-    assert cc.omega == tuple(cc.ctx.from_coords(cc.inner.gen.column(b)) for b in range(5))
+    assert cc.omega == omega_by_columns(cc)
 
 
 def sparse_outer(ctx, n: int, k: int, seed: int) -> OuterCode:
@@ -230,6 +233,18 @@ def test_max_bias_from_the_top_weight():
     # a nonzero message of weight 0 (delta[0] = 2) is the lowest weight
     two_zeros = WeightDistribution((2, 0, 1, 1))
     assert (two_zeros.min_weight, two_zeros.max_bias) == (0, 3)
+
+
+@given(counts=st.lists(st.integers(0, 3), min_size=1, max_size=12))
+def test_min_weight_and_max_bias_match_the_scan(counts):
+    # any counts, the zero message among delta[0]: a lone weight, gaps, none at all
+    wd = WeightDistribution((1 + counts[0], *counts[1:]))
+    if wd.total > 1:
+        assert (wd.min_weight, wd.max_bias) == scanned_min_weight_and_max_bias(wd.delta)
+    else:
+        assert wd.min_weight == wd.length + 1
+        with pytest.raises(ValueError, match="no nonzero message"):
+            wd.max_bias
 
 
 def test_weight_distribution_of_concat_matches_gray_code_reference():
@@ -413,6 +428,42 @@ def codes_under_test(draw, lengths=st.sampled_from([1, 2, 5, 9, 17, 30, 64, 65, 
     n = draw(st.integers(1, 6))
     k = draw(st.integers(1, min(n, max_dim // k0)))
     return ConcatCode(OuterCode(sample_field_code(make_field(k0), n, k, seed + 1)), inner)
+
+
+@pytest.mark.parametrize("k0", [1, 2, 3, 4, 8, 16])
+def test_omega_matches_the_column_reading(k0):
+    # random inner codes, n0 up to 70 (two-word rows), and one with a zero and a repeated column
+    ctx = make_field(k0)
+    for seed in range(12):
+        n0 = k0 + seed * 5 % (71 - k0)
+        inner = inner_with_zero_and_repeated_column(k0, seed) if seed == 0 else BinaryCode(sample_binary_code(n0, k0, seed))
+        cc = ConcatCode(OuterCode(sample_field_code(ctx, 2, 1, seed)), inner)
+        assert cc.omega == omega_by_columns(cc)
+        assert all(type(b) is int for b in cc.omega)
+
+
+@given(code=codes_under_test(max_dim=20))
+def test_min_distance_reduces_the_unit_message_encodes(code):
+    # Brouwer-Zimmermann's K rows: row i * k0 + j is nu_j times outer row i, inner-encoded,
+    # which is the encoding of the unit message holding nu_j at outer position i
+    seen, forms = [], codes._systematic_forms
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(codes, "_systematic_forms", lambda rows, length: seen.append(list(rows)) or forms(rows, length))
+        min_distance(code, 1)
+    gen = concat_generator(code) if isinstance(code, ConcatCode) else code.gen
+    assert seen == [list(gen.rows)]
+
+
+@pytest.mark.parametrize("dim", range(1, 15))
+def test_subsets_follow_itertools_combinations(dim, monkeypatch):
+    # every w-subset once, in combinations order, in chunks of 2^BLOCK_BITS // w (here 4)
+    monkeypatch.setattr(codes, "BLOCK_BITS", 5)
+    for w in range(1, dim + 1):
+        chunks = list(codes._subsets(dim, w))
+        assert [len(c) for c in chunks[:-1]] == [32 // w] * (len(chunks) - 1)
+        assert all(c.dtype == np.intp for c in chunks)
+        want = list(itertools.combinations(range(dim), w))
+        assert [tuple(s) for c in chunks for s in c.tolist()] == want
 
 
 @given(code=codes_under_test(st.one_of(st.sampled_from([64, 65, 128]), st.integers(1, 130)), max_dim=40))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from concatgv import linalg
 from concatgv.codes import BinaryCode, OuterCode
@@ -16,7 +17,7 @@ from concatgv.linalg import (
 )
 from concatgv.rng import SplitMix64, derive_seed
 
-from oracles import field_rref_by_scale, gf2_rref_by_columns, sample_field_code_by_randrange
+from oracles import column, field_rref_by_scale, gf2_rref_by_columns, sample_field_code_by_randrange
 
 
 def test_rank_examples():
@@ -63,7 +64,7 @@ def test_field_rref_matches_elimination_by_scale(k0):
             rows.append(list(rows[rng.randrange(k)]))
             seen.add("repeated row")
         m = FieldMatrix(rows, n, ctx)
-        rref = linalg._field_rref(m)
+        rref = m.rref
         assert rref == field_rref_by_scale(m)
         seen.add("k > n" if m.nrows > n else "k <= n")
         seen.add("full rank" if len(rref[0]) == m.nrows else "rank deficient")
@@ -173,7 +174,7 @@ def test_nullspace_field_membership():
 def test_left_nullspace():
     # the left kernel {y : y @ m = 0} is the right kernel of m's transpose
     m = BitMatrix((0b11, 0b11, 0b01), 2)
-    left = nullspace_basis(BitMatrix(tuple(m.column(j) for j in range(m.cols)), m.nrows))
+    left = nullspace_basis(BitMatrix(tuple(column(m, j) for j in range(m.cols)), m.nrows))
     assert left.nrows == 1
     y = left.rows[0]
     # y @ m = 0: xor of selected rows is zero
@@ -259,9 +260,9 @@ def test_negative_correlation_of_membership():
 
 def test_column_and_product():
     m = BitMatrix((0b011, 0b110), 3)
-    assert [m.column(j) for j in range(3)] == [0b01, 0b11, 0b10]
+    assert [column(m, j) for j in range(3)] == [0b01, 0b11, 0b10]
     # M @ 011 is the XOR of columns 0 and 1: row0 hits {0,1} (even), row1 {1} (odd)
-    assert m.column(0) ^ m.column(1) == 0b10
+    assert column(m, 0) ^ column(m, 1) == 0b10
 
 
 def counting(monkeypatch, name):
@@ -273,20 +274,23 @@ def counting(monkeypatch, name):
 
 
 def test_rref_is_computed_once_and_immutable(monkeypatch):
-    gf2, field = counting(monkeypatch, "_gf2_rref"), counting(monkeypatch, "_field_rref")
+    # one forward elimination per matrix, kept; the RREF back-substitutes it once
+    phases = {name: counting(monkeypatch, name) for name in
+              ("_gf2_echelon", "_gf2_back_substitute", "_field_echelon", "_field_back_substitute")}
     ctx = make_field(2)
     for m in (BitMatrix((0b110, 0b011), 3), FieldMatrix(((1, 2, 3), (2, 3, 1)), 3, ctx)):
+        assert m.echelon is m.echelon
         assert isinstance(m.rref, tuple) and m.rref is m.rref
         rows, pivots = m.rref
         assert isinstance(rows, tuple) and isinstance(pivots, tuple)
         assert rank(m) == len(rows) and nullspace_basis(m).nrows == m.cols - rank(m)
-    assert (len(gf2), len(field)) == (1, 1)
+    assert {name: len(calls) for name, calls in phases.items()} == dict.fromkeys(phases, 1)
     assert isinstance(FieldMatrix(((1, 2, 3),), 3, ctx).rref[0][0], tuple)
 
 
 def test_outer_code_and_its_kernel_take_one_field_elimination(monkeypatch):
     # the sampled generator's, which OuterCode and the kernel basis both read
-    calls = counting(monkeypatch, "_field_rref")
+    calls = counting(monkeypatch, "_field_echelon")
     ctx = make_field(4)
     kernel = nullspace_basis(OuterCode(sample_field_code(ctx, 6, 3, 5)).gen)
     assert len(calls) == 1
@@ -294,10 +298,51 @@ def test_outer_code_and_its_kernel_take_one_field_elimination(monkeypatch):
 
 
 def test_one_gf2_elimination_per_inner_draw(monkeypatch):
-    # rank calls made by the sampler are its draws; BinaryCode adds none
+    # rank calls made by the sampler are its draws; BinaryCode adds none, and
+    # neither back-substitutes
     draws = counting(monkeypatch, "rank")
-    calls = counting(monkeypatch, "_gf2_rref")
+    calls = counting(monkeypatch, "_gf2_echelon")
+    monkeypatch.setattr(linalg, "_gf2_back_substitute", None)
     for seed in range(40):
         BinaryCode(sample_binary_code(4, 3, seed))
         assert len(calls) == len(draws)
     assert len(draws) > 40  # some were rejected: a random 3 x 4 binary matrix has rank < 3 w.p. 0.38
+
+
+def matrices(k0: int):
+    """Hypothesis strategy: field matrices over GF(2^k0) with zero, repeated and
+    dependent rows, more rows than columns, and 0 columns."""
+    ctx = make_field(k0)
+    element = st.integers(0, ctx.q - 1)
+
+    @st.composite
+    def matrix(draw):
+        cols = draw(st.integers(0, 7))
+        rows = draw(st.lists(st.lists(element, min_size=cols, max_size=cols), max_size=9))
+        for _ in range(draw(st.integers(0, 3))):
+            kind = draw(st.sampled_from(["zero", "repeat", "combine"]))
+            if kind == "zero" or not rows:
+                rows.append([0] * cols)
+            elif kind == "repeat":
+                rows.append(list(draw(st.sampled_from(rows))))
+            else:
+                a, b = draw(element), draw(element)
+                x, y = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+                rows.append([ctx.mul(a, u) ^ ctx.mul(b, v) for u, v in zip(x, y)])
+            rows.insert(draw(st.integers(0, len(rows) - 1)), rows.pop())
+        return FieldMatrix(rows, cols, ctx)
+
+    return matrix()
+
+
+@pytest.mark.parametrize("k0", [1, 2, 4, 8])
+@given(data=st.data())
+def test_echelon_rank_and_rref_match_the_oracles(k0, data):
+    m = data.draw(matrices(k0))
+    want = field_rref_by_scale(m)
+    assert rank(m) == len(want[0]) and m.rref == want
+    if k0 == 1:  # the same rows over GF(2), bit j = column j
+        bits = BitMatrix(tuple(sum(v << j for j, v in enumerate(row)) for row in m.rows), m.cols)
+        want = gf2_rref_by_columns(bits.rows, m.cols)
+        assert rank(bits) == len(want[0]) and bits.rref == want
+        assert linalg._gf2_rref(bits.rows) == want

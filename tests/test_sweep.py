@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import concatgv
+from concatgv.bounds import gv_check
 from concatgv.certify import check_nice
 from concatgv.codes import BinaryCode, ConcatCode, OuterCode, min_distance, weight_distribution
 from concatgv.field import make_field
@@ -696,30 +697,80 @@ def test_aggregate_fold():
     assert agg["frac_gv_ok"] == sum(r.gv_ok for r in rows) / len(rows)
 
 
+def test_gv_ok_reads_the_config_rate_as_one_fraction():
+    # eps = k/n, exact, made once per config and kept out of its fields (so out of its hash)
+    cfg = dataclasses.replace(SMALL, constants=Constants(c=0.5))
+    rows, _ = run_sweep(cfg)
+    assert cfg.epsilon == Fraction(1, 2) and cfg.epsilon is cfg.epsilon
+    assert "epsilon" not in cfg.to_dict()
+    assert [r.gv_ok for r in rows] == [gv_check(16, 4, r.distance, Fraction(2, 4), 0.5) for r in rows]
+    assert len({r.gv_ok for r in rows}) == 2
+
+
 def test_emitted_eps_equals_both_rates_under_equal_rate():
     _, agg = run_sweep(SMALL)
     assert SMALL.equal_rate
     assert agg["eps"] == SMALL.k / SMALL.n == SMALL.k0 / SMALL.n0
 
 
+def counting(monkeypatch, module, names):
+    """Wrap each module.<name> to record its calls' arguments; name -> list of them."""
+    counts = {}
+    for name in names:
+        fn = getattr(module, name)
+        counts[name] = calls = []
+        monkeypatch.setattr(module, name, lambda *a, fn=fn, calls=calls: calls.append(a) or fn(*a))
+    return counts
+
+
 @pytest.mark.parametrize("all_on", [False, True])
 def test_eliminations_per_trial(all_on, monkeypatch):
-    # Each sampler draw is reduced once, and the codes built from the accepted
-    # draws reuse that echelon form; the niceness check reduces no further
-    # matrix (it reads the inner code's weights, not its dual).  The soft
-    # check reads the outer generator's kernel off its echelon form.
+    # Each sampler draw takes one forward elimination, and the codes built
+    # from the accepted draws reuse that kept echelon form; the niceness check
+    # reduces no further matrix (it reads the inner code's weights, not its
+    # dual), and the soft check reads the weight distribution.
     from concatgv import linalg
 
-    counts = {}
-    for name in ("rank", "_gf2_rref", "_field_rref"):
-        fn = getattr(linalg, name)
-        counts[name] = calls = []
-        monkeypatch.setattr(linalg, name, lambda *a, fn=fn, calls=calls: calls.append(a) or fn(*a))
+    counts = counting(monkeypatch, linalg, ("rank", "_gf2_echelon", "_field_echelon"))
     toggles = Toggles(run_nice=True, run_soft=True, run_entropy=True, run_moments=True) if all_on else Toggles()
     cfg = SweepConfig(k0=2, n0=4, n=4, k=2, trials=8, master_seed=7, toggles=toggles)
     run_sweep(cfg)
     draws = [m for (m,) in counts["rank"]]
     binary = sum(isinstance(m, linalg.BitMatrix) for m in draws)
-    assert len(counts["_gf2_rref"]) == binary
-    assert len(counts["_field_rref"]) == len(draws) - binary
+    assert len(counts["_gf2_echelon"]) == binary
+    assert len(counts["_field_echelon"]) == len(draws) - binary
     assert len(draws) >= 2 * cfg.trials
+
+
+@pytest.mark.parametrize("shape", [(2, 4, 4, 2), (3, 9, 6, 2), (4, 8, 4, 2)])
+def test_no_back_substitution_within_the_distance_budget(shape, monkeypatch):
+    # The samplers' rank checks and the code constructors read only the kept
+    # echelon form, and with every toggle on nothing else asks for an RREF.
+    from concatgv import linalg
+
+    def refuse(*args):
+        raise AssertionError("back-substitution on the sweep path")
+
+    monkeypatch.setattr(linalg, "_gf2_back_substitute", refuse)
+    monkeypatch.setattr(linalg, "_field_back_substitute", refuse)
+    k0, n0, n, k = shape
+    rows, _ = run_sweep(SweepConfig(k0=k0, n0=n0, n=n, k=k, trials=4, master_seed=7, toggles=Toggles(**ALL_ON)))
+    assert all(r.distance_exact and r.soft_exact for r in rows)
+
+
+def test_back_substitution_past_the_distance_budget(monkeypatch):
+    # Past budgets.distance the exact soft check reads the outer generator's
+    # kernel off its RREF: one field back-substitution per trial.  The GF(2)
+    # ones are Brouwer-Zimmermann's, one per information set it reduces.
+    from concatgv import codes, linalg
+
+    counts = counting(monkeypatch, linalg, ("_gf2_back_substitute", "_field_back_substitute"))
+    counts.update(counting(monkeypatch, codes, ("_gf2_rref",)))
+    cfg = SweepConfig(
+        k0=2, n0=4, n=8, k=4, trials=5, master_seed=7,
+        budgets=Budgets(distance=100), toggles=Toggles(run_soft=True),
+    )
+    rows, _ = run_sweep(cfg)
+    assert all(r.soft_exact and r.x_max is None for r in rows)
+    assert len(counts["_field_back_substitute"]) == cfg.trials
+    assert len(counts["_gf2_back_substitute"]) == len(counts["_gf2_rref"]) >= cfg.trials
