@@ -151,7 +151,7 @@ def check_nice(inner: BinaryCode, tau: float, budget: int = 1 << 20) -> Niceness
 
     The dual's weight counts come from the inner code's own, in exact integers,
     by the MacWilliams identity (MacWilliams-Sloane ch. 5):
-    B_i = 2^(-k0) sum_j A_j K_i(j; n0), A = ``inner.span_weights()``, so no
+    B_i = 2^(-k0) sum_j A_j K_i(j; n0), A = ``inner.span_weights``, so no
     dual is built.  The work is the 2^k0 inner codewords, which a concatenated
     code built on ``inner`` has already enumerated; the budget bounds them and
     is checked before any work.
@@ -163,7 +163,7 @@ def check_nice(inner: BinaryCode, tau: float, budget: int = 1 << 20) -> Niceness
         raise ValueError(f"code size {1 << k0} exceeds budget {budget}")
     # sum_j A_j K_i(j; n0) = 2^k0 B_i lies in [0, 2^n0], so one sum of the packed
     # rows (whose digits are signed) has 2^k0 B_i as its (n0 + 1)-bit digit i.
-    packed = sum(map(operator.mul, inner.span_weights().delta, _krawtchouk(n0)))
+    packed = sum(map(operator.mul, inner.span_weights.delta, _krawtchouk(n0)))
     width, low = n0 + 1, (1 << k0) - 1
     digits = [(packed >> width * i) & ((1 << width) - 1) for i in range(1, n0 + 1)]
     if packed & low or any(digit & low for digit in digits):
@@ -284,7 +284,7 @@ def soft_enumerator(
 
     W_cc the enumerator of all q^k concatenated codewords (wd, or
     weight_distribution(cc, budget), which checks the budget on q^k first)
-    and W_in that of the 2^k0 inner codewords (``cc.inner.span_weights()``,
+    and W_in that of the 2^k0 inner codewords (``cc.inner.span_weights``,
     the count of the span cc's tables were built from).  The float p is a dyadic
     rational, theta = a / 2^e exactly, so both enumerators are integers over
     powers of two and prob and delta are integers over 2^(e N + k0 n).
@@ -299,7 +299,7 @@ def soft_enumerator(
     num, den = p.as_integer_ratio()
     a, e = den - 2 * num, den.bit_length() - 1  # theta = a / 2^e
     w_cc = _enumerator_at(wd.delta, a, e)  # W_cc(theta) * 2^(e N)
-    w_in = _enumerator_at(cc.inner.span_weights().delta, a, e)  # W_in(theta) * 2^(e n0)
+    w_in = _enumerator_at(cc.inner.span_weights.delta, a, e)  # W_in(theta) * 2^(e n0)
     k0, n, k = cc.ctx.k0, cc.outer.n, cc.outer.k
     # prob = W_cc(theta) / q^k - (W_in(theta) / q)^n, over 2^(e N + k0 n)
     prob_num = (w_cc << k0 * (n - k)) - w_in**n

@@ -12,6 +12,8 @@ Conventions fixed here and used everywhere else:
   sums over it with multiplicity.
 * Concatenated codeword bits are packed alpha-major: bit alpha * n0 + beta is
   bit beta of the inner encoding of outer symbol alpha.
+* A value derived from a code (``span``, ``omega``, the mask counters) is a
+  ``functools.cached_property``, kept on the code for callers that only read it.
 """
 
 from __future__ import annotations
@@ -52,25 +54,19 @@ class BinaryCode:
         """Codeword of a k0-bit message (XOR of the selected generator rows)."""
         return self.gen.combine(msg_bits)
 
+    @functools.cached_property
     def span(self) -> np.ndarray:
         """All 2^k0 codewords as a (limbs, 2^k0) array, column m the codeword of
-        message m (the fold of :func:`_symbol_tables`), made on first use and
-        kept, like :meth:`FieldCtx.arrays`: one array that every caller shares
-        and none writes.  A concatenated code's tables are gathered from it."""
-        span = self.__dict__.get("_span")
-        if span is None:
-            span = _fold(_symbol_tables(self))
-            object.__setattr__(self, "_span", span)
-        return span
+        message m (the fold of :func:`_symbol_tables`): one array that every
+        caller shares and none writes.  A concatenated code's tables are
+        gathered from it."""
+        return _fold(_symbol_tables(self))
 
+    @functools.cached_property
     def span_weights(self) -> WeightDistribution:
-        """The weight distribution of :meth:`span`, made on first use and kept: the
-        soft enumerator's W_in and the niceness check read this one count."""
-        weights = self.__dict__.get("_span_weights")
-        if weights is None:
-            weights = WeightDistribution(tuple(np.bincount(_weights(self.span()), minlength=self.n0 + 1).tolist()))
-            object.__setattr__(self, "_span_weights", weights)
-        return weights
+        """The weight distribution of :attr:`span`: the soft enumerator's W_in
+        and the niceness check read this one count."""
+        return WeightDistribution(tuple(np.bincount(_weights(self.span), minlength=self.n0 + 1).tolist()))
 
 
 @dataclass(frozen=True)
@@ -161,35 +157,30 @@ class ConcatCode:
                 word |= self.inner.encode(ctx.coords(sym)) << (alpha * n0)
         return word
 
-    def _pair_masks(self, columns: Iterable[Sequence[int]]) -> Counter:
+    @functools.cached_property
+    def g_masks(self) -> Counter:
         """The (alpha, b) pairs, alpha an outer coordinate and b an Omega
-        entry, as XOR masks on a vector that holds symbol i in bits
-        [i*k0, (i+1)*k0): pair (alpha, b) adds b * columns[alpha][i] to
-        symbol i.  Omega may repeat entries or contain 0, so each mask maps to
+        entry, as XOR masks on the packed vector g, which holds coordinate
+        alpha in bits [alpha*k0, (alpha+1)*k0): pair (alpha, b) puts b at
+        alpha.  Omega may repeat entries or contain 0, so each mask maps to
         its multiplicity, in order of first pair (alpha-major)."""
+        k0 = self.ctx.k0
+        return Counter(b << alpha * k0 for alpha in range(self.outer.n) for b in self.omega)
+
+    @functools.cached_property
+    def syndrome_masks(self) -> Counter:
+        """The pair masks on the outer syndrome gen @ g, which holds row i in
+        bits [i*k0, (i+1)*k0): pair (alpha, b) adds b * gen[i][alpha] to row
+        i.  Pairs may share a mask, which then holds their total multiplicity,
+        in order of first pair as in :attr:`g_masks`; each distinct Omega
+        entry is multiplied once per column."""
         entries = Counter(self.omega)
-        words = self.ctx.packed_products(columns, list(entries))
+        words = self.ctx.packed_products(zip(*self.outer.gen.rows), list(entries))
         masks: Dict[int, int] = {}
         get = masks.get
         for mask, mult in zip(words, itertools.cycle(entries.values())):
             masks[mask] = get(mask, 0) + mult
         return Counter(masks)
-
-    @functools.cached_property
-    def g_masks(self) -> Counter:
-        """The pair masks on the packed vector g, which holds coordinate alpha
-        in bits [alpha*k0, (alpha+1)*k0): those of the n x n identity, so
-        pair (alpha, b) puts b at alpha.  Both mask counters are cached on the
-        code and shared by its callers, which only read them."""
-        n = self.outer.n
-        return self._pair_masks([[int(i == alpha) for i in range(n)] for alpha in range(n)])
-
-    @functools.cached_property
-    def syndrome_masks(self) -> Counter:
-        """The pair masks on the outer syndrome gen @ g, which holds row i in
-        bits [i*k0, (i+1)*k0): those of the outer generator's columns, so
-        pair (alpha, b) adds b * gen[i][alpha] to row i."""
-        return self._pair_masks(zip(*self.outer.gen.rows))
 
 
 def bias(cc: ConcatCode, msg: Sequence[int]) -> int:
@@ -307,8 +298,8 @@ def _symbol_tables(code: BinaryCode | ConcatCode) -> List[np.ndarray]:
     if not isinstance(code, ConcatCode):
         rows, limbs = code.gen.rows, max(1, -(-code.gen.cols // 64))
         return [_subset_sums(rows[i : i + 4], limbs) for i in range(0, len(rows) or 1, 4)]
-    n0, (_, log, exp_coords, log_coords) = code.inner.n0, code.ctx.arrays()
-    by_log = code.inner.span()[:, exp_coords]
+    n0, (_, log, exp_coords, log_coords) = code.inner.n0, code.ctx.arrays
+    by_log = code.inner.span[:, exp_coords]
     per = max(1, 64 // n0)
     gen = np.array([row + (0,) * (-len(row) % per) for row in code.outer.gen.rows], dtype=np.intp)
     place = np.left_shift(1, np.arange(0, per * n0, n0, dtype=np.uint64))  # disjoint: sum is OR

@@ -16,7 +16,8 @@ basis makes the trace form the plain GF(2) dot product:
 which is the identification this whole package relies on when it moves
 between GF(2^k0) symbols and k0-bit vectors.  The coordinate tables are read
 off the basis: the element with coordinates x is the XOR of the nu_(i+1) over
-the set bits i of x.
+the set bits i of x.  The numpy copies of these tables (``ctx.arrays``) are a
+``functools.cached_property``, made on a field's first array product.
 """
 
 from __future__ import annotations
@@ -149,23 +150,22 @@ class FieldCtx:
         exp, log, lc = self._exp, self._log, self._log[c]
         return [exp[lc + log[v]] for v in vec]
 
+    @functools.cached_property
     def arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """numpy tables (exp, log, exp_coords, log_coords), made on first use from one array
         of the q - 1 powers: exp in the smallest unsigned type, log int32 (log sums are < 2^31),
         exp_coords[l] = coords(exp[l]) (intp) and log_coords[x] = log[from_coords(x)]."""
-        if "_arrays" not in self.__dict__:
-            order = self.q - 1
-            powers = np.array(self._exp[:order], dtype=np.min_scalar_type(order))
-            exp = np.concatenate([powers, powers, np.zeros(2 * order + 1, powers.dtype)])
-            log = np.full(self.q, 2 * order, dtype=np.int32)
-            log[powers] = np.arange(order)
-            self._arrays = (exp, log, self._coords[exp], log[self._elements])
-        return self._arrays
+        order = self.q - 1
+        powers = np.array(self._exp[:order], dtype=np.min_scalar_type(order))
+        exp = np.concatenate([powers, powers, np.zeros(2 * order + 1, powers.dtype)])
+        log = np.full(self.q, 2 * order, dtype=np.int32)
+        log[powers] = np.arange(order)
+        return exp, log, self._coords[exp], log[self._elements]
 
     def mul_array(self, a, b) -> np.ndarray:
         """Elementwise field product of two broadcastable integer arrays,
-        gathered from the tables of :meth:`arrays`, in exp's dtype."""
-        exp, log = self.arrays()[:2]
+        gathered from the tables of :attr:`arrays`, in exp's dtype."""
+        exp, log = self.arrays[:2]
         return exp[log[a] + log[b]]
 
     def packed_products(

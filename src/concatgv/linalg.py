@@ -7,30 +7,20 @@ Each matrix eliminates once, on first use, and keeps its row echelon form
 (``m.echelon``: the forward phase's kept rows and their pivots); its rank is
 the number of kept rows.  Its reduced row echelon form (``m.rref``) is that
 kept form back-substituted, also on first use and kept, and its right kernel
-is read off the RREF.  So a sampled generator ranked on acceptance is not
-reduced again by the code built from it, and a rank check never pays for the
-back-substitution.
+is read off the RREF; both are ``functools.cached_property``.  So a sampled
+generator ranked on acceptance is not reduced again by the code built from
+it, and a rank check never pays for the back-substitution.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 from typing import List, Sequence
 
 from .field import FieldCtx
 from .rng import SplitMix64
-
-
-def _kept(m, name: str, make):
-    """m's attribute `name`, made by make() on first use and kept: a ``__dict__``
-    check, as ``BinaryCode.span()`` keeps its span (``functools.cached_property``
-    takes a lock on Python 3.11)."""
-    value = m.__dict__.get(name)
-    if value is None:
-        value = make()
-        object.__setattr__(m, name, value)
-    return value
 
 
 @dataclass(frozen=True)
@@ -52,17 +42,16 @@ class BitMatrix:
     def nrows(self) -> int:
         return len(self.rows)
 
-    @property
+    @functools.cached_property
     def echelon(self) -> tuple:
         """(kept rows, their pivot bits) of the forward elimination (see
-        :func:`_gf2_echelon`), made on first use and kept."""
-        return _kept(self, "_echelon", lambda: _gf2_echelon(self.rows))
+        :func:`_gf2_echelon`)."""
+        return _gf2_echelon(self.rows)
 
-    @property
+    @functools.cached_property
     def rref(self) -> tuple:
-        """(reduced nonzero rows, pivot columns): the kept echelon form
-        back-substituted, on first use and kept."""
-        return _kept(self, "_rref", lambda: _gf2_back_substitute(*self.echelon))
+        """(reduced nonzero rows, pivot columns): the echelon form back-substituted."""
+        return _gf2_back_substitute(*self.echelon)
 
     def combine(self, bits: int) -> int:
         """XOR of the rows whose index is a set bit of bits (a generator's codeword)."""
@@ -96,17 +85,15 @@ class FieldMatrix:
     def nrows(self) -> int:
         return len(self.rows)
 
-    @property
+    @functools.cached_property
     def echelon(self) -> tuple:
-        """(row echelon rows, pivot columns) of the forward elimination, made on
-        first use and kept."""
-        return _kept(self, "_echelon", lambda: _field_echelon(self))
+        """(row echelon rows, pivot columns) of the forward elimination."""
+        return _field_echelon(self)
 
-    @property
+    @functools.cached_property
     def rref(self) -> tuple:
-        """(reduced nonzero rows, pivot columns): the kept echelon form
-        back-substituted, on first use and kept."""
-        return _kept(self, "_rref", lambda: _field_back_substitute(self.ctx, *self.echelon))
+        """(reduced nonzero rows, pivot columns): the echelon form back-substituted."""
+        return _field_back_substitute(self.ctx, *self.echelon)
 
 
 def _gf2_echelon(rows: Sequence[int]):

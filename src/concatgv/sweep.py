@@ -186,8 +186,8 @@ class SweepConfig:
         # Shallow copies in field order; dataclasses.asdict deep-copies and costs
         # several times more.  Fields, not vars(), so the cached digest stays out.
         doc = {name: getattr(self, name) for name in _fields(SweepConfig)}
-        for part in _SECTIONS:
-            doc[part] = dict(vars(doc[part]))
+        for part, cls in _SECTIONS.items():
+            doc[part] = {name: getattr(doc[part], name) for name in _fields(cls)}
         doc["toggles"]["r_list"] = list(self.toggles.r_list)
         return doc
 

@@ -313,8 +313,8 @@ def systematic_forms_by_relabeling(rows: Sequence[int], length: int) -> Iterator
 def symbol_tables_single_gather(cc: ConcatCode) -> List[np.ndarray]:
     """A concatenated code's symbol tables from one gather over every outer row
     at once: the (limbs, k, n, q) array that the chunked build bounds."""
-    n0, (_, log, exp_coords, log_coords) = cc.inner.n0, cc.ctx.arrays()
-    by_log = cc.inner.span()[:, exp_coords]
+    n0, (_, log, exp_coords, log_coords) = cc.inner.n0, cc.ctx.arrays
+    by_log = cc.inner.span[:, exp_coords]
     per = max(1, 64 // n0)
     gen = np.array([row + (0,) * (-len(row) % per) for row in cc.outer.gen.rows], dtype=np.intp)
     symbols = by_log.take(log[gen][:, :, None] + log_coords, axis=1)  # [limb, i, a, x]
@@ -368,11 +368,16 @@ def g_of_tuple(cc: ConcatCode, pairs: Sequence[Tuple[int, int]]) -> Tuple[int, .
     return tuple(g)
 
 
-def g_masks_by_pairs(cc: ConcatCode) -> Counter:
-    """One g mask per (coordinate alpha, Omega entry b) pair, in pair order:
-    b in bits [alpha*k0, (alpha+1)*k0)."""
-    k0 = cc.ctx.k0
-    return Counter(b << (alpha * k0) for alpha in range(cc.outer.n) for b in cc.omega)
+def g_masks_by_identity_columns(cc: ConcatCode) -> Counter:
+    """The g masks as the pair masks of the n x n identity's columns: each
+    column times each distinct Omega entry by ``packed_products``, the masks
+    merged with their multiplicities in order of first pair."""
+    n, entries = cc.outer.n, Counter(cc.omega)
+    columns = [[int(i == alpha) for i in range(n)] for alpha in range(n)]
+    masks: Dict[int, int] = {}
+    for mask, mult in zip(cc.ctx.packed_products(columns, list(entries)), itertools.cycle(entries.values())):
+        masks[mask] = masks.get(mask, 0) + mult
+    return Counter(masks)
 
 
 def syndrome_masks_by_pairs(cc: ConcatCode) -> Counter:

@@ -247,10 +247,10 @@ def test_coordinate_tables_match_the_trace_construction():
 
 @pytest.mark.parametrize("k0", range(1, 17))
 def test_arrays_equal_the_lists(k0):
-    # arrays() derives its tables from one array of the powers and the numpy
+    # arrays derives its tables from one array of the powers and the numpy
     # coordinate tables; they hold what the lists mul and coords read hold
     for ctx in (make_field(k0), *([FieldCtx(4, 0x19)] if k0 == 4 else [])):
-        exp, log, exp_coords, log_coords = ctx.arrays()
+        exp, log, exp_coords, log_coords = ctx.arrays
         assert exp.dtype == np.min_scalar_type(ctx.q - 1) and log.dtype == np.int32
         assert exp_coords.dtype == np.intp and log_coords.dtype == np.int32
         assert exp.tolist() == ctx._exp and log.tolist() == ctx._log

@@ -21,7 +21,7 @@ from concatgv.rng import derive_seed
 
 from oracles import (
     all_messages,
-    g_masks_by_pairs,
+    g_masks_by_identity_columns,
     g_of_tuple,
     poisson_mixture_sparse,
     syndrome_masks_by_pairs,
@@ -227,7 +227,7 @@ def test_cached_masks_match_the_per_pair_construction():
                  acceptance_instance(), one_bit_instance()]
     for cc in instances:
         assert cc.syndrome_masks == syndrome_masks_by_pairs(cc)
-        assert cc.g_masks == g_masks_by_pairs(cc)
+        assert cc.g_masks == g_masks_by_identity_columns(cc)
         assert cc.syndrome_masks is cc.syndrome_masks  # built once per code
 
 
@@ -582,5 +582,5 @@ def test_poisson_budget():
 def test_cached_masks_keep_the_pair_order():
     # the Poissonization walk adds float weights in mask order
     for cc in [*grid_instances(2), zero_omega_instance(), repeated_omega_instance()]:
-        assert list(cc.g_masks.items()) == list(g_masks_by_pairs(cc).items())
+        assert list(cc.g_masks.items()) == list(g_masks_by_identity_columns(cc).items())
         assert list(cc.syndrome_masks.items()) == list(syndrome_masks_by_pairs(cc).items())
