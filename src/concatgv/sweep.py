@@ -15,7 +15,7 @@ import json
 import math
 import statistics
 import time
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import MISSING, dataclass, fields as dc_fields
 from functools import cache, cached_property
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -181,6 +181,9 @@ class SweepConfig:
         for name in _fields(Budgets):
             if getattr(self.budgets, name) <= 0:
                 raise ValueError(f"budget {name} must be positive")
+        if not self.toggles.run_moments and self.budgets.distance < self.k * self.k0:
+            # 2^K > K sends it to Brouwer-Zimmermann, whose first pass forms K words: none would be formed
+            raise ValueError(f"budgets.distance = {self.budgets.distance} is below K = k*k0 = {self.k * self.k0}")
 
     def to_dict(self) -> dict:
         # Shallow copies in field order; dataclasses.asdict deep-copies and costs
@@ -214,6 +217,9 @@ def _json_object(cls, data, where: str) -> dict:
     unknown = data.keys() - _fields(cls).keys()
     if unknown:
         raise ValueError(f"unknown config key(s) in {where}: {sorted(unknown)}")
+    missing = [f.name for f in dc_fields(cls) if f.default is MISSING and f.name not in data]
+    if missing:
+        raise ValueError(f"missing config key(s) in {where}: {missing}")
     return data
 
 
@@ -355,14 +361,12 @@ def aggregate(rows: List[SweepRow], config: SweepConfig) -> dict:
 
 
 def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return repr(value) if isinstance(value, float) else str(value)
+    return "" if value is None else _SCALARS[type(value)](value)
 
 
 def emit_csv(rows: List[SweepRow], config: SweepConfig) -> str:
+    """A comment line, the CSV_COLUMNS header and one line per row; a cell is
+    its value's JSON text, from the table the JSON report reads, or empty for None."""
     lines = [f"# {SCHEMA} config_hash={config.digest} master_seed={config.master_seed}"]
     lines.append(",".join(CSV_COLUMNS))
     for r in rows:
@@ -389,13 +393,16 @@ def reemit_json(doc) -> str:
 
     The text is exactly json.dumps(doc, indent=2, ensure_ascii=True) + "\n",
     which tests/oracles.reemit_json_stdlib keeps as the reference, and it
-    raises where that does.  json renders an indented document with its
-    pure-Python encoder; here each flat container (one whose values are all
-    scalars: a sweep row, a config section, the aggregate) is one call of
-    json's C encoder, with the item separator of its depth, and Python walks
-    only the levels that hold containers.
+    raises where that does, for any document without a cycle whose non-str
+    keys sit only in dicts of exact JSON scalars (str, int, float, bool, None),
+    as in every report the package writes.  json renders an indented document
+    with its pure-Python encoder; here each flat container (one whose values
+    are all exact scalars: a sweep row, a config section, the aggregate) is one
+    call of json's C encoder, with the item separator of its depth, Python
+    walks only the levels that hold containers, and any other value, a scalar
+    subclass or an empty container, goes to that same encoder.
     """
-    return _render(doc, 0, set()) + "\n"
+    return _render(doc, 0) + "\n"
 
 
 def _floatstr(v: float) -> str:
@@ -428,44 +435,19 @@ def _level(depth: int):
     return sep, first, "\n" + "  " * depth, flat
 
 
-def _render(o, depth: int, markers: set) -> str:
+def _render(o, depth: int) -> str:
     """o rendered as json.dumps(indent=2) renders it at this depth."""
     render = _SCALARS.get(type(o))
     if render is not None:
         return render(o)
-    is_dict = isinstance(o, dict)
-    if not (is_dict or isinstance(o, (list, tuple))):
-        return _scalar_subclass(o)
-    brackets = "{}" if is_dict else "[]"
-    if not o:
-        return brackets
     sep, first, last, flat = _level(depth)
+    is_dict = isinstance(o, dict)
+    if not (is_dict or isinstance(o, (list, tuple))) or not o:
+        return flat.encode(o)  # a scalar subclass, an empty container, or json's refusal
     if _SCALAR_TYPES.issuperset(map(type, o.values() if is_dict else o)):
         text = flat.encode(o)
         return text[0] + first + text[1:-1] + last + text[-1]
-    if id(o) in markers:
-        raise ValueError("Circular reference detected")
-    markers.add(id(o))
     if is_dict:
-        items = [_key(k) + ": " + _render(v, depth + 1, markers) for k, v in o.items()]
-    else:
-        items = [_render(v, depth + 1, markers) for v in o]
-    markers.remove(id(o))
-    return brackets[0] + first + sep.join(items) + last + brackets[1]
-
-
-def _scalar_subclass(v) -> str:
-    # a subclass of a JSON scalar type renders as its base; anything else is refused
-    for base in (str, int, float):
-        if isinstance(v, base):
-            return _SCALARS[base](v)
-    raise TypeError(f"Object of type {v.__class__.__name__} is not JSON serializable")
-
-
-def _key(k) -> str:
-    # json writes a scalar key as the string of its scalar text
-    if isinstance(k, str):
-        return encode_basestring_ascii(k)
-    if k is None or isinstance(k, (int, float)):
-        return '"' + _render(k, 0, None) + '"'
-    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+        items = [encode_basestring_ascii(k) + ": " + _render(v, depth + 1) for k, v in o.items()]
+        return "{" + first + sep.join(items) + last + "}"
+    return "[" + first + sep.join([_render(v, depth + 1) for v in o]) + last + "]"

@@ -8,12 +8,14 @@ from pathlib import Path
 import pytest
 
 import concatgv
+from concatgv import cli, sweep
 from concatgv.cli import main
 from concatgv.codes import BinaryCode, ConcatCode, OuterCode, min_distance
 from concatgv.field import make_field
 from concatgv.fileio import dumps_code, load_binary_code, load_outer_code, parse_code
 from concatgv.linalg import BitMatrix, FieldMatrix, sample_binary_code, sample_field_code
-from concatgv.sweep import config_from_dict
+from concatgv.sweep import config_from_dict, reemit_json
+from oracles import reemit_json_stdlib
 
 
 # The CLI subprocesses import the same concatgv as this test process.
@@ -368,6 +370,41 @@ def test_cli_sweep_malformed_config_fails(patch, tmp_path, capsys):
     assert key in err
 
 
+def _no_trial(*args):
+    raise AssertionError("a trial started")
+
+
+@pytest.mark.parametrize("key", ["k0", "n0", "n", "k", "trials", "master_seed"])
+def test_cli_sweep_config_missing_a_key_fails(key, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sweep, "run_trial", _no_trial)
+    cfg = {"k0": 2, "n0": 4, "n": 4, "k": 2, "trials": 1, "master_seed": 0}
+    del cfg[key]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["sweep", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: missing config key(s) in config: [{key!r}]\n"
+
+
+def test_cli_sweep_refuses_a_distance_budget_below_one_pass(tmp_path, capsys, monkeypatch):
+    # K = k*k0 = 4 message bits: 2^4 words are past a budget of 3, and
+    # Brouwer-Zimmermann's first pass forms 4 of them, so no word would be formed
+    cfg = {"k0": 2, "n0": 4, "n": 4, "k": 2, "trials": 2, "master_seed": 1, "budgets": {"distance": 3}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    with monkeypatch.context() as patch:
+        patch.setattr(sweep, "run_trial", _no_trial)
+        assert main(["sweep", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: budgets.distance = 3 is below K = k*k0 = 4")
+    # with run_moments on the trial enumerates under budgets.moments; at K one pass fits
+    for change in ({"toggles": {"run_moments": True}}, {"budgets": {"distance": 4}}):
+        cfg_path.write_text(json.dumps({**cfg, **change}))
+        assert main(["sweep", "--config", str(cfg_path)]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert all(row["distance"] <= 16 for row in rows)
+
+
 def test_cli_sweep_config_takes_an_int_for_a_float_field(tmp_path, capsys):
     cfg = {"k0": 2, "n0": 4, "n": 4, "k": 2, "trials": 1, "master_seed": 0, "constants": {"c": 2}}
     assert config_from_dict(cfg).constants.c == 2
@@ -494,21 +531,45 @@ CLI_GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(CLI_GOLDEN))
-def test_cli_report_is_pinned(name, tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("CONCATGV_OUTDIR", raising=False)
-    tmp = str(tmp_path)
+def golden_argv(name: str, tmp: str) -> list:
+    """The argv of CLI_GOLDEN[name], with its code files written to tmp."""
     assert main(["sample-code", "--n", "6", "--k", "2", "--seed", "5",
                  "--out", f"{tmp}/inner.code"]) == 0
     assert main(["sample-code", "--n", "4", "--k", "2", "--k0", "2", "--seed", "6",
                  "--out", f"{tmp}/outer.code"]) == 0
-    capsys.readouterr()
-    argv, digest = CLI_GOLDEN[name]
     pair = {"OUTER": ["--outer", "<tmp>/outer.code"], "INNER": ["--inner", "<tmp>/inner.code"]}
-    argv = [a.replace("<tmp>", tmp) for x in argv for a in pair.get(x, [x])]
+    return [a.replace("<tmp>", tmp) for x in CLI_GOLDEN[name][0] for a in pair.get(x, [x])]
+
+
+@pytest.mark.parametrize("name", sorted(CLI_GOLDEN))
+def test_cli_report_is_pinned(name, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("CONCATGV_OUTDIR", raising=False)
+    tmp = str(tmp_path)
+    argv = golden_argv(name, tmp)
+    capsys.readouterr()
     assert main(argv) == 0
     out = capsys.readouterr().out.replace(tmp, "<tmp>")
-    assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == CLI_GOLDEN[name][1]
+
+
+def test_cli_report_documents_are_the_stdlib_rendering(tmp_path, monkeypatch):
+    # every JSON report's live document, tuples and all, is within the
+    # renderer's contract: its text is json.dumps's
+    monkeypatch.delenv("CONCATGV_OUTDIR", raising=False)
+    seen = []
+
+    def checked(doc):
+        text = reemit_json(doc)
+        assert text == reemit_json_stdlib(doc)
+        seen.append(doc)
+        return text
+
+    monkeypatch.setattr(cli, "reemit_json", checked)
+    names = [name for name, (argv, _) in CLI_GOLDEN.items() if argv[0] != "sample-code"]
+    for name in names:
+        assert main(golden_argv(name, str(tmp_path))) == 0
+    assert len(seen) == len(names) == 11
+    assert any(isinstance(value, tuple) for doc in seen for value in doc.values())
 
 
 # Every (subcommand, flag) pair whose flag the subcommand does not read.

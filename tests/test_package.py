@@ -123,3 +123,14 @@ def test_no_module_touches_an_instance_dict():
             assert not (isinstance(node, ast.Attribute) and node.attr == "__dict__"), (path.name, node.lineno)
             call = isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
             assert not (call and node.func.id == "vars"), (path.name, node.lineno)
+
+
+def test_no_module_calls_json_dump():
+    # every report is rendered by sweep.reemit_json and the config hash by
+    # sweep._CANONICAL, so json.dump and json.dumps are called nowhere
+    for path in sorted(pathlib.Path(concatgv.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "json":
+                assert not {"dump", "dumps"} & {alias.name for alias in node.names}, (path.name, node.lineno)
+            named = isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            assert not (named and node.value.id == "json" and node.attr in ("dump", "dumps")), (path.name, node.lineno)
