@@ -113,9 +113,12 @@ def cmd_distance(args) -> int:
     else:
         code = _load_concat(args)
         desc = {"outer": args.outer, "inner": args.inner}
+    dim, length = binary_shape(code)
+    if args.budget < dim:  # 2^K > K: Brouwer-Zimmermann, whose first pass of K words would not fit
+        raise ValueError(f"--budget {args.budget} is below K = {dim}, the words of one Brouwer-Zimmermann pass")
     lower, upper, words, _ = min_distance(code, args.budget)
     _emit(args, {**desc, "budget": args.budget, "lower": lower, "distance": upper,
-                 "rel_distance": upper / binary_shape(code)[1], "is_exact": lower == upper, "words": words})
+                 "rel_distance": upper / length, "is_exact": lower == upper, "words": words})
     return 0
 
 

@@ -268,7 +268,7 @@ def binary_shape(code: BinaryCode | ConcatCode) -> Tuple[int, int]:
 
 
 # Temporaries hold about 2^BLOCK_BITS entries (0.5 MB per limb), bounding memory: the weight
-# count's low block and the XORs that meet it, a chunk of outer rows or of w-subsets, draws.
+# count's low block and the XORs that meet it, a chunk of outer rows, a held pass, draws.
 BLOCK_BITS = 16
 
 
@@ -360,7 +360,10 @@ def min_distance(code: BinaryCode | ConcatCode, budget: int = 1 << 24) -> Tuple[
     high) forms the XORs of w rows of its systematic generator; after passes 1..w_j on each
     I_j no codeword left weighs below sum_j max(0, w_j + 1 - g_j), none once a w_j = K.  Each
     pass that fits the budget goes to the prefix of sets that reaches the least weight seen
-    in the fewest words (2^K - 1 at most).  No word formed: upper = N + 1, witness None."""
+    in the fewest words (2^K - 1 at most).  No word formed: upper = N + 1, witness None.
+    In colex order the w-subsets with top elements T (least t, w - h of them) are the first
+    comb(t, h) words of pass h, XORed with T's rows: a set holds its pass at level
+    min(w, held), held the last level up to which passes fit 2^BLOCK_BITS words."""
     dim, length = binary_shape(code)
     if 1 << dim <= budget:
         d = weight_distribution(code, budget).min_weight
@@ -372,6 +375,8 @@ def min_distance(code: BinaryCode | ConcatCode, budget: int = 1 << 24) -> Tuple[
         rows = [code.inner_encode(ctx.scale(nu, row)) for row in code.outer.gen.rows for nu in ctx.basis]
     forms = list(_systematic_forms(rows, length))
     gaps, levels, upper, witness, words = [g for *_, g in forms], [0] * len(forms), length + 1, None, 0
+    held = next(v for v in range(dim + 1) if v == dim or math.comb(dim, v + 1) > 1 << BLOCK_BITS)
+    kept = [np.zeros((gen.shape[0], 1), dtype=gen.dtype) for gen, *_ in forms]  # pass 0: the empty XOR
 
     def cost(s: int) -> int:  # words for the first s sets to bring the bound to upper, or one to level K
         top, rest = max(levels[:s]), sum(max(0, w + 1 - g) for w, g in zip(levels[s:], gaps[s:]))
@@ -385,11 +390,14 @@ def min_distance(code: BinaryCode | ConcatCode, budget: int = 1 << 24) -> Tuple[
         w, total = levels[j] + 1, math.comb(dim, levels[j] + 1)
         if words + total > budget:
             break
-        levels[j], words = w, words + total
-        for chunk in _subsets(dim, w):
-            weights = _weights(np.bitwise_xor.reduce(gen[:, chunk], axis=2))
-            if weights[best := int(weights.argmin())] < upper:
-                upper, witness = int(weights[best]), np.bitwise_xor.reduce(messages[chunk[best]])
+        levels[j], words, h, blocks = w, words + total, min(w - 1, held), []
+        for top in itertools.combinations(range(h, dim), w - h):  # top elements; the rest, pass h's first words
+            block = kept[j][:, : math.comb(top[0], h)] ^ np.bitwise_xor.reduce(gen[:, top], axis=1, keepdims=True)
+            if (weights := _weights(block))[best := int(weights.argmin())] < upper:
+                upper, witness = int(weights[best]), np.bitwise_xor.reduce(messages[list(_colex(best, h, dim) + top)])
+            blocks += [block] if w <= held else []
+        if w <= held:  # one top element each, in increasing order: pass w in colex order
+            kept[j] = np.concatenate(blocks, axis=1)
     else:
         lower = upper
     if witness is not None and isinstance(code, ConcatCode):  # message bits back to outer symbols
@@ -397,20 +405,14 @@ def min_distance(code: BinaryCode | ConcatCode, budget: int = 1 << 24) -> Tuple[
     return lower, upper, words, witness
 
 
-def _subsets(dim: int, w: int) -> Iterator[np.ndarray]:
-    """The w-subsets of range(dim) in the order of itertools.combinations, as (rows, w) intp
-    arrays of 2^BLOCK_BITS // w subsets at most.  Lexicographic rank t is colex rank
-    comb(dim, w) - 1 - t of the mirrored subset (x -> dim - 1 - x), unranked greedily from
-    its largest element down: c_i is the largest c with comb(c, i) <= the rank left."""
-    total, step = math.comb(dim, w), (1 << BLOCK_BITS) // w
-    tables = [np.array([min(math.comb(c, i), total) for c in range(dim)], np.int64) for i in range(w, 0, -1)]
-    for start in range(0, total, step):
-        rank, chunk = np.arange(total - 1 - start, max(-1, total - 1 - start - step), -1), []
-        for table in tables:
-            c = table.searchsorted(rank, side="right") - 1
-            rank -= table[c]
-            chunk.append(dim - 1 - c)
-        yield np.stack(chunk, axis=1)
+def _colex(rank: int, h: int, dim: int) -> Tuple[int, ...]:
+    """The h-subset of range(dim) of colex rank `rank`, ascending: from the largest element
+    down, c_i is the largest c with comb(c, i) <= the rank left."""
+    subset = ()
+    for i in range(h, 0, -1):
+        dim = next(c for c in range(dim - 1, -1, -1) if math.comb(c, i) <= rank)
+        rank, subset = rank - math.comb(dim, i), (dim, *subset)
+    return subset
 
 
 def _systematic_forms(rows: Sequence[int], length: int) -> Iterator[Tuple[np.ndarray, np.ndarray, int]]:

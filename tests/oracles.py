@@ -1,8 +1,10 @@
 """Reference enumerations that the tests check the package's fast paths against."""
 
+import functools
 import itertools
 import json
 import math
+import operator
 from collections import Counter
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
@@ -308,6 +310,18 @@ def systematic_forms_by_relabeling(rows: Sequence[int], length: int) -> Iterator
         low = _pack([r & ((1 << length) - 1) for r in reduced], max(1, -(-length // 64)))
         yield low, np.array([r >> length for r in reduced], dtype=object), dim - len(fresh)
         unused = [c for i, c in enumerate(unused) if i not in fresh]
+
+
+def columns(packed: np.ndarray) -> List[int]:
+    """The columns of a (limbs, size) uint64 array as ints, limb 0 the lowest bits."""
+    return [sum(int(limb) << 64 * i for i, limb in enumerate(column)) for column in packed.T]
+
+
+def brouwer_zimmermann_pass(gen: np.ndarray, w: int) -> List[int]:
+    """Pass w of Brouwer-Zimmermann on one information set: the XOR of every w-subset of the
+    columns of its packed (limbs, K) systematic generator, in itertools.combinations order."""
+    rows = columns(gen)
+    return [functools.reduce(operator.xor, [rows[i] for i in s]) for s in itertools.combinations(range(len(rows)), w)]
 
 
 def symbol_tables_single_gather(cc: ConcatCode) -> List[np.ndarray]:

@@ -430,18 +430,37 @@ def test_cli_refuses_a_non_finite_constant(argv, capsys):
     assert "is not a finite number" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("budget", [3, 15, 16])
-def test_cli_distance_reports_the_interval_of_its_budget(budget, tmp_path, capsys):
-    # K = 2 * 2 = 4 message bits and N = 4 * 6 = 24: below 2^K words, Brouwer-Zimmermann
+def distance_codes(tmp_path):
+    """An inner [6, 2] and an outer [4, 2] code over GF(4) in files: K = 2 * 2 = 4 message
+    bits and N = 4 * 6 = 24."""
     outer, inner = tmp_path / "outer.code", tmp_path / "inner.code"
     inner.write_text(dumps_code(BinaryCode(sample_binary_code(6, 2, 5))))
     outer.write_text(dumps_code(OuterCode(sample_field_code(make_field(2), 4, 2, 6))))
+    return outer, inner
+
+
+@pytest.mark.parametrize("budget", [4, 15, 16])
+def test_cli_distance_reports_the_interval_of_its_budget(budget, tmp_path, capsys):
+    # below 2^K words, Brouwer-Zimmermann; from K words on, its first pass fits
+    outer, inner = distance_codes(tmp_path)
     argv = ["distance", "--outer", str(outer), "--inner", str(inner), "--budget", str(budget)]
     assert main(argv) == 0
     doc = json.loads(capsys.readouterr().out)
     lower, upper, words, _ = min_distance(ConcatCode(load_outer_code(outer), load_binary_code(inner)), budget)
     assert (doc["lower"], doc["distance"], doc["words"], doc["is_exact"]) == (lower, upper, words, lower == upper)
     assert doc["budget"] == budget and doc["rel_distance"] == upper / 24 and "seed" not in doc
+
+
+def test_cli_distance_refuses_a_budget_below_one_pass(tmp_path, capsys):
+    # 2^K words are past a budget below K, and Brouwer-Zimmermann's first pass forms K
+    # of them: no word would be formed and the report would read N + 1 (for the inner
+    # code alone, K = 2)
+    outer, inner = distance_codes(tmp_path)
+    for argv, dim in [(["--outer", str(outer), "--inner", str(inner)], 4), (["--code", str(inner)], 2)]:
+        for budget in (dim - 1, 0):
+            assert main(["distance", *argv, "--budget", str(budget)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith(f"error: --budget {budget} is below K = {dim}")
 
 
 @pytest.mark.parametrize("budget", ["0", "-3"])

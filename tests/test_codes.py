@@ -1,4 +1,6 @@
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +27,8 @@ from concatgv.sweep import SweepConfig
 
 from oracles import (
     all_messages,
+    brouwer_zimmermann_pass,
+    columns,
     concat_generator,
     dual_membership,
     gray_block_weight_counts,
@@ -374,12 +378,15 @@ def test_concat_distance_at_least_product():
 
 
 def counted_min_distance(code, budget):
-    """min_distance, and how many codewords it popcounted (columns through codes._weights)."""
+    """min_distance, and how many codewords it popcounted (columns through codes._weights).
+    Past the enumeration no call holds more than 2^BLOCK_BITS of them: a held pass or one
+    prefix XOR of it."""
     formed = []
     with pytest.MonkeyPatch.context() as mp:
         weights = codes._weights
         mp.setattr(codes, "_weights", lambda words: formed.append(words.shape[1]) or weights(words))
         result = min_distance(code, budget)
+    assert 1 << codes.binary_shape(code)[0] <= budget or max(formed, default=0) <= 1 << codes.BLOCK_BITS
     return result, sum(formed)
 
 
@@ -455,15 +462,42 @@ def test_min_distance_reduces_the_unit_message_encodes(code):
 
 
 @pytest.mark.parametrize("dim", range(1, 15))
-def test_subsets_follow_itertools_combinations(dim, monkeypatch):
-    # every w-subset once, in combinations order, in chunks of 2^BLOCK_BITS // w (here 4)
-    monkeypatch.setattr(codes, "BLOCK_BITS", 5)
-    for w in range(1, dim + 1):
-        chunks = list(codes._subsets(dim, w))
-        assert [len(c) for c in chunks[:-1]] == [32 // w] * (len(chunks) - 1)
-        assert all(c.dtype == np.intp for c in chunks)
-        want = list(itertools.combinations(range(dim), w))
-        assert [tuple(s) for c in chunks for s in c.tolist()] == want
+def test_subsets_follow_itertools_combinations(dim):
+    # colex rank r unranks to the r-th w-subset in colex order: by largest element, then
+    # next largest, and so on
+    for w in range(dim + 1):
+        colex = sorted(itertools.combinations(range(dim), w), key=lambda s: s[::-1])
+        assert [codes._colex(r, w, dim) for r in range(math.comb(dim, w))] == colex
+
+
+@given(code=codes_under_test(), bits=st.integers(1, 3), cut=st.integers(0, 1 << 14))
+def test_brouwer_zimmermann_passes_form_each_subset_once(code, bits, cut):
+    # with 2^bits words held, passes past the held level run over their top elements;
+    # on the first information set alone, passes 1, 2, ... form each w-subset XOR of its
+    # rows once, and over all sets the interval is the one of the default BLOCK_BITS
+    dim, _ = codes.binary_shape(code)
+    budgets = [(1 << dim) - 1, ((1 << dim) - 1) * cut >> 14]
+    want = [min_distance(code, budget)[:3] for budget in budgets]
+    first, formed, forms, weights = [], [], codes._systematic_forms, codes._weights
+
+    def first_form(rows, length):
+        first.extend(itertools.islice(forms(rows, length), 1))
+        return first
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(codes, "BLOCK_BITS", bits)
+        for budget, interval in zip(budgets, want):
+            (lower, upper, words, witness), _ = counted_min_distance(code, budget)
+            assert (lower, upper, words) == interval
+            assert witness is None or witness_weight(code, witness) == upper
+        mp.setattr(codes, "_systematic_forms", first_form)
+        mp.setattr(codes, "_weights", lambda words: formed.append(words) or weights(words))
+        min_distance(code, budgets[0])
+    words, w = columns(np.concatenate(formed, axis=1)) if formed else [], 0
+    while words:
+        w, size = w + 1, math.comb(dim, w + 1)
+        assert sorted(words[:size]) == sorted(brouwer_zimmermann_pass(first[0][0], w))
+        words = words[size:]
 
 
 @given(code=codes_under_test(st.one_of(st.sampled_from([64, 65, 128]), st.integers(1, 130)), max_dim=40))
@@ -478,8 +512,7 @@ def test_systematic_forms_match_the_relabeling(code):
     for (low, messages, g), (low_ref, messages_ref, g_ref) in zip(forms, reference):
         assert np.bitwise_count(low).sum(axis=0).tolist() == np.bitwise_count(low_ref).sum(axis=0).tolist()
         assert messages.tolist() == messages_ref.tolist() and g == g_ref
-        words = [sum(int(limb) << 64 * i for i, limb in enumerate(column)) for column in low.T]
-        assert words == [gen.combine(m) for m in messages]
+        assert columns(low) == [gen.combine(m) for m in messages]
 
 
 @given(code=codes_under_test(), cut=st.integers(0, 1 << 14))
@@ -503,6 +536,21 @@ def test_brouwer_zimmermann_matches_the_enumeration_on_the_golden_shapes(k0, n0,
             cc, _ = trial_code(cfg, trial)
             lower, upper, _ = check_interval(cc, (1 << cc.K) - 1)
             assert lower == upper
+
+
+def test_brouwer_zimmermann_holds_its_passes_under_the_block_rule():
+    # K = 40, N = 160: each set holds pass 3 (9880 words; pass 4 has 91390 > 2^BLOCK_BITS)
+    # and runs passes 4 and 5 over their top elements; pass 5 alone is 658008 words of 3
+    # limbs, 15.8 MB
+    cfg = SweepConfig(k0=4, n0=8, n=20, k=10, trials=2, master_seed=20260810, equal_rate=False)
+    cc, _ = trial_code(cfg, 1)
+    tracemalloc.start()
+    try:
+        assert min_distance(cc, 1 << 22)[:3] == (18, 26, 2280294)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 # K = 1 and 2, K not a multiple of 8, K > 64 (a message spans two words), n0 > 64
